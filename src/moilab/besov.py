@@ -105,7 +105,8 @@ class GridFunction:
     """Uniform complex samples of one period of a function on [-L, L).
 
     ``samples`` must have power-of-two length 2^m; the grid points are
-    x_k = -L + k * (2L / 2^m).  The discrete spectrum is cached.
+    x_k = -L + k * (2L / 2^m).  The discrete spectrum and the band
+    majorant (:func:`psi_band_majorant`) are cached per instance.
     """
 
     half_width: float
@@ -145,6 +146,21 @@ class GridFunction:
     @cached_property
     def _fft(self) -> np.ndarray:
         return np.fft.fft(self.samples)
+
+    @cached_property
+    def _band_majorant(self) -> float:
+        top = max_resolvable_band(self)
+        if top < 0:
+            raise BandAboveNyquistError(
+                "grid too coarse: no nonnegative band is resolvable"
+            )
+        flat = self.samples.copy()
+        weighted_sum = 0.0
+        for n in range(0, top + 1):
+            piece = band_piece(self, n)
+            flat -= piece.samples
+            weighted_sum += (2.0**n) * piece.sup_norm()
+        return float(np.max(np.abs(flat))) + weighted_sum
 
     def frequencies(self) -> np.ndarray:
         """Angular grid frequencies in FFT order."""
@@ -273,27 +289,27 @@ def psi_band_majorant(psi: GridFunction) -> float:
     psi_n are the dyadic band components up to the largest resolvable band
     and psi_flat is the low-frequency remainder psi - sum(psi_n).  This is
     the explicit quantity whose product with sup|phi| bounds the smoothness
-    surrogate of phi(x, y) * psi(z).
+    surrogate of phi(x, y) * psi(z).  The value is computed once per grid
+    and cached on ``psi``, like its spectrum, so repeated calls with the
+    same grid do no band work.
+
+    Raises
+    ------
+    BandAboveNyquistError
+        If the grid is too coarse to resolve any nonnegative band.
     """
-    top = max_resolvable_band(psi)
-    if top < 0:
-        raise BandAboveNyquistError(
-            "grid too coarse: no nonnegative band is resolvable"
-        )
-    flat = psi.samples.copy()
-    weighted_sum = 0.0
-    for n in range(0, top + 1):
-        piece = band_piece(psi, n)
-        flat -= piece.samples
-        weighted_sum += (2.0**n) * piece.sup_norm()
-    return float(np.max(np.abs(flat))) + weighted_sum
+    return psi._band_majorant
 
 
 def tensor_bound_kappa(phi_sup: float, psi: GridFunction) -> float:
     """Majorant for the smoothness surrogate of (x,y,z) -> phi(x,y) psi(z).
 
-    Returns phi_sup * (sup|psi_flat| + sum 2^n sup|psi_n|); homogeneous of
-    degree one in ``phi_sup``.
+    Returns phi_sup * psi_band_majorant(psi), that is
+    phi_sup * (sup|psi_flat| + sum 2^n sup|psi_n|); homogeneous of degree
+    one in ``phi_sup``.  The result is a true majorant only when
+    ``phi_sup`` really bounds |phi|, as the proved value 1 does for the
+    growth-family symbols; a sampled grid maximum is a lower estimate.
+    The psi factor is cached per grid.
     """
     if phi_sup < 0:
         raise ValueError("phi_sup must be nonnegative")

@@ -438,10 +438,13 @@ def check_bounded_symbol() -> CheckResult:
         ce.phi_grid_sup(ce.build_instance(N).phi, N) for N in (4, 8, 16, 32, 64)
     ]
     spread = max(sups) / min(sups) - 1.0
+    # the grid holds the lattice where the proved bound PHI_SUP is attained
+    dev = max(abs(s - ce.PHI_SUP) for s in sups)
     return _result(
         "counterexample.bounded_symbol",
-        spread < 0.10,
-        f"sup range [{min(sups):.6f}, {max(sups):.6f}], spread {spread:.3e} (tol 0.1)",
+        spread < 0.10 and dev <= 1e-12,
+        f"sup range [{min(sups):.6f}, {max(sups):.6f}], spread {spread:.3e} (tol 0.1), "
+        f"max |sup - PHI_SUP| {dev:.3e} (tol 1e-12)",
     )
 
 

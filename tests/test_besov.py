@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from moilab import besov
 from moilab.besov import (
     BandAboveNyquistError,
     GridFunction,
@@ -185,6 +186,24 @@ def test_tensor_bound_kappa_zero_and_homogeneity():
     assert tensor_bound_kappa(2.0, psi) == pytest.approx(2.0 * base, rel=1e-12)
     with pytest.raises(ValueError):
         tensor_bound_kappa(-1.0, psi)
+
+
+def test_psi_band_majorant_is_computed_once_per_grid(monkeypatch):
+    psi = GridFunction.from_function(psi_reference(), 64.0, 12)
+    first = psi_band_majorant(psi)
+
+    def no_band_work(*args, **kwargs):
+        raise AssertionError("cached majorant recomputed its bands")
+
+    monkeypatch.setattr(besov, "band_piece", no_band_work)
+    assert psi_band_majorant(psi) == first
+    assert tensor_bound_kappa(1.0, psi) == first
+
+
+def test_psi_band_majorant_same_samples_same_float():
+    psi = GridFunction.from_function(psi_reference(), 64.0, 12)
+    fresh = GridFunction(psi.half_width, psi.samples.copy())
+    assert psi_band_majorant(fresh) == psi_band_majorant(psi)
 
 
 def test_psi_majorant_stable_under_refinement():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from moilab.besov import psi_reference_grid, tensor_bound_kappa
+from moilab import counterexample
+from moilab.besov import psi_band_majorant, psi_reference_grid, tensor_bound_kappa
 from moilab.counterexample import (
+    PHI_SUP,
     InvalidEpsilonError,
     NotUnitaryError,
     build_instance,
@@ -183,6 +186,46 @@ def test_quarter_root_rule_values():
 def test_symbol_sup_is_flat_in_size():
     sups = [phi_grid_sup(build_instance(N).phi, N) for N in (4, 16)]
     assert abs(sups[1] - sups[0]) / sups[0] < 0.10
+    # the grid contains the lattice, where the proved bound is attained
+    for value in sups:
+        assert 1.0 - 1e-12 <= value <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symbol_never_exceeds_proved_bound(data):
+    N = data.draw(st.integers(1, 32), label="N")
+    coordinate = st.floats(-4.0 * math.pi, 2.0 * math.pi * (N + 2))
+    x = data.draw(coordinate, label="x")
+    y = data.draw(coordinate, label="y")
+    phi = phi_symbol(math.sqrt(N) * dft_unitary(N).conj(), N)
+    eps = np.finfo(float).eps
+    assert abs(phi(x, y)) <= PHI_SUP + 64 * N * eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), st.integers(2, 2000))
+def test_eta_periodization_partial_sums(x, J):
+    # sum over all j of eta(x - 2 pi j) is 1 by Poisson summation; the terms
+    # are nonnegative and the tail beyond |j| = J is below 1/J
+    partial = float(np.sum(eta(x - 2.0 * math.pi * np.arange(-J, J + 1))))
+    assert 1.0 - 1.0 / J <= partial <= 1.0 + 1e-12
+
+
+def test_growth_records_never_scans_the_grid(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("growth_records must use PHI_SUP, not the grid scan")
+
+    monkeypatch.setattr(counterexample, "phi_grid_sup", scan)
+    records = counterexample.growth_records(8, [2.0])
+    assert records[0].ratio == pytest.approx(math.sqrt(8), rel=1e-12)
+
+
+def test_surrogate_is_the_psi_majorant_bit_for_bit():
+    majorant = psi_band_majorant(psi_reference_grid())
+    for N in (1, 2, 4, 8, 16, 32):
+        for record in counterexample.growth_records(N, [1.0, math.inf]):
+            assert record.besov_surrogate == majorant
 
 
 def test_surrogate_is_flat_in_size():
