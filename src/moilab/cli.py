@@ -73,8 +73,10 @@ class RunConfig:
                 raise ConfigError("p", str(exc)) from exc
         if not (10 <= self.grid_log2_size <= 22):
             raise ConfigError("grid_m", f"must lie in [10, 22], got {self.grid_log2_size}")
-        if self.grid_half_width <= 0:
-            raise ConfigError("grid_L", "must be positive")
+        if not (0.0 < self.grid_half_width < math.inf):
+            raise ConfigError("grid_L", f"must be positive and finite, got {self.grid_half_width}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("format", f"must be csv or json, got {self.output_format}")
         if self.trials < 0:
@@ -97,11 +99,22 @@ def _parse_p(token: str) -> float:
         raise ConfigError("p", str(exc)) from exc
 
 
+def _parse_p_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_p(tok) for tok in text.split(","))
+
+
 def _parse_int_list(text: str, field: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(field, f"cannot parse {text!r} as integers") from exc
+
+
+def _parse_number(text: str, field: str, kind: type):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(field, f"cannot parse {text!r} as {kind.__name__}") from exc
 
 
 def _parse_eps_rule(rule: str):
@@ -143,17 +156,18 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {
-    "N",
-    "p",
-    "seed",
-    "grid_L",
-    "grid_m",
-    "format",
-    "out",
-    "trials",
-    "eps_rule",
-    "strict",
+# config-file key -> (RunConfig field, parser of the value text)
+_CONFIG_FIELDS = {
+    "N": ("N_list", lambda text: _parse_int_list(text, "N")),
+    "p": ("p_list", _parse_p_list),
+    "seed": ("seed", lambda text: _parse_number(text, "seed", int)),
+    "grid_L": ("grid_half_width", lambda text: _parse_number(text, "grid_L", float)),
+    "grid_m": ("grid_log2_size", lambda text: _parse_number(text, "grid_m", int)),
+    "format": ("output_format", str),
+    "out": ("output_path", str),
+    "trials": ("trials", lambda text: _parse_number(text, "trials", int)),
+    "eps_rule": ("eps_rule", str),
+    "strict": ("strict", lambda text: _parse_bool(text, "strict")),
 }
 
 
@@ -161,36 +175,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         entries = load_config_file(args.config)
-        unknown = set(entries) - _CONFIG_KEYS
+        unknown = set(entries) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-        updates = {}
-        if "N" in entries:
-            updates["N_list"] = _parse_int_list(entries["N"], "N")
-        if "p" in entries:
-            updates["p_list"] = tuple(_parse_p(tok) for tok in entries["p"].split(","))
-        if "seed" in entries:
-            updates["seed"] = int(entries["seed"])
-        if "grid_L" in entries:
-            updates["grid_half_width"] = float(entries["grid_L"])
-        if "grid_m" in entries:
-            updates["grid_log2_size"] = int(entries["grid_m"])
-        if "format" in entries:
-            updates["output_format"] = entries["format"]
-        if "out" in entries:
-            updates["output_path"] = entries["out"]
-        if "trials" in entries:
-            updates["trials"] = int(entries["trials"])
-        if "eps_rule" in entries:
-            updates["eps_rule"] = entries["eps_rule"]
-        if "strict" in entries:
-            updates["strict"] = _parse_bool(entries["strict"], "strict")
+        updates = {
+            field: parse(entries[key])
+            for key, (field, parse) in _CONFIG_FIELDS.items()
+            if key in entries
+        }
         config = replace(config, **updates)
 
     if getattr(args, "N", None):
         config = replace(config, N_list=_parse_int_list(args.N, "N"))
     if getattr(args, "p", None):
-        config = replace(config, p_list=tuple(_parse_p(tok) for tok in args.p.split(",")))
+        config = replace(config, p_list=_parse_p_list(args.p))
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     if getattr(args, "grid_m", None) is not None:

@@ -333,6 +333,11 @@ def numerical_rank(M, rel_tol: float = 1e-10) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix with independent standard complex Gaussian entries."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex Gaussian."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -345,5 +350,29 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(
     rng: np.random.Generator, dim: int, scale: float = 1.0
 ) -> HermitianOperator:
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = complex_gaussian(rng, dim, dim)
     return HermitianOperator(scale * (G + G.conj().T) / 2.0)
+
+
+def random_measure(
+    rng: np.random.Generator, dim: int, n_atoms: int
+) -> SpectralMeasure:
+    """Spectral measure built by hand: a random unitary frame split into atoms.
+
+    The frame's columns are cut at ``min(n_atoms, dim) - 1`` distinct random
+    positions, and the atoms carry sorted uniform values from [-3, 3].
+    """
+    n_atoms = min(n_atoms, dim)
+    U = random_unitary(rng, dim)
+    cuts = (
+        sorted(rng.choice(np.arange(1, dim), size=n_atoms - 1, replace=False))
+        if n_atoms > 1
+        else []
+    )
+    bounds = [0, *cuts, dim]
+    values = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
+    atoms = tuple(
+        SpectralAtom(float(v), U[:, lo:hi])
+        for v, lo, hi in zip(values, bounds[:-1], bounds[1:])
+    )
+    return SpectralMeasure(atoms)

@@ -240,56 +240,22 @@ def argument_perturbation(
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
     dim = _same_dim(X1, X2, Y, Z)
-    eye = _identity(dim)
-    delta = X1.matrix - X2.matrix
-
-    E_x1 = spectral_measure(X1, group_tol)
-    E_x2 = spectral_measure(X2, group_tol)
-    E_y = spectral_measure(Y, group_tol)
-    E_z = spectral_measure(Z, group_tol)
-
-    x1 = E_x1.eigenvalues
-    x2 = E_x2.eigenvalues
-    y = E_y.eigenvalues
-    z = E_z.eigenvalues
-
-    def difference_quotient(lhs, rhs):
-        den = lhs - rhs
-        diag = den == 0
-        safe = np.where(diag, 1.0, den)
-        return diag, safe
-
-    if index == 0:
-        l1 = x1[:, None, None, None]
-        l2 = x2[None, :, None, None]
-        mu = y[None, None, :, None]
-        nu = z[None, None, None, :]
-        num = f(l1, mu, nu) - f(l2, mu, nu)
-        diag, safe = difference_quotient(l1, l2)
-        weights = np.where(diag, 0.0, np.asarray(num, dtype=np.complex128) / safe)
-        measures = (E_x1, E_x2, E_y, E_z)
-        operators = (delta, eye, eye)
-    elif index == 1:
-        lam = y[:, None, None, None]
-        m1 = x1[None, :, None, None]
-        m2 = x2[None, None, :, None]
-        nu = z[None, None, None, :]
-        num = f(lam, m1, nu) - f(lam, m2, nu)
-        diag, safe = difference_quotient(m1, m2)
-        weights = np.where(diag, 0.0, np.asarray(num, dtype=np.complex128) / safe)
-        measures = (E_y, E_x1, E_x2, E_z)
-        operators = (eye, delta, eye)
-    else:
-        lam = y[:, None, None, None]
-        mu = z[None, :, None, None]
-        n1 = x1[None, None, :, None]
-        n2 = x2[None, None, None, :]
-        num = f(lam, mu, n1) - f(lam, mu, n2)
-        diag, safe = difference_quotient(n1, n2)
-        weights = np.where(diag, 0.0, np.asarray(num, dtype=np.complex128) / safe)
-        measures = (E_y, E_z, E_x1, E_x2)
-        operators = (eye, eye, delta)
-
+    others = [spectral_measure(Y, group_tol), spectral_measure(Z, group_tol)]
+    measures = (
+        others[:index]
+        + [spectral_measure(X1, group_tol), spectral_measure(X2, group_tol)]
+        + others[index:]
+    )
+    # each measure's eigenvalues along its own axis of the 4-d weight tensor
+    grids = [
+        E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(4)])
+        for k, E in enumerate(measures)
+    ]
+    fixed = grids[:index] + grids[index + 2 :]
+    quotient = DividedDifference2(lambda t: f(*fixed[:index], t, *fixed[index:]))
+    weights = quotient(grids[index], grids[index + 1])
+    operators = [_identity(dim)] * 2
+    operators.insert(index, X1.matrix - X2.matrix)
     return _chain_integral(weights, measures, operators)
 
 

@@ -1,30 +1,9 @@
 import numpy as np
 import pytest
 
-from moilab.linalg import SpectralAtom, SpectralMeasure, random_unitary
-
-
-def complex_gaussian(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_measure(rng, dim, n_atoms):
-    """Hand-built spectral measure: random orthonormal frame split into atoms."""
-    n_atoms = min(n_atoms, dim)
-    U = random_unitary(rng, dim)
-    if n_atoms > 1:
-        cuts = sorted(rng.choice(np.arange(1, dim), size=n_atoms - 1, replace=False))
-    else:
-        cuts = []
-    bounds = [0, *cuts, dim]
-    values = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
-    atoms = tuple(
-        SpectralAtom(float(v), U[:, lo:hi])
-        for v, lo, hi in zip(values, bounds[:-1], bounds[1:])
-    )
-    return SpectralMeasure(atoms)
+SEED = 20240501
 
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240501)
+    return np.random.default_rng(SEED)

@@ -198,3 +198,25 @@ def test_default_config_matches_documented_sweep():
     assert config.p_list == (1.0, 1.5, 2.0, 3.0, math.inf)
     assert config.seed == 20240501
     assert config.validate() is config
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, field",
+    [
+        ("seed=abc\n", [], "seed"),
+        ("trials=x\n", [], "trials"),
+        ("grid_L=wide\n", [], "grid_L"),
+        ("grid_m=big\n", [], "grid_m"),
+        ("", ["--seed", "-1"], "seed"),
+        ("", ["--grid-L", "nan"], "grid_L"),
+    ],
+    ids=["seed-file", "trials-file", "grid_L-file", "grid_m-file", "seed-flag", "grid_L-flag"],
+)
+def test_bad_configuration_exits_two_and_names_field(
+    tmp_path, capsys, config_text, flags, field
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    code = run_cli(["bounds", "--config", str(cfg), "--N", "2", "--trials", "1", *flags])
+    assert code == 2
+    assert f"'{field}'" in capsys.readouterr().err

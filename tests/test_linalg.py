@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian
+from conftest import SEED
 from moilab.counterexample import build_instance
 from moilab.linalg import (
     DimensionMismatchError,
     HermitianOperator,
     NotHermitianError,
     NotSquareError,
+    complex_gaussian,
     hermitian_from_matrix,
     numerical_rank,
     random_hermitian,
-    random_unitary,
     rank_one,
     schatten_norm,
     singular_values,
@@ -22,6 +22,14 @@ from moilab.linalg import (
     zero_operator,
 )
 from moilab.moi import apply_function_pair
+from moilab.selfcheck import (
+    check_finite_rank_chain,
+    check_frobenius_identity,
+    check_projection_algebra,
+    check_schatten_monotonicity,
+    check_spectral_resolution,
+    check_unitary_invariance,
+)
 
 
 def test_hermitian_from_matrix_identity():
@@ -157,66 +165,29 @@ def test_rank_one_dimension_mismatch():
         rank_one(np.ones(2), np.ones(3))
 
 
-def test_spectral_resolution_property(rng):
-    for _ in range(20):
-        dim = int(rng.integers(2, 17))
-        A = random_hermitian(rng, dim)
-        E = spectral_measure(A)
-        assert E.deviations(A)["reconstruction"] <= 1e-10
+def test_spectral_resolution_property():
+    assert check_spectral_resolution(SEED, 20).passed
 
 
-def test_projection_algebra_property(rng):
-    for _ in range(10):
-        dim = int(rng.integers(2, 17))
-        E = spectral_measure(random_hermitian(rng, dim))
-        projections = E.projections()
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, P in enumerate(projections):
-            total += P
-            for j, Q in enumerate(projections):
-                expected = P if i == j else np.zeros_like(P)
-                assert np.max(np.abs(P @ Q - expected)) <= 1e-10
-        assert np.max(np.abs(total - np.eye(dim))) <= 1e-10
+def test_projection_algebra_property():
+    assert check_projection_algebra(SEED, 10).passed
 
 
-def test_schatten_monotonicity_property(rng):
-    grid = [1.0, 1.5, 2.0, 3.0, 5.0, math.inf]
-    for _ in range(25):
-        M = complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        norms = [schatten_norm(M, p) for p in grid]
-        for larger, smaller in zip(norms[:-1], norms[1:]):
-            assert smaller <= larger + 1e-12
+def test_schatten_monotonicity_property():
+    grid = (1.0, 1.5, 2.0, 3.0, 5.0, math.inf)
+    assert check_schatten_monotonicity(SEED, 25, grid).passed
 
 
-def test_unitary_invariance_property(rng):
-    for _ in range(15):
-        dim = int(rng.integers(2, 9))
-        M = complex_gaussian(rng, dim, dim)
-        U = random_unitary(rng, dim)
-        V = random_unitary(rng, dim)
-        for p in (1.0, 2.0, 3.5, math.inf):
-            assert abs(schatten_norm(U @ M @ V, p) - schatten_norm(M, p)) <= 1e-10
+def test_unitary_invariance_property():
+    assert check_unitary_invariance(SEED, 15).passed
 
 
-def test_frobenius_identity_property(rng):
-    for _ in range(25):
-        M = complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        assert schatten_norm(M, 2.0) ** 2 == pytest.approx(
-            float(np.sum(np.abs(M) ** 2)), abs=1e-10
-        )
+def test_frobenius_identity_property():
+    assert check_frobenius_identity(SEED, 25).passed
 
 
-def test_finite_rank_chain_property(rng):
-    for _ in range(40):
-        dim = int(rng.integers(3, 13))
-        rank = int(rng.integers(1, dim + 1))
-        M = complex_gaussian(rng, dim, rank) @ complex_gaussian(rng, rank, dim)
-        for p in (2.0, 3.0, 4.0, math.inf):
-            inv_p = 0.0 if math.isinf(p) else 1.0 / p
-            assert (
-                schatten_norm(M, 2.0)
-                <= rank ** (0.5 - inv_p) * schatten_norm(M, p) + 1e-12
-            )
+def test_finite_rank_chain_property():
+    assert check_finite_rank_chain(SEED, 40).passed
 
 
 def test_numerical_rank(rng):

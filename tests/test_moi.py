@@ -1,14 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, random_measure
+from conftest import SEED
 from moilab.counterexample import build_instance
 from moilab.linalg import (
     DimensionMismatchError,
+    complex_gaussian,
     hermitian_from_matrix,
     random_hermitian,
+    random_measure,
     rank_one,
     spectral_measure,
     zero_operator,
@@ -24,9 +24,13 @@ from moilab.moi import (
     perturbation_via_divided_difference,
     triple_operator_integral,
 )
-from moilab.reference import (
-    naive_double_operator_integral,
-    naive_triple_operator_integral,
+from moilab.reference import naive_double_operator_integral
+from moilab.selfcheck import (
+    check_commuting_diagonal,
+    check_diagonal_policy_independence,
+    check_naive_oracle_equivalence,
+    check_single_slot_exactness,
+    check_triple_slot_exactness,
 )
 
 
@@ -119,16 +123,8 @@ def test_triple_integral_product_factorizes(rng):
     assert np.max(np.abs(out - A.matrix @ B.matrix @ C.matrix)) <= 1e-9
 
 
-def test_triple_integral_matches_naive_oracle(rng):
-    phi = lambda x, y, z: np.exp(1j * (x - 2.0 * y)) + x * z
-    for _ in range(10):
-        dim = int(rng.integers(3, 9))
-        E1, E2, E3 = (random_measure(rng, dim, int(rng.integers(1, 6))) for _ in range(3))
-        T1 = complex_gaussian(rng, dim, dim)
-        T2 = complex_gaussian(rng, dim, dim)
-        fast = triple_operator_integral(phi, E1, T1, E2, T2, E3)
-        slow = naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
-        assert np.max(np.abs(fast - slow)) <= 1e-10
+def test_triple_integral_matches_naive_oracle():
+    assert check_naive_oracle_equivalence(SEED, 10).passed
 
 
 def test_double_integral_matches_naive_oracle(rng):
@@ -194,16 +190,8 @@ def test_divided_difference_values():
     assert complex(dd(2.0, 2.0)) == pytest.approx(7.0)
 
 
-def test_diagonal_policy_never_leaks_into_result(rng):
-    shared = np.sort(rng.uniform(-2.0, 2.0, size=5))
-    Q = complex_gaussian(rng, 5, 5)
-    Q, _ = np.linalg.qr(Q)
-    A = hermitian_from_matrix((Q * shared) @ Q.conj().T)
-    B = hermitian_from_matrix(np.diag(shared).astype(complex))
-    f = lambda t: t**3 - t
-    base = perturbation_via_divided_difference(f, A, B, diagonal_value=0.0)
-    other = perturbation_via_divided_difference(f, A, B, diagonal_value=9.0 + 2j)
-    assert np.max(np.abs(base - other)) <= 1e-12
+def test_diagonal_policy_never_leaks_into_result():
+    assert check_diagonal_policy_independence(SEED, 1).passed
 
 
 def test_diagonal_policy_bit_identical_on_exactly_shared_spectra():
@@ -224,23 +212,8 @@ def test_diagonal_policy_bit_identical_on_exactly_shared_spectra():
     assert np.max(np.abs(outputs[0] - direct)) <= 1e-12
 
 
-def test_single_slot_exactness_sweep(rng):
-    functions = [
-        lambda t: 0.3 * t**4 - t**2 + 0.5 * t,
-        lambda t: np.exp(1j * t),
-    ]
-    worst = 0.0
-    for _ in range(30):
-        dim = int(rng.integers(2, 11))
-        A = random_hermitian(rng, dim)
-        B = random_hermitian(rng, dim)
-        for f in functions:
-            lhs = perturbation_via_divided_difference(f, A, B)
-            rhs = apply_function_single(f, spectral_measure(A)) - apply_function_single(
-                f, spectral_measure(B)
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    assert worst <= 1e-9
+def test_single_slot_exactness_sweep():
+    assert check_single_slot_exactness(SEED, 30).passed
 
 
 def test_argument_perturbation_same_operator_is_zero(rng):
@@ -256,19 +229,8 @@ def test_argument_perturbation_coordinate_function(rng):
     assert np.max(np.abs(out - (A1.matrix - A2.matrix))) <= 1e-10
 
 
-def test_argument_perturbation_all_positions_match_direct_difference(rng):
-    f = lambda x, y, z: np.sin(x) * np.cos(y) + z
-    for _ in range(8):
-        dim = int(rng.integers(2, 7))
-        X1, X2, Y, Z = (random_hermitian(rng, dim) for _ in range(4))
-        for index in (0, 1, 2):
-            lhs = argument_perturbation(f, index, X1, X2, Y, Z)
-            args1 = [Y, Z]
-            args1.insert(index, X1)
-            args2 = [Y, Z]
-            args2.insert(index, X2)
-            rhs = apply_function_triple(f, *args1) - apply_function_triple(f, *args2)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+def test_argument_perturbation_all_positions_match_direct_difference():
+    assert check_triple_slot_exactness(SEED, 8).passed
 
 
 def test_argument_perturbation_rejects_bad_index(rng):
@@ -277,13 +239,8 @@ def test_argument_perturbation_rejects_bad_index(rng):
         argument_perturbation(lambda x, y, z: x, 3, *ops)
 
 
-def test_commuting_diagonal_consistency(rng):
-    f = lambda x, y, z: np.cos(x) * y + z**2
-    diags = [np.sort(rng.uniform(-2.0, 2.0, size=6)) for _ in range(3)]
-    ops = [hermitian_from_matrix(np.diag(d).astype(complex)) for d in diags]
-    out = apply_function_triple(f, *ops)
-    expected = np.diag(f(*diags).astype(complex))
-    assert np.max(np.abs(out - expected)) <= 1e-12
+def test_commuting_diagonal_consistency():
+    assert check_commuting_diagonal(SEED, 1).passed
 
 
 def test_mixed_dimension_rejection(rng):
