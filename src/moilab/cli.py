@@ -75,6 +75,11 @@ class RunConfig:
             raise ConfigError("grid_m", f"must lie in [10, 22], got {self.grid_log2_size}")
         if not (0.0 < self.grid_half_width < math.inf):
             raise ConfigError("grid_L", f"must be positive and finite, got {self.grid_half_width}")
+        spacing = 2.0 * self.grid_half_width / 2**self.grid_log2_size
+        if not (0.0 < spacing < math.inf):
+            raise ConfigError(
+                "grid_L", f"grid spacing 2L/2^m = {spacing} must be positive and finite"
+            )
         if self.seed < 0:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if self.output_format not in ("csv", "json"):

@@ -77,7 +77,8 @@ class HermitianOperator:
     """A square complex matrix equal to its conjugate transpose.
 
     Construct through :func:`hermitian_from_matrix`, which validates and
-    symmetrizes; instances are treated as immutable.
+    symmetrizes; instances are treated as immutable.  Their spectral
+    measures (:func:`spectral_measure`) are cached per grouping tolerance.
     """
 
     matrix: np.ndarray
@@ -85,6 +86,10 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _measures(self) -> dict[float, "SpectralMeasure"]:
+        return {}
 
     def scaled(self, factor: float) -> "HermitianOperator":
         """The operator multiplied by a real scalar (still Hermitian)."""
@@ -219,7 +224,8 @@ def spectral_measure(
 
     Consecutive eigenvalues whose gap is at most ``group_tol`` land in the
     same atom; the atom's eigenvalue is the group mean and its projection
-    is the sum of the grouped rank-one eigenprojections.
+    is the sum of the grouped rank-one eigenprojections.  The measure is
+    cached on ``A`` per ``group_tol``, so each operator is decomposed once.
 
     Raises
     ------
@@ -228,6 +234,12 @@ def spectral_measure(
     """
     if group_tol < 0:
         raise ValueError("group_tol must be nonnegative")
+    if group_tol not in A._measures:
+        A._measures[group_tol] = _decompose(A, group_tol)
+    return A._measures[group_tol]
+
+
+def _decompose(A: HermitianOperator, group_tol: float) -> SpectralMeasure:
     try:
         values, vectors = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:

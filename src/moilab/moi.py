@@ -9,16 +9,20 @@ Symbols are plain callables.  They must accept numpy arrays and broadcast:
 the atom grids are evaluated in one vectorized call, so ``lambda x, y:
 np.sin(x) * y`` is fine while ``math.sin`` is not.
 
-All sums are evaluated by transforming into the concatenated eigenbases of
-the measures, so one call costs a handful of dense matrix products
-regardless of the number of atoms.  The contraction order is fixed, which
-keeps outputs bit-stable between runs.  A literal atom-by-atom loop lives
-in :mod:`moilab.reference` for cross-checking.
+All sums are evaluated in the concatenated eigenbases of the measures by
+one engine for two, three and four measures.  The symbol is evaluated per
+chunk of the last measure's atoms, one einsum per chunk contracts its
+weights with the leading operators, and one dense matrix product per atom
+of the last measure finishes the sum; no weight tensor over all atoms is
+built, so a generic triple at dimension d holds O(d^2 * chunk) weights.
+The contraction order depends only on the dimensions and atom counts,
+which keeps outputs bit-stable between runs.  A literal atom-by-atom loop
+lives in :mod:`moilab.reference` for cross-checking.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,11 +54,24 @@ class DividedDifference2:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        den = x - y
-        diag = den == 0
-        num = np.asarray(self.base(x) - self.base(y), dtype=np.complex128)
-        safe = np.where(diag, 1.0, den)
-        return np.where(diag, self.diagonal_value, num / safe)
+        return _difference_quotient(
+            self.base(x) - self.base(y), x - y, self.diagonal_value
+        )
+
+
+def _difference_quotient(num, den: np.ndarray, diagonal_value: complex = 0.0):
+    """num / den, with ``diagonal_value`` wherever den == 0 exactly."""
+    num = np.asarray(num, dtype=np.complex128)
+    diag = den == 0
+    if not diag.any():
+        return num / den
+    safe = np.where(diag, 1.0, den)
+    return np.where(diag, diagonal_value, num / safe)
+
+
+# Largest number of complex weight entries (4 MiB) one chunk of the last
+# measure may hold once expanded to the column space of the head measures.
+_CHUNK_ENTRIES = 2**18
 
 
 def _check_chain_dims(
@@ -69,43 +86,62 @@ def _check_chain_dims(
 
 
 def _chain_integral(
-    weights: np.ndarray,
+    weights_of: Callable[[slice], np.ndarray],
     measures: Sequence[SpectralMeasure],
     operators: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Sum of weights[i1..im] * P1_{i1} T1 P2_{i2} ... T_{m-1} Pm_{im}.
+    """Sum of w[i1..im] * P1_{i1} T1 P2_{i2} ... T_{m-1} Pm_{im}.
 
-    Works in the concatenated eigenbases: transform every interleaved
-    operator once, then accumulate over the atoms of the middle measures
-    only.  The first and last atom indices act entrywise, as a generalized
-    Schur multiplier.
+    ``weights_of(sl)`` returns the symbol weights w over every atom of the
+    first m - 1 measures and the atoms ``sl`` of the last one (anything
+    broadcastable to that shape).
+
+    Works in the concatenated eigenbases: every interleaved operator is
+    transformed once.  For m = 2 the weights act entrywise, as one Schur
+    product.  For m >= 3 the last measure's atoms are taken in chunks whose
+    weights, expanded to the column space of the first m - 1 measures, hold
+    at most ``_CHUNK_ENTRIES`` entries (at least one atom per chunk).  Per
+    chunk the symbol is called once, one einsum contracts the weights with
+    the leading operators into G[j] for every last atom j of the chunk, and
+    one matrix product G[j] @ T_last[:, block_j] fills that atom's columns,
+    so a repeated last atom costs one product rather than one outer product
+    per column.
     """
     _check_chain_dims(measures, operators)
     counts = tuple(len(E.atoms) for E in measures)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128), counts)
-
     frames = [E.frame for E in measures]
     transformed = [
         frames[t].conj().T @ operators[t] @ frames[t + 1]
         for t in range(len(operators))
     ]
-    g_first = measures[0].column_atom_index
-    g_last = measures[-1].column_atom_index
+    *head, last = measures
+
+    def chunk_weights(sl: slice) -> np.ndarray:
+        w = np.asarray(weights_of(sl), dtype=np.complex128)
+        return np.broadcast_to(w, (*counts[:-1], sl.stop - sl.start))
 
     if len(measures) == 2:
-        acc = weights[np.ix_(g_first, g_last)] * transformed[0]
+        w = chunk_weights(slice(0, counts[-1]))
+        acc = w[np.ix_(head[0].column_atom_index, last.column_atom_index)] * transformed[0]
     else:
-        acc = np.zeros((measures[0].dim, measures[-1].dim), dtype=np.complex128)
-        middle_slices = [E.column_slices for E in measures[1:-1]]
-        for combo in itertools.product(*(range(n) for n in counts[1:-1])):
-            block = transformed[0][:, middle_slices[0][combo[0]]]
-            for t in range(1, len(combo)):
-                block = block @ transformed[t][
-                    middle_slices[t - 1][combo[t - 1]], middle_slices[t][combo[t]]
-                ]
-            block = block @ transformed[-1][middle_slices[-1][combo[-1]], :]
-            w = weights[(slice(None), *combo, slice(None))]
-            acc += w[np.ix_(g_first, g_last)] * block
+        # one letter per head measure's column axis, z for the chunk's last atoms
+        axes = "abcdefgh"[: len(head)]
+        subscripts = (
+            f"{axes}z,"
+            + ",".join(axes[t : t + 2] for t in range(len(head) - 1))
+            + f"->z{axes[0]}{axes[-1]}"
+        )
+        repeated = any(E.dim > len(E.atoms) for E in head)
+        chunk = max(1, _CHUNK_ENTRIES // math.prod(E.dim for E in head))
+        acc = np.empty((head[0].dim, last.dim), dtype=np.complex128)
+        for lo in range(0, counts[-1], chunk):
+            sl = slice(lo, min(lo + chunk, counts[-1]))
+            w = chunk_weights(sl)
+            if repeated:
+                w = w[np.ix_(*(E.column_atom_index for E in head), np.arange(w.shape[-1]))]
+            G = np.einsum(subscripts, w, *transformed[:-1])
+            for j, block in enumerate(last.column_slices[sl]):
+                acc[:, block] = G[j] @ transformed[-1][:, block]
     return frames[0] @ acc @ frames[-1].conj().T
 
 
@@ -127,8 +163,7 @@ def double_operator_integral(
     T = as_complex_matrix(T)
     a = E1.eigenvalues
     b = E2.eigenvalues
-    weights = phi(a[:, None], b[None, :])
-    return _chain_integral(weights, (E1, E2), (T,))
+    return _chain_integral(lambda sl: phi(a[:, None], b[None, sl]), (E1, E2), (T,))
 
 
 def triple_operator_integral(
@@ -145,8 +180,11 @@ def triple_operator_integral(
     a = E1.eigenvalues
     b = E2.eigenvalues
     c = E3.eigenvalues
-    weights = phi(a[:, None, None], b[None, :, None], c[None, None, :])
-    return _chain_integral(weights, (E1, E2, E3), (T1, T2))
+    return _chain_integral(
+        lambda sl: phi(a[:, None, None], b[None, :, None], c[None, None, sl]),
+        (E1, E2, E3),
+        (T1, T2),
+    )
 
 
 def _identity(dim: int) -> np.ndarray:
@@ -251,12 +289,26 @@ def argument_perturbation(
         E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(4)])
         for k, E in enumerate(measures)
     ]
-    fixed = grids[:index] + grids[index + 2 :]
-    quotient = DividedDifference2(lambda t: f(*fixed[:index], t, *fixed[index:]))
-    weights = quotient(grids[index], grids[index + 1])
+    rest = [k for k in range(4) if k not in (index, index + 1)]
+
+    def f_on(k: int, g: list) -> np.ndarray:
+        """f with the perturbed slot on measure k and the others on their own."""
+        args = [g[r] for r in rest]
+        args.insert(index, g[k])
+        return f(*args)
+
+    # in the last slot f(.., X1) does not involve the last measure, X2, so it
+    # is evaluated once instead of once per chunk
+    upper = f_on(index, grids) if index == 2 else None
+
+    def weights_of(sl: slice) -> np.ndarray:
+        g = grids[:3] + [grids[3][..., sl]]
+        high = f_on(index, g) if upper is None else upper
+        return _difference_quotient(high - f_on(index + 1, g), g[index] - g[index + 1])
+
     operators = [_identity(dim)] * 2
     operators.insert(index, X1.matrix - X2.matrix)
-    return _chain_integral(weights, measures, operators)
+    return _chain_integral(weights_of, measures, operators)
 
 
 def first_argument_perturbation(

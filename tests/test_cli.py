@@ -209,8 +209,19 @@ def test_default_config_matches_documented_sweep():
         ("grid_m=big\n", [], "grid_m"),
         ("", ["--seed", "-1"], "seed"),
         ("", ["--grid-L", "nan"], "grid_L"),
+        ("", ["--grid-L", "1e308"], "grid_L"),
+        ("", ["--grid-L", "1e-320"], "grid_L"),
     ],
-    ids=["seed-file", "trials-file", "grid_L-file", "grid_m-file", "seed-flag", "grid_L-flag"],
+    ids=[
+        "seed-file",
+        "trials-file",
+        "grid_L-file",
+        "grid_m-file",
+        "seed-flag",
+        "grid_L-flag",
+        "grid_L-spacing-overflow",
+        "grid_L-spacing-underflow",
+    ],
 )
 def test_bad_configuration_exits_two_and_names_field(
     tmp_path, capsys, config_text, flags, field

@@ -84,6 +84,19 @@ def test_spectral_measure_of_averaging_projection():
     assert E.atoms[1].multiplicity == 1
 
 
+def test_spectral_measure_is_cached_per_group_tol(rng, monkeypatch):
+    A = random_hermitian(rng, 6)
+    first = spectral_measure(A)
+
+    def eigh(matrix):
+        raise AssertionError("decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert spectral_measure(A) is first
+    with pytest.raises(AssertionError, match="decomposed again"):
+        spectral_measure(A, group_tol=1e-6)
+
+
 def test_spectral_measure_rejects_negative_group_tol():
     with pytest.raises(ValueError):
         spectral_measure(zero_operator(2), group_tol=-1.0)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
+from moilab import moi
 from moilab.counterexample import build_instance
 from moilab.linalg import (
     DimensionMismatchError,
@@ -24,7 +28,7 @@ from moilab.moi import (
     perturbation_via_divided_difference,
     triple_operator_integral,
 )
-from moilab.reference import naive_double_operator_integral
+from moilab.reference import naive_double_operator_integral, naive_triple_operator_integral
 from moilab.selfcheck import (
     check_commuting_diagonal,
     check_diagonal_policy_independence,
@@ -190,6 +194,19 @@ def test_divided_difference_values():
     assert complex(dd(2.0, 2.0)) == pytest.approx(7.0)
 
 
+def test_divided_difference_fast_path_matches_where_path(rng):
+    x = rng.uniform(-3.0, 3.0, size=(7, 1))
+    y = rng.uniform(-3.0, 3.0, size=(1, 9))
+    base = lambda t: np.exp(1j * t) + t**3
+    den = x - y
+    assert not np.any(den == 0)
+    num = np.asarray(base(x) - base(y), dtype=np.complex128)
+    where_path = np.where(den == 0, 2.5, num / np.where(den == 0, 1.0, den))
+    out = DividedDifference2(base=base, diagonal_value=2.5)(x, y)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, where_path)
+
+
 def test_diagonal_policy_never_leaks_into_result():
     assert check_diagonal_policy_independence(SEED, 1).passed
 
@@ -250,3 +267,68 @@ def test_mixed_dimension_rejection(rng):
         apply_function_pair(lambda x, y: x + y, A, B)
     with pytest.raises(DimensionMismatchError):
         apply_function_triple(lambda x, y, z: x, A, A, B)
+
+
+def _degenerate_hermitian(rng, dim):
+    """A Hermitian operator with fewer distinct eigenvalues than its dimension."""
+    return hermitian_from_matrix(
+        random_measure(rng, dim, int(rng.integers(1, dim))).reconstruct()
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 8),
+    atoms_per_chunk=st.sampled_from((1, 2)),
+)
+def test_chunked_triple_matches_naive_oracle_with_repeated_atoms(seed, dim, atoms_per_chunk):
+    rng = np.random.default_rng(seed)
+    # fewer atoms than dimensions, so every slot has a repeated atom
+    E1, E2, E3 = (random_measure(rng, dim, int(rng.integers(1, dim))) for _ in range(3))
+    T1 = complex_gaussian(rng, dim, dim)
+    T2 = complex_gaussian(rng, dim, dim)
+    phi = lambda x, y, z: np.exp(1j * (x - 2.0 * y)) + x * z
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * dim * dim)
+        fast = triple_operator_integral(phi, E1, T1, E2, T2, E3)
+    slow = naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
+    assert np.max(np.abs(fast - slow)) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 7),
+    atoms_per_chunk=st.sampled_from((1, 2)),
+    same=st.booleans(),
+)
+def test_chunked_argument_perturbation_matches_triple_difference(
+    seed, dim, atoms_per_chunk, same
+):
+    rng = np.random.default_rng(seed)
+    X1, X2, Y, Z = (_degenerate_hermitian(rng, dim) for _ in range(4))
+    if same:
+        X2 = X1
+    f = lambda x, y, z: np.sin(x) * np.cos(y) + x * y * z
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * dim**3)
+        for index in range(3):
+            lhs = argument_perturbation(f, index, X1, X2, Y, Z)
+            high, low = [Y, Z], [Y, Z]
+            high.insert(index, X1)
+            low.insert(index, X2)
+            rhs = apply_function_triple(f, *high) - apply_function_triple(f, *low)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+def test_generic_triple_memory_is_bounded(rng):
+    # a full weight tensor at d = 256 alone would take 256 MiB
+    A, B, C = (random_hermitian(rng, 256) for _ in range(3))
+    tracemalloc.start()
+    try:
+        apply_function_triple(lambda x, y, z: (x - y) * z + 1j * x * y, A, B, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
