@@ -37,7 +37,6 @@ from .counterexample import (
     orthonormal_realization,
     phi_symbol,
     rank_estimate_check_pairs,
-    verify_growth,
 )
 from .linalg import (
     DimensionMismatchError,
@@ -63,7 +62,6 @@ from .moi import (
     apply_function_triple,
     argument_perturbation,
     double_operator_integral,
-    first_argument_perturbation,
     perturbation_via_divided_difference,
     triple_operator_integral,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "double_operator_integral",
     "epsilon_scaling_run",
     "eta",
-    "first_argument_perturbation",
     "hermitian_from_matrix",
     "lipschitz_rank_bound_check",
     "orthonormal_realization",
@@ -114,7 +111,6 @@ __all__ = [
     "spectral_measure_from_projections",
     "tensor_bound_kappa",
     "triple_operator_integral",
-    "verify_growth",
     "window_w",
     "zero_operator",
 ]

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .besov import psi_reference_grid
+from .besov import max_resolvable_band, psi_reference_grid
 from .counterexample import (
     DEFAULT_SEED,
-    growth_records,
+    epsilon_scaling_run,
     lipschitz_rank_bound_check,
     quarter_root_rule,
     rank_estimate_check_pairs,
@@ -161,7 +161,8 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-# config-file key -> (RunConfig field, parser of the value text)
+# config-file key, also the argparse dest of its flag -> (RunConfig field, parser
+# of the value text)
 _CONFIG_FIELDS = {
     "N": ("N_list", lambda text: _parse_int_list(text, "N")),
     "p": ("p_list", _parse_p_list),
@@ -177,40 +178,19 @@ _CONFIG_FIELDS = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        entries = load_config_file(args.config)
-        unknown = set(entries) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-        updates = {
-            field: parse(entries[key])
-            for key, (field, parse) in _CONFIG_FIELDS.items()
-            if key in entries
-        }
-        config = replace(config, **updates)
-
-    if getattr(args, "N", None):
-        config = replace(config, N_list=_parse_int_list(args.N, "N"))
-    if getattr(args, "p", None):
-        config = replace(config, p_list=_parse_p_list(args.p))
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "grid_m", None) is not None:
-        config = replace(config, grid_log2_size=args.grid_m)
-    if getattr(args, "grid_L", None) is not None:
-        config = replace(config, grid_half_width=args.grid_L)
-    if getattr(args, "format", None):
-        config = replace(config, output_format=args.format)
-    if getattr(args, "out", None):
-        config = replace(config, output_path=args.out)
-    if getattr(args, "trials", None) is not None:
-        config = replace(config, trials=args.trials)
-    if getattr(args, "eps_rule", None):
-        config = replace(config, eps_rule=args.eps_rule)
-    if getattr(args, "strict", None) is not None:
-        config = replace(config, strict=args.strict)
-    return config.validate()
+    """Defaults, then the config file, then the flags; each value is parsed
+    by its ``_CONFIG_FIELDS`` entry, so file and flag errors name the same
+    field.  The file is parsed in full even where a flag overrides it."""
+    entries = load_config_file(args.config) if args.config else {}
+    unknown = set(entries) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError("config", f"unknown keys {sorted(unknown)}")
+    updates = {}
+    for source in (entries, vars(args)):
+        for key, (field, parse) in _CONFIG_FIELDS.items():
+            if source.get(key) is not None:
+                updates[field] = parse(source[key])
+    return replace(RunConfig(), **updates).validate()
 
 
 def format_p(p: float) -> str:
@@ -257,29 +237,31 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> 
 
 def cmd_growth(config: RunConfig) -> int:
     eps_rule = _parse_eps_rule(config.eps_rule)
-    psi_grid = psi_reference_grid(config.grid_half_width, config.grid_log2_size)
+    records = epsilon_scaling_run(
+        sorted(config.N_list),
+        eps_rule,
+        tuple(sorted(config.p_list)),
+        psi_grid=psi_reference_grid(config.grid_half_width, config.grid_log2_size),
+    )
     rows = []
     failures = []
-    p_sorted = tuple(sorted(config.p_list))
-    for N in sorted(config.N_list):
-        eps = float(eps_rule(N))
-        for record in growth_records(N, p_sorted, eps=eps, psi_grid=psi_grid):
-            sqrt_n = math.sqrt(N)
-            rows.append(
-                {
-                    "N": record.N,
-                    "p": format_p(record.p),
-                    "lhs": record.lhs,
-                    "perturbation": record.perturbation,
-                    "ratio": record.ratio,
-                    "sqrt_N": sqrt_n,
-                    "besov_surrogate": record.besov_surrogate,
-                }
-            )
-            if abs(record.ratio - sqrt_n) > RATIO_REL_TOL * sqrt_n:
-                failures.append((record.N, record.p, record.ratio))
-            if abs(record.perturbation - eps) > RATIO_REL_TOL:
-                failures.append((record.N, record.p, record.perturbation))
+    for record in records:
+        sqrt_n = math.sqrt(record.N)
+        rows.append(
+            {
+                "N": record.N,
+                "p": format_p(record.p),
+                "lhs": record.lhs,
+                "perturbation": record.perturbation,
+                "ratio": record.ratio,
+                "sqrt_N": sqrt_n,
+                "besov_surrogate": record.besov_surrogate,
+            }
+        )
+        if abs(record.ratio - sqrt_n) > RATIO_REL_TOL * sqrt_n:
+            failures.append((record.N, record.p, record.ratio))
+        if abs(record.perturbation - float(eps_rule(record.N))) > RATIO_REL_TOL:
+            failures.append((record.N, record.p, record.perturbation))
     emit_rows(rows, GROWTH_COLUMNS, config)
     if failures:
         for N, p, value in failures:
@@ -379,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="key=value configuration file")
         sub.add_argument("--N", help="comma-separated sizes, e.g. 1,2,4,8")
         sub.add_argument("--p", help="comma-separated Schatten indices; 'inf' allowed")
-        sub.add_argument("--seed", type=int, help="seed for randomized checks")
-        sub.add_argument("--grid-m", dest="grid_m", type=int, help="log2 grid size (10..22)")
-        sub.add_argument("--grid-L", dest="grid_L", type=float, help="grid half width")
-        sub.add_argument("--format", choices=("csv", "json"), help="output format")
+        sub.add_argument("--seed", help="seed for randomized checks")
+        sub.add_argument("--grid-m", dest="grid_m", help="log2 grid size (10..22)")
+        sub.add_argument("--grid-L", dest="grid_L", help="grid half width")
+        sub.add_argument("--format", help="output format: csv or json")
         sub.add_argument("--out", help="output path, or - for stdout")
 
     growth = subparsers.add_parser(
@@ -399,30 +381,41 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="run the rank-based estimate checks over the sweep"
     )
     add_common(bounds)
-    bounds.add_argument("--trials", type=int, help="random trials per sweep cell")
+    bounds.add_argument("--trials", help="random trials per sweep cell")
 
     selfcheck = subparsers.add_parser(
         "selfcheck", help="run every module's invariant suite"
     )
     add_common(selfcheck)
-    selfcheck.add_argument("--trials", type=int, help="random trials for bound checks")
+    selfcheck.add_argument("--trials", help="random trials for bound checks")
     strictness = selfcheck.add_mutually_exclusive_group()
     strictness.add_argument(
-        "--strict", dest="strict", action="store_true", default=None,
+        "--strict", dest="strict", action="store_const", const="true",
         help="grid-stability failures are errors (default)",
     )
     strictness.add_argument(
-        "--no-strict", dest="strict", action="store_false", default=None,
+        "--no-strict", dest="strict", action="store_const", const="false",
         help="downgrade grid-stability failures to warnings",
     )
     return parser
 
 
+def _require_band_zero(config: RunConfig) -> None:
+    """growth and selfcheck need band 0 of the psi grid below its Nyquist
+    frequency, i.e. a grid spacing 2L/2^m of at most about pi/2."""
+    grid = psi_reference_grid(config.grid_half_width, config.grid_log2_size)
+    if max_resolvable_band(grid) < 0:
+        raise ConfigError(
+            "grid_L", f"grid spacing 2L/2^m = {grid.spacing} is too coarse to resolve band 0"
+        )
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
+        if args.command != "bounds":
+            _require_band_zero(config)
     except ConfigError as exc:
         print(f"moilab: configuration error: {exc}", file=sys.stderr)
         return 2

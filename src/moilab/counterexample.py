@@ -324,11 +324,6 @@ def growth_records(
     return records
 
 
-def verify_growth(N: int, p: float, **kwargs) -> ExperimentRecord:
-    """Single growth experiment row; the ratio equals sqrt(N) up to roundoff."""
-    return growth_records(N, [p], **kwargs)[0]
-
-
 def quarter_root_rule(N: int) -> float:
     """The vanishing scaling eps = N^(-1/4)."""
     return float(N) ** -0.25

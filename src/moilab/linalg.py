@@ -44,7 +44,8 @@ class SvdError(RuntimeError):
     """Singular value decomposition did not converge."""
 
 
-DEFAULT_GROUP_TOL = 1e-8
+# Consecutive eigenvalues whose gap is at most this land in one atom.
+_GROUP_TOL = 1e-8
 
 # Relative floor below which a singular value is treated as exactly zero
 # before exponentiation (avoids 0**p noise for the finite-p norms).
@@ -77,8 +78,8 @@ class HermitianOperator:
     """A square complex matrix equal to its conjugate transpose.
 
     Construct through :func:`hermitian_from_matrix`, which validates and
-    symmetrizes; instances are treated as immutable.  Their spectral
-    measures (:func:`spectral_measure`) are cached per grouping tolerance.
+    symmetrizes; instances are treated as immutable.  The spectral measure
+    (:func:`spectral_measure`) is computed once and cached.
     """
 
     matrix: np.ndarray
@@ -88,8 +89,8 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def _measures(self) -> dict[float, "SpectralMeasure"]:
-        return {}
+    def _measure(self) -> "SpectralMeasure":
+        return _decompose(self)
 
     def scaled(self, factor: float) -> "HermitianOperator":
         """The operator multiplied by a real scalar (still Hermitian)."""
@@ -217,35 +218,29 @@ class SpectralMeasure:
         return out
 
 
-def spectral_measure(
-    A: HermitianOperator, group_tol: float = DEFAULT_GROUP_TOL
-) -> SpectralMeasure:
+def spectral_measure(A: HermitianOperator) -> SpectralMeasure:
     """Eigendecompose ``A`` and merge nearly equal eigenvalues into atoms.
 
-    Consecutive eigenvalues whose gap is at most ``group_tol`` land in the
-    same atom; the atom's eigenvalue is the group mean and its projection
-    is the sum of the grouped rank-one eigenprojections.  The measure is
-    cached on ``A`` per ``group_tol``, so each operator is decomposed once.
+    Consecutive eigenvalues whose gap is at most 1e-8 land in the same
+    atom; the atom's eigenvalue is the group mean and its projection is
+    the sum of the grouped rank-one eigenprojections.  The measure is
+    cached on ``A``, so each operator is decomposed once.
 
     Raises
     ------
     EigensolverError
         If the underlying eigenvalue iteration fails to converge.
     """
-    if group_tol < 0:
-        raise ValueError("group_tol must be nonnegative")
-    if group_tol not in A._measures:
-        A._measures[group_tol] = _decompose(A, group_tol)
-    return A._measures[group_tol]
+    return A._measure
 
 
-def _decompose(A: HermitianOperator, group_tol: float) -> SpectralMeasure:
+def _decompose(A: HermitianOperator) -> SpectralMeasure:
     try:
         values, vectors = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(str(exc)) from exc
     gaps = np.diff(values)
-    boundaries = [0, *(np.flatnonzero(gaps > group_tol) + 1), len(values)]
+    boundaries = [0, *(np.flatnonzero(gaps > _GROUP_TOL) + 1), len(values)]
     atoms = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         atoms.append(

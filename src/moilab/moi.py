@@ -34,7 +34,6 @@ from .linalg import (
     SpectralMeasure,
     as_complex_matrix,
     spectral_measure,
-    DEFAULT_GROUP_TOL,
 )
 
 
@@ -198,17 +197,10 @@ def _same_dim(*ops: HermitianOperator) -> int:
     return dims.pop()
 
 
-def apply_function_pair(
-    f: Callable,
-    A: HermitianOperator,
-    B: HermitianOperator,
-    group_tol: float = DEFAULT_GROUP_TOL,
-) -> np.ndarray:
+def apply_function_pair(f: Callable, A: HermitianOperator, B: HermitianOperator) -> np.ndarray:
     """f(A, B) = sum of f(lambda_j, mu_k) P_j Q_k over both spectra."""
     dim = _same_dim(A, B)
-    return double_operator_integral(
-        f, spectral_measure(A, group_tol), _identity(dim), spectral_measure(B, group_tol)
-    )
+    return double_operator_integral(f, spectral_measure(A), _identity(dim), spectral_measure(B))
 
 
 def apply_function_triple(
@@ -216,18 +208,11 @@ def apply_function_triple(
     A: HermitianOperator,
     B: HermitianOperator,
     C: HermitianOperator,
-    group_tol: float = DEFAULT_GROUP_TOL,
 ) -> np.ndarray:
     """f(A, B, C) = sum of f(lambda, mu, nu) E_A E_B E_C over the three spectra."""
-    dim = _same_dim(A, B, C)
-    eye = _identity(dim)
+    eye = _identity(_same_dim(A, B, C))
     return triple_operator_integral(
-        f,
-        spectral_measure(A, group_tol),
-        eye,
-        spectral_measure(B, group_tol),
-        eye,
-        spectral_measure(C, group_tol),
+        f, spectral_measure(A), eye, spectral_measure(B), eye, spectral_measure(C)
     )
 
 
@@ -236,7 +221,6 @@ def perturbation_via_divided_difference(
     A: HermitianOperator,
     B: HermitianOperator,
     diagonal_value: complex = 0.0,
-    group_tol: float = DEFAULT_GROUP_TOL,
 ) -> np.ndarray:
     """f(A) - f(B) as a double operator integral of the divided difference.
 
@@ -246,10 +230,7 @@ def perturbation_via_divided_difference(
     _same_dim(A, B)
     dd = DividedDifference2(base=f, diagonal_value=diagonal_value)
     return double_operator_integral(
-        dd,
-        spectral_measure(A, group_tol),
-        A.matrix - B.matrix,
-        spectral_measure(B, group_tol),
+        dd, spectral_measure(A), A.matrix - B.matrix, spectral_measure(B)
     )
 
 
@@ -260,7 +241,6 @@ def argument_perturbation(
     X2: HermitianOperator,
     Y: HermitianOperator,
     Z: HermitianOperator,
-    group_tol: float = DEFAULT_GROUP_TOL,
 ) -> np.ndarray:
     """Difference of triple functional calculus under a one-slot perturbation.
 
@@ -278,12 +258,8 @@ def argument_perturbation(
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
     dim = _same_dim(X1, X2, Y, Z)
-    others = [spectral_measure(Y, group_tol), spectral_measure(Z, group_tol)]
-    measures = (
-        others[:index]
-        + [spectral_measure(X1, group_tol), spectral_measure(X2, group_tol)]
-        + others[index:]
-    )
+    others = [spectral_measure(Y), spectral_measure(Z)]
+    measures = others[:index] + [spectral_measure(X1), spectral_measure(X2)] + others[index:]
     # each measure's eigenvalues along its own axis of the 4-d weight tensor
     grids = [
         E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(4)])
@@ -310,14 +286,3 @@ def argument_perturbation(
     operators.insert(index, X1.matrix - X2.matrix)
     return _chain_integral(weights_of, measures, operators)
 
-
-def first_argument_perturbation(
-    f: Callable,
-    A1: HermitianOperator,
-    A2: HermitianOperator,
-    B: HermitianOperator,
-    C: HermitianOperator,
-    group_tol: float = DEFAULT_GROUP_TOL,
-) -> np.ndarray:
-    """f(A1, B, C) - f(A2, B, C) via the divided-difference sum in the first slot."""
-    return argument_perturbation(f, 0, A1, A2, B, C, group_tol=group_tol)

@@ -211,6 +211,10 @@ def test_default_config_matches_documented_sweep():
         ("", ["--grid-L", "nan"], "grid_L"),
         ("", ["--grid-L", "1e308"], "grid_L"),
         ("", ["--grid-L", "1e-320"], "grid_L"),
+        ("", ["--seed", "abc"], "seed"),
+        ("", ["--trials", "x"], "trials"),
+        ("", ["--grid-m", "x"], "grid_m"),
+        ("seed=abc\n", ["--seed", "3"], "seed"),
     ],
     ids=[
         "seed-file",
@@ -221,6 +225,10 @@ def test_default_config_matches_documented_sweep():
         "grid_L-flag",
         "grid_L-spacing-overflow",
         "grid_L-spacing-underflow",
+        "seed-flag-malformed",
+        "trials-flag-malformed",
+        "grid_m-flag-malformed",
+        "seed-file-under-flag",
     ],
 )
 def test_bad_configuration_exits_two_and_names_field(
@@ -231,3 +239,14 @@ def test_bad_configuration_exits_two_and_names_field(
     code = run_cli(["bounds", "--config", str(cfg), "--N", "2", "--trials", "1", *flags])
     assert code == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, expected", [("growth", 2), ("selfcheck", 2), ("bounds", 0)])
+def test_grid_too_coarse_for_band_zero(tmp_path, capsys, command, expected):
+    # spacing 2e5 / 2^16 > pi/2 puts band 0 above the Nyquist frequency;
+    # bounds never builds the psi grid, so it accepts the value
+    args = [command, "--N", "1", "--p", "2", "--grid-L", "1e5", "--out", str(tmp_path / "o")]
+    if command == "bounds":
+        args += ["--trials", "1"]
+    assert run_cli(args) == expected
+    assert ("'grid_L'" in capsys.readouterr().err) == (expected == 2)

@@ -14,6 +14,7 @@ from moilab.counterexample import (
     dft_unitary,
     epsilon_scaling_run,
     eta,
+    growth_records,
     lipschitz_rank_bound_check,
     orthonormal_realization,
     phi_symbol,
@@ -22,7 +23,6 @@ from moilab.counterexample import (
     random_rank_limited_hermitian,
     random_trig_polynomial,
     rank_estimate_check_pairs,
-    verify_growth,
 )
 from moilab.linalg import schatten_norm, singular_values, spectral_measure
 from moilab.moi import apply_function_pair, apply_function_triple
@@ -140,25 +140,25 @@ def test_build_instance_deviations_are_tiny():
 
 def test_verify_growth_trivial_size():
     for p in (1.0, 2.0, math.inf):
-        record = verify_growth(1, p)
+        record = growth_records(1, [p])[0]
         assert record.ratio == pytest.approx(1.0, rel=1e-10)
         assert record.perturbation == pytest.approx(1.0, rel=1e-10)
 
 
 def test_verify_growth_size_four_all_p():
     for p in (1.0, 2.0, math.inf):
-        record = verify_growth(4, p)
+        record = growth_records(4, [p])[0]
         assert record.ratio == pytest.approx(2.0, rel=1e-8)
 
 
 def test_verify_growth_size_sixtyfour():
-    record = verify_growth(64, 2.0)
+    record = growth_records(64, [2.0])[0]
     assert record.ratio == pytest.approx(8.0, rel=1e-8)
     assert record.lhs == pytest.approx(8.0, rel=1e-8)
 
 
 def test_epsilon_one_reduces_to_growth():
-    plain = verify_growth(4, 2.0)
+    plain = growth_records(4, [2.0])[0]
     scaled = epsilon_scaling_run([4], lambda n: 1.0, p_list=[2.0])[0]
     assert scaled.lhs == pytest.approx(plain.lhs, rel=1e-12)
     assert scaled.perturbation == pytest.approx(plain.perturbation, rel=1e-12)
@@ -334,11 +334,11 @@ def test_fault_injection_unguarded_eta_is_caught(monkeypatch):
 
     monkeypatch.setattr(ce, "eta", unguarded)
     with pytest.raises((RuntimeError, ValueError)):
-        ce.verify_growth(2, 2.0)
+        ce.growth_records(2, [2.0])
 
 
 def test_growth_record_fields_are_finite():
-    record = verify_growth(8, 1.5)
+    record = growth_records(8, [1.5])[0]
     assert record.N == 8
     assert record.p == 1.5
     for value in (record.lhs, record.perturbation, record.besov_surrogate, record.ratio):

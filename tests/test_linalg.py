@@ -84,7 +84,7 @@ def test_spectral_measure_of_averaging_projection():
     assert E.atoms[1].multiplicity == 1
 
 
-def test_spectral_measure_is_cached_per_group_tol(rng, monkeypatch):
+def test_spectral_measure_is_cached(rng, monkeypatch):
     A = random_hermitian(rng, 6)
     first = spectral_measure(A)
 
@@ -93,13 +93,6 @@ def test_spectral_measure_is_cached_per_group_tol(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert spectral_measure(A) is first
-    with pytest.raises(AssertionError, match="decomposed again"):
-        spectral_measure(A, group_tol=1e-6)
-
-
-def test_spectral_measure_rejects_negative_group_tol():
-    with pytest.raises(ValueError):
-        spectral_measure(zero_operator(2), group_tol=-1.0)
 
 
 def test_spectral_measure_from_projections_roundtrip(rng):

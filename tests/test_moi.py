@@ -24,7 +24,6 @@ from moilab.moi import (
     apply_function_triple,
     argument_perturbation,
     double_operator_integral,
-    first_argument_perturbation,
     perturbation_via_divided_difference,
     triple_operator_integral,
 )
@@ -242,7 +241,7 @@ def test_argument_perturbation_same_operator_is_zero(rng):
 
 def test_argument_perturbation_coordinate_function(rng):
     A1, A2, B, C = (random_hermitian(rng, 5) for _ in range(4))
-    out = first_argument_perturbation(lambda x, y, z: x + 0.0 * y * z, A1, A2, B, C)
+    out = argument_perturbation(lambda x, y, z: x + 0.0 * y * z, 0, A1, A2, B, C)
     assert np.max(np.abs(out - (A1.matrix - A2.matrix))) <= 1e-10
 
 
