@@ -3,8 +3,8 @@
 Finite-spectrum operator functions are finite sums over spectral atoms, so
 f(A), f(A, B) and f(A, B, C) are defined for arbitrary symbols.  On top of
 that substrate the package provides divided-difference perturbation
-identities, Littlewood-Paley band decompositions with Besov-norm upper
-bound surrogates, and a family of operator triples whose Schatten-norm
+identities, Littlewood-Paley band decompositions with a band majorant for
+the reference cutoff, and a family of operator triples whose Schatten-norm
 response to a rank-one perturbation grows like sqrt(N) while every
 smoothness surrogate of the driving function stays bounded.
 """
@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 
 from .besov import (
     BandAboveNyquistError,
-    BesovBreakdown,
     GridFunction,
     NonpositiveArgumentError,
     band_piece,
-    besov_upper_bound,
     partition_check,
     psi_reference,
     psi_reference_grid,
@@ -68,7 +66,6 @@ from .moi import (
 
 __all__ = [
     "BandAboveNyquistError",
-    "BesovBreakdown",
     "CounterexampleInstance",
     "DimensionMismatchError",
     "DividedDifference2",
@@ -89,7 +86,6 @@ __all__ = [
     "apply_function_triple",
     "argument_perturbation",
     "band_piece",
-    "besov_upper_bound",
     "build_instance",
     "dft_unitary",
     "double_operator_integral",

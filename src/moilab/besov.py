@@ -2,9 +2,10 @@
 
 Provides the dyadic window ``w`` (smooth, supported on (1/2, 2), with
 w(s) + w(s/2) == 1 on [1, 2]), frequency-band components of grid-sampled
-functions, upper-bound surrogates for the first-order Besov norm
-(the l^1 sum of 2^n times band sup-norms), the smooth compactly supported
-reference cutoff that equals the identity on [-1, 1], and the tensor
+functions, the smooth compactly supported reference cutoff psi that
+equals the identity on [-1, 1], its band majorant (sup of the
+low-frequency remainder plus the l^1 sum of 2^n times band sup-norms, an
+upper-bound surrogate for the first-order Besov norm), and the tensor
 majorant used to certify that product functions phi(x, y) * psi(z) have a
 bounded smoothness surrogate whenever phi is a bounded bandlimited symbol.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,6 @@ class BandAboveNyquistError(ValueError):
 
 DEFAULT_HALF_WIDTH = 64.0
 DEFAULT_LOG2_SAMPLES = 16
-LOWEST_BAND = -20
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -210,50 +210,6 @@ def band_piece(f: GridFunction, band_index: int) -> GridFunction:
 def max_resolvable_band(f: GridFunction) -> int:
     """Largest band index whose full band fits below the Nyquist frequency."""
     return int(math.floor(math.log2(f.nyquist))) - 1
-
-
-@dataclass(frozen=True)
-class BandContribution:
-    index: int
-    sup_norm: float
-    weighted: float
-
-
-@dataclass(frozen=True)
-class BesovBreakdown:
-    """Per-band sup-norms with dyadic weights and their total.
-
-    The total is the upper-bound surrogate for the first-order Besov norm
-    of the decomposed function, with the absolute constant taken as 1.
-    """
-
-    bands: tuple[BandContribution, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(band.weighted for band in self.bands))
-
-    def write_csv(self, stream) -> None:
-        stream.write("n,sup_norm,weighted\n")
-        for band in self.bands:
-            stream.write(f"{band.index},{band.sup_norm!r},{band.weighted!r}\n")
-
-
-def besov_upper_bound(pieces: Iterable[tuple[int, GridFunction]]) -> BesovBreakdown:
-    """Per-band 2^n * sup-norm table for band components produced upstream.
-
-    Callers are responsible for the pieces actually being band-limited to
-    their claimed dyadic bands; :func:`band_piece` guarantees that.
-    """
-    bands = tuple(
-        BandContribution(
-            index=n,
-            sup_norm=piece.sup_norm(),
-            weighted=(2.0**n) * piece.sup_norm(),
-        )
-        for n, piece in pieces
-    )
-    return BesovBreakdown(bands=bands)
 
 
 def smooth_cutoff(t):

@@ -23,6 +23,7 @@ from . import __version__
 from .besov import max_resolvable_band, psi_reference_grid
 from .counterexample import (
     DEFAULT_SEED,
+    RATIO_REL_TOL,
     epsilon_scaling_run,
     lipschitz_rank_bound_check,
     quarter_root_rule,
@@ -35,8 +36,6 @@ GROWTH_COLUMNS = ("N", "p", "lhs", "perturbation", "ratio", "sqrt_N", "besov_sur
 BOUNDS_COLUMNS = ("check", "N", "p", "trial", "ratio", "status")
 
 OUTPUT_DIR_ENV = "MOILAB_OUTPUT_DIR"
-
-RATIO_REL_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -364,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", help="seed for randomized checks")
         sub.add_argument("--grid-m", dest="grid_m", help="log2 grid size (10..22)")
         sub.add_argument("--grid-L", dest="grid_L", help="grid half width")
+
+    def add_output(sub):
+        # selfcheck prints PASS/FAIL lines and writes no data file
         sub.add_argument("--format", help="output format: csv or json")
         sub.add_argument("--out", help="output path, or - for stdout")
 
@@ -371,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "growth", help="sweep the growth family and report Schatten ratios"
     )
     add_common(growth)
+    add_output(growth)
     growth.add_argument(
         "--eps-rule",
         dest="eps_rule",
@@ -381,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="run the rank-based estimate checks over the sweep"
     )
     add_common(bounds)
+    add_output(bounds)
     bounds.add_argument("--trials", help="random trials per sweep cell")
 
     selfcheck = subparsers.add_parser(

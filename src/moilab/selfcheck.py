@@ -36,6 +36,17 @@ def _result(name, ok, detail, category="core"):
     return CheckResult(name=name, passed=bool(ok), detail=detail, category=category)
 
 
+def _tol_text(tol: float) -> str:
+    """Shortest spelling of a tolerance: 1e-9, not 1e-09; 0.1 stays 0.1."""
+    mantissa, _, exponent = f"{tol:g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+
+
+def _within(name, label, observed, tol):
+    """Pass iff ``observed <= tol`` (so NaN fails); the detail quotes both."""
+    return _result(name, observed <= tol, f"{label} {observed:.3e} (tol {_tol_text(tol)})")
+
+
 # ---------------------------------------------------------------- linalg
 
 
@@ -47,9 +58,7 @@ def check_spectral_resolution(seed: int, draws: int) -> CheckResult:
         A = linalg.random_hermitian(rng, dim)
         E = linalg.spectral_measure(A)
         worst = max(worst, E.deviations(A)["reconstruction"])
-    return _result(
-        "linalg.spectral_resolution", worst <= 1e-10, f"max dev {worst:.3e} (tol 1e-10)"
-    )
+    return _within("linalg.spectral_resolution", "max dev", worst, 1e-10)
 
 
 def check_projection_algebra(seed: int, draws: int) -> CheckResult:
@@ -66,9 +75,7 @@ def check_projection_algebra(seed: int, draws: int) -> CheckResult:
                 expect = P if i == j else 0.0
                 worst = max(worst, float(np.max(np.abs(P @ Q - expect))))
         worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
-    return _result(
-        "linalg.projection_algebra", worst <= 1e-10, f"max dev {worst:.3e} (tol 1e-10)"
-    )
+    return _within("linalg.projection_algebra", "max dev", worst, 1e-10)
 
 
 def check_schatten_monotonicity(
@@ -81,11 +88,7 @@ def check_schatten_monotonicity(
         norms = [linalg.schatten_norm(M, p) for p in p_grid]
         for smaller, larger in zip(norms[1:], norms[:-1]):
             worst = max(worst, smaller - larger)
-    return _result(
-        "linalg.schatten_monotonicity",
-        worst <= 1e-12,
-        f"max increase {worst:.3e} (tol 1e-12)",
-    )
+    return _within("linalg.schatten_monotonicity", "max increase", worst, 1e-12)
 
 
 def check_unitary_invariance(seed: int, draws: int) -> CheckResult:
@@ -103,9 +106,7 @@ def check_unitary_invariance(seed: int, draws: int) -> CheckResult:
                     linalg.schatten_norm(U @ M @ V, p) - linalg.schatten_norm(M, p)
                 ),
             )
-    return _result(
-        "linalg.unitary_invariance", worst <= 1e-10, f"max dev {worst:.3e} (tol 1e-10)"
-    )
+    return _within("linalg.unitary_invariance", "max dev", worst, 1e-10)
 
 
 def check_frobenius_identity(seed: int, draws: int) -> CheckResult:
@@ -117,9 +118,7 @@ def check_frobenius_identity(seed: int, draws: int) -> CheckResult:
             worst,
             abs(linalg.schatten_norm(M, 2.0) ** 2 - float(np.sum(np.abs(M) ** 2))),
         )
-    return _result(
-        "linalg.frobenius_identity", worst <= 1e-10, f"max dev {worst:.3e} (tol 1e-10)"
-    )
+    return _within("linalg.frobenius_identity", "max dev", worst, 1e-10)
 
 
 def check_finite_rank_chain(seed: int, draws: int) -> CheckResult:
@@ -133,11 +132,7 @@ def check_finite_rank_chain(seed: int, draws: int) -> CheckResult:
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
             gap = linalg.schatten_norm(M, 2.0) - rank ** (0.5 - inv_p) * linalg.schatten_norm(M, p)
             worst = max(worst, gap)
-    return _result(
-        "linalg.finite_rank_chain",
-        worst <= 1e-12,
-        f"max excess {worst:.3e} (tol 1e-12)",
-    )
+    return _within("linalg.finite_rank_chain", "max excess", worst, 1e-12)
 
 
 # ------------------------------------------------------------------- moi
@@ -155,9 +150,7 @@ def check_resolution_collapse(seed: int, draws: int) -> CheckResult:
         lhs = moi.double_operator_integral(first_only, E1, T, E2)
         rhs = moi.apply_function_single(lambda x: np.exp(1j * x), E1) @ T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result(
-        "moi.resolution_collapse", worst <= 1e-10, f"max dev {worst:.3e} (tol 1e-10)"
-    )
+    return _within("moi.resolution_collapse", "max dev", worst, 1e-10)
 
 
 def check_diagonal_policy_independence(seed: int, draws: int) -> CheckResult:
@@ -182,11 +175,7 @@ def check_diagonal_policy_independence(seed: int, draws: int) -> CheckResult:
                 )
             ),
         )
-    return _result(
-        "moi.diagonal_policy_independence",
-        worst <= 1e-12,
-        f"max dev {worst:.3e} (tol 1e-12)",
-    )
+    return _within("moi.diagonal_policy_independence", "max dev", worst, 1e-12)
 
 
 def check_single_slot_exactness(seed: int, draws: int) -> CheckResult:
@@ -206,9 +195,7 @@ def check_single_slot_exactness(seed: int, draws: int) -> CheckResult:
             rhs = moi.apply_function_single(f, linalg.spectral_measure(A)) - \
                 moi.apply_function_single(f, linalg.spectral_measure(B))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result(
-        "moi.single_slot_exactness", worst <= 1e-9, f"max dev {worst:.3e} (tol 1e-9)"
-    )
+    return _within("moi.single_slot_exactness", "max dev", worst, 1e-9)
 
 
 def check_triple_slot_exactness(seed: int, draws: int) -> CheckResult:
@@ -234,9 +221,7 @@ def check_triple_slot_exactness(seed: int, draws: int) -> CheckResult:
                 f, *args2
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result(
-        "moi.triple_slot_exactness", worst <= 1e-9, f"max dev {worst:.3e} (tol 1e-9)"
-    )
+    return _within("moi.triple_slot_exactness", "max dev", worst, 1e-9)
 
 
 def check_commuting_diagonal(seed: int, draws: int) -> CheckResult:
@@ -252,9 +237,7 @@ def check_commuting_diagonal(seed: int, draws: int) -> CheckResult:
         out = moi.apply_function_triple(f, *ops)
         expected = np.diag(f(diags[0], diags[1], diags[2]).astype(complex))
         worst = max(worst, float(np.max(np.abs(out - expected))))
-    return _result(
-        "moi.commuting_diagonal", worst <= 1e-12, f"max dev {worst:.3e} (tol 1e-12)"
-    )
+    return _within("moi.commuting_diagonal", "max dev", worst, 1e-12)
 
 
 def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
@@ -269,11 +252,7 @@ def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
         fast = moi.triple_operator_integral(phi, E1, T1, E2, T2, E3)
         slow = reference.naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
-    return _result(
-        "moi.naive_oracle_equivalence",
-        worst <= 1e-10,
-        f"max dev {worst:.3e} (tol 1e-10)",
-    )
+    return _within("moi.naive_oracle_equivalence", "max dev", worst, 1e-10)
 
 
 # ----------------------------------------------------------------- besov
@@ -282,17 +261,13 @@ def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
 def check_window_equation() -> CheckResult:
     s = np.linspace(1.0, 2.0, 10_000)
     dev = float(np.max(np.abs(besov.window_w(s) - 1.0 + besov.window_w(s / 2.0))))
-    return _result(
-        "besov.window_equation", dev <= 1e-12, f"max dev {dev:.3e} (tol 1e-12)"
-    )
+    return _within("besov.window_equation", "max dev", dev, 1e-12)
 
 
 def check_partition_of_unity() -> CheckResult:
     s = np.logspace(-10, 10, 1000, base=2.0)
     dev = float(np.max(np.abs(besov.partition_check(s) - 1.0)))
-    return _result(
-        "besov.partition_of_unity", dev <= 1e-10, f"max dev {dev:.3e} (tol 1e-10)"
-    )
+    return _within("besov.partition_of_unity", "max dev", dev, 1e-10)
 
 
 def check_band_support(grid_half_width: float, grid_log2_size: int) -> CheckResult:
@@ -309,9 +284,7 @@ def check_band_support(grid_half_width: float, grid_log2_size: int) -> CheckResu
         outside = (freqs < 2.0 ** (n - 1)) | (freqs > 2.0 ** (n + 1))
         leak = float(np.max(spectrum[outside])) / peak if np.any(outside) else 0.0
         worst = max(worst, leak)
-    return _result(
-        "besov.band_support", worst <= 1e-12, f"max relative leak {worst:.3e} (tol 1e-12)"
-    )
+    return _within("besov.band_support", "max relative leak", worst, 1e-12)
 
 
 def check_summability_tail(grid_half_width: float, grid_log2_size: int) -> CheckResult:
@@ -368,10 +341,8 @@ def check_exact_blowup(
     for N in N_list:
         for record in ce.growth_records(N, p_list, psi_grid=psi_grid):
             worst = max(worst, abs(record.ratio - math.sqrt(N)) / math.sqrt(N))
-    return _result(
-        "counterexample.exact_blowup",
-        worst <= 1e-8,
-        f"max relative ratio error {worst:.3e} (tol 1e-8)",
+    return _within(
+        "counterexample.exact_blowup", "max relative ratio error", worst, ce.RATIO_REL_TOL
     )
 
 
@@ -383,11 +354,7 @@ def check_factorization_identity(N_list: Sequence[int]) -> CheckResult:
             moi.apply_function_triple(inst.f, inst.A, inst.B, linalg.zero_operator(N))
         target = moi.apply_function_pair(inst.phi, inst.A, inst.B) @ inst.C.matrix
         worst = max(worst, float(np.max(np.abs(diff - target))))
-    return _result(
-        "counterexample.factorization_identity",
-        worst <= 1e-10,
-        f"max dev {worst:.3e} (tol 1e-10)",
-    )
+    return _within("counterexample.factorization_identity", "max dev", worst, 1e-10)
 
 
 def check_rank_one_collapse(N_list: Sequence[int]) -> CheckResult:
@@ -407,9 +374,7 @@ def check_gram_fidelity(N_list: Sequence[int]) -> CheckResult:
     worst = 0.0
     for N in N_list:
         worst = max(worst, ce.build_instance(N).deviations()["gram"])
-    return _result(
-        "counterexample.gram_fidelity", worst <= 1e-12, f"max dev {worst:.3e} (tol 1e-12)"
-    )
+    return _within("counterexample.gram_fidelity", "max dev", worst, 1e-12)
 
 
 def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
@@ -417,11 +382,12 @@ def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
     spread = max(sups) / min(sups) - 1.0
     # the grid holds the lattice where the proved bound PHI_SUP is attained
     dev = max(abs(s - ce.PHI_SUP) for s in sups)
+    spread_tol, dev_tol = 0.1, 1e-12
     return _result(
         "counterexample.bounded_symbol",
-        spread < 0.10 and dev <= 1e-12,
-        f"sup range [{min(sups):.6f}, {max(sups):.6f}], spread {spread:.3e} (tol 0.1), "
-        f"max |sup - PHI_SUP| {dev:.3e} (tol 1e-12)",
+        spread < spread_tol and dev <= dev_tol,
+        f"sup range [{min(sups):.6f}, {max(sups):.6f}], spread {spread:.3e} "
+        f"(tol {_tol_text(spread_tol)}), max |sup - PHI_SUP| {dev:.3e} (tol {_tol_text(dev_tol)})",
     )
 
 

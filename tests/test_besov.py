@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from moilab.besov import (
     GridFunction,
     NonpositiveArgumentError,
     band_piece,
-    besov_upper_bound,
     max_resolvable_band,
     partition_check,
     psi_band_majorant,
@@ -119,36 +117,6 @@ def test_band_partition_reconstructs_reference_cutoff():
     rec = rec + np.mean(psi.samples)  # the one frequency no band covers
     inner = np.abs(psi.positions()) <= psi.half_width / 2.0
     assert float(np.max(np.abs(rec[inner] - psi.samples[inner]))) <= 1e-6
-
-
-def test_besov_upper_bound_single_piece():
-    g = GridFunction(2.0, np.full(8, 0.5 + 0.0j))
-    breakdown = besov_upper_bound([(0, g)])
-    assert breakdown.total == pytest.approx(0.5)
-    assert breakdown.bands[0].weighted == pytest.approx(0.5)
-
-
-def test_besov_upper_bound_empty():
-    assert besov_upper_bound([]).total == 0.0
-
-
-def test_besov_breakdown_csv_dump():
-    g = GridFunction(2.0, np.full(8, 1.0 + 0.0j))
-    stream = io.StringIO()
-    besov_upper_bound([(1, g), (2, g)]).write_csv(stream)
-    lines = stream.getvalue().strip().splitlines()
-    assert lines[0] == "n,sup_norm,weighted"
-    assert lines[1].startswith("1,")
-    assert lines[2].startswith("2,")
-
-
-def test_besov_total_stable_under_refinement():
-    totals = []
-    for m in (16, 17):
-        psi = psi_reference_grid(64.0, m)
-        pieces = [(n, band_piece(psi, n)) for n in range(-20, 7)]
-        totals.append(besov_upper_bound(pieces).total)
-    assert abs(totals[1] - totals[0]) / totals[0] < 0.02
 
 
 def test_psi_reference_values():

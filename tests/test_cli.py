@@ -137,6 +137,17 @@ def test_selfcheck_smoke(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_selfcheck_rejects_output_flags(tmp_path, capsys):
+    # selfcheck writes no data file, so it takes neither --format nor --out
+    out = tmp_path / "r.json"
+    args = ["selfcheck", "--N", "1", "--p", "1", "--trials", "1", "--grid-m", "12"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selfcheck_strictness_on_coarse_grid(capsys):
     # grid_m = 10 cannot resolve the upper bands, so the grid-stability
     # items fail; strict mode propagates that, lenient mode warns
@@ -245,7 +256,9 @@ def test_bad_configuration_exits_two_and_names_field(
 def test_grid_too_coarse_for_band_zero(tmp_path, capsys, command, expected):
     # spacing 2e5 / 2^16 > pi/2 puts band 0 above the Nyquist frequency;
     # bounds never builds the psi grid, so it accepts the value
-    args = [command, "--N", "1", "--p", "2", "--grid-L", "1e5", "--out", str(tmp_path / "o")]
+    args = [command, "--N", "1", "--p", "2", "--grid-L", "1e5"]
+    if command != "selfcheck":
+        args += ["--out", str(tmp_path / "o")]
     if command == "bounds":
         args += ["--trials", "1"]
     assert run_cli(args) == expected

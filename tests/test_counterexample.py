@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SEED
 from moilab import counterexample
 from moilab.besov import psi_band_majorant, psi_reference_grid
 from moilab.counterexample import (
@@ -243,6 +244,32 @@ def test_trig_polynomial_surrogate_bounds_band_content(rng):
     values = f(x[:, None], x[None, :])
     assert values.shape == (40, 40)
     assert np.all(np.isfinite(values))
+
+
+def test_trig_polynomial_values_match_termwise_sum():
+    f, _ = random_trig_polynomial(np.random.default_rng(SEED))
+    # the same draw as random_trig_polynomial's, for the 49-term oracle
+    redraw = np.random.default_rng(SEED)
+    coeffs = redraw.standard_normal((7, 7)) + 1j * redraw.standard_normal((7, 7))
+    tol = 1e-12 * float(np.sum(np.abs(coeffs)))
+
+    def termwise(x, y):
+        total = 0.0
+        for i, m in enumerate(range(-3, 4)):
+            for j, l in enumerate(range(-3, 4)):
+                total = total + coeffs[i, j] * np.exp(1j * (m * x + l * y))
+        return total
+
+    grid = np.random.default_rng(SEED + 1).uniform(-4.0, 4.0, size=(3, 7))
+    points = [
+        (0.3, -1.1),
+        (grid[0], grid[1]),
+        (grid[0, :5, None], grid[2][None, :]),
+    ]
+    for x, y in points:
+        got, expected = f(x, y), termwise(np.asarray(x), np.asarray(y))
+        assert np.shape(got) == np.shape(expected)
+        assert float(np.max(np.abs(got - expected))) <= tol
 
 
 def test_kink_function_seminorm_dominates_differences(rng):
