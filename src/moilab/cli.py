@@ -179,11 +179,15 @@ _CONFIG_FIELDS = {
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then the flags; each value is parsed
     by its ``_CONFIG_FIELDS`` entry, so file and flag errors name the same
-    field.  The file is parsed in full even where a flag overrides it."""
+    field.  The file is parsed in full even where a flag overrides it, and
+    a file key whose flag the command lacks is an error, like the flag."""
     entries = load_config_file(args.config) if args.config else {}
     unknown = set(entries) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError("config", f"unknown keys {sorted(unknown)}")
+    unused = sorted(set(entries) - set(vars(args)))
+    if unused:
+        raise ConfigError(unused[0], f"not used by 'moilab {args.command}'")
     updates = {}
     for source in (entries, vars(args)):
         for key, (field, parse) in _CONFIG_FIELDS.items():
@@ -277,12 +281,18 @@ def cmd_bounds(config: RunConfig) -> int:
     all_ok = True
     p_sorted = tuple(sorted(config.p_list))
     for N in sorted(config.N_list):
-        for p in p_sorted:
+        # one call per check covers every p; rows stay grouped by p
+        pairs = iter(
+            rank_estimate_check_pairs(
+                N, [p for p in p_sorted if p >= 2.0], trials=config.trials, seed=config.seed
+            )
+        )
+        lipschitz = lipschitz_rank_bound_check(
+            N, p_sorted, trials=config.trials, seed=config.seed
+        )
+        for p, lipschitz_report in zip(p_sorted, lipschitz):
             if p >= 2.0:
-                report = rank_estimate_check_pairs(
-                    N, p, trials=config.trials, seed=config.seed
-                )
-                for trial in report.trials:
+                for trial in next(pairs).trials:
                     rows.append(
                         {
                             "check": "pairs_chain",
@@ -305,10 +315,7 @@ def cmd_bounds(config: RunConfig) -> int:
                         "status": "skipped: requires p >= 2",
                     }
                 )
-            report = lipschitz_rank_bound_check(
-                N, p, trials=config.trials, seed=config.seed
-            )
-            for trial in report.trials:
+            for trial in lipschitz_report.trials:
                 ok = trial.total_ok and trial.steps_ok
                 rows.append(
                     {

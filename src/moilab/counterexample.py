@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +31,11 @@ from .linalg import (
     HermitianOperator,
     as_complex_matrix,
     hermitian_from_matrix,
-    numerical_rank,
+    norm_of_singular_values,
     random_unitary,
+    rank_of_singular_values,
     schatten_norm,
+    singular_values,
     validate_schatten_index,
     zero_operator,
 )
@@ -71,6 +74,15 @@ this numerically; it is never needed to compute the bound.
 """
 
 _ETA_SWITCH = 1e-2
+
+
+def _worse(worst: float, value: float) -> float:
+    """``max(worst, value)``, except that a NaN on either side wins.
+
+    Plain ``max(0.0, nan)`` is ``0.0``, which would let a NaN deviation
+    pass the check it feeds.
+    """
+    return value if math.isnan(value) or value > worst else worst
 
 
 def eta(x):
@@ -285,8 +297,7 @@ def growth_records(
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
-    for p in p_list:
-        validate_schatten_index(p)
+    p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
     scaled_c = inst.C.scaled(eps)
 
@@ -311,14 +322,16 @@ def growth_records(
         psi_grid = psi_reference_grid()
     surrogate = tensor_bound_kappa(PHI_SUP, psi_grid)
 
+    diff_values = singular_values(diff)
+    c_values = singular_values(scaled_c.matrix)
     records = []
     for p in p_list:
-        lhs = schatten_norm(diff, p)
-        perturbation = schatten_norm(scaled_c.matrix, p)
+        lhs = norm_of_singular_values(diff_values, p)
+        perturbation = norm_of_singular_values(c_values, p)
         records.append(
             ExperimentRecord(
                 N=N,
-                p=float(p),
+                p=p,
                 lhs=lhs,
                 perturbation=perturbation,
                 besov_surrogate=surrogate,
@@ -452,14 +465,14 @@ class PairsCheckReport:
 
     @property
     def max_ratio(self) -> float:
-        return max((t.ratio for t in self.trials), default=0.0)
+        return reduce(_worse, (t.ratio for t in self.trials), 0.0)
 
 
 def rank_estimate_check_pairs(
-    N: int, p: float, trials: int, seed: int = DEFAULT_SEED
-) -> PairsCheckReport:
+    N: int, p_list: Sequence[float], trials: int, seed: int = DEFAULT_SEED
+) -> list[PairsCheckReport]:
     """Numerical check of the Hilbert-Schmidt chain behind the
-    N^(1/2 - 1/p) estimate for pairs.
+    N^(1/2 - 1/p) estimate for pairs; one report per entry of ``p_list``.
 
     For random rank-limited pairs and random trigonometric polynomials,
     asserts per trial that ||Df||_{S_p} <= ||Df||_{S_2} and that every
@@ -467,15 +480,20 @@ def rank_estimate_check_pairs(
     and reports the ratio of ||Df||_{S_p} to
     N^(1/2 - 1/p) * surrogate * max perturbation.
 
+    Each trial draws its operators and polynomial once and takes one SVD
+    per difference, which serves every index; so the draws, and each
+    report, do not depend on the other entries of ``p_list``.
+
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
-    p = validate_schatten_index(p)
-    if p < 2.0:
+    p_list = [validate_schatten_index(p) for p in p_list]
+    if any(p < 2.0 for p in p_list):
         raise ValueError("rank_estimate_check_pairs requires p >= 2")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    if not p_list:
+        return []
     rng = np.random.default_rng(seed)
     dim = 2 * N
-    rows = []
+    rows = [[] for _ in p_list]
     for t in range(trials):
         A1 = random_rank_limited_hermitian(rng, dim, N)
         B1 = random_rank_limited_hermitian(rng, dim, N)
@@ -484,30 +502,36 @@ def rank_estimate_check_pairs(
         f, surrogate = random_trig_polynomial(rng)
 
         diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
-        norm_p = schatten_norm(diff, p)
-        norm_2 = schatten_norm(diff, 2.0)
-        ok = norm_p <= norm_2 + 1e-12
-
-        max_perturbation = 0.0
+        diff_values = singular_values(diff)
+        norm_2 = norm_of_singular_values(diff_values, 2.0)
+        # per perturbation X: singular values, rank and ||X||_{S_2}
+        perturbations = []
         for X in (A1.matrix - A2.matrix, B1.matrix - B2.matrix):
-            rank = numerical_rank(X)
-            x_p = schatten_norm(X, p)
-            x_2 = schatten_norm(X, 2.0)
-            ok = ok and x_2 <= rank ** (0.5 - inv_p) * x_p + 1e-12
-            max_perturbation = max(max_perturbation, x_p)
+            s = singular_values(X)
+            perturbations.append((s, rank_of_singular_values(s), norm_of_singular_values(s, 2.0)))
 
-        denom = N ** (0.5 - inv_p) * surrogate * max_perturbation
-        rows.append(
-            PairsTrial(
-                trial=t,
-                diff_norm_p=norm_p,
-                diff_norm_2=norm_2,
-                max_perturbation=max_perturbation,
-                chain_ok=ok,
-                ratio=norm_p / denom if denom > 0 else 0.0,
+        for p, p_rows in zip(p_list, rows):
+            inv_p = 0.0 if math.isinf(p) else 1.0 / p
+            norm_p = norm_of_singular_values(diff_values, p)
+            ok = norm_p <= norm_2 + 1e-12
+            max_perturbation = 0.0
+            for s, rank, x_2 in perturbations:
+                x_p = norm_of_singular_values(s, p)
+                ok = ok and x_2 <= rank ** (0.5 - inv_p) * x_p + 1e-12
+                max_perturbation = max(max_perturbation, x_p)
+
+            denom = N ** (0.5 - inv_p) * surrogate * max_perturbation
+            p_rows.append(
+                PairsTrial(
+                    trial=t,
+                    diff_norm_p=norm_p,
+                    diff_norm_2=norm_2,
+                    max_perturbation=max_perturbation,
+                    chain_ok=ok,
+                    ratio=norm_p / denom if denom > 0 else 0.0,
+                )
             )
-        )
-    return PairsCheckReport(N=N, p=p, trials=tuple(rows))
+    return [PairsCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
 @dataclass(frozen=True)
@@ -535,13 +559,14 @@ class LipschitzCheckReport:
 
     @property
     def max_ratio(self) -> float:
-        return max((t.ratio for t in self.trials), default=0.0)
+        return reduce(_worse, (t.ratio for t in self.trials), 0.0)
 
 
 def lipschitz_rank_bound_check(
-    N: int, p: float, trials: int, seed: int = DEFAULT_SEED
-) -> LipschitzCheckReport:
-    """Numerical check of the N^4 Lipschitz-type bound for triples.
+    N: int, p_list: Sequence[float], trials: int, seed: int = DEFAULT_SEED
+) -> list[LipschitzCheckReport]:
+    """Numerical check of the N^4 Lipschitz-type bound for triples; one
+    report per entry of ``p_list``.
 
     Draws random rank-limited triples and kink test functions and asserts
 
@@ -550,13 +575,15 @@ def lipschitz_rank_bound_check(
 
     together with the three telescoping one-slot steps it is assembled
     from.  A violation indicates an implementation bug, since the bound is
-    a proven estimate.
+    a proven estimate.  Each trial draws once, evaluates the four corners
+    once and takes one SVD per difference for every index, so the draws do
+    not depend on ``p_list``.
     """
-    p = validate_schatten_index(p)
+    p_list = [validate_schatten_index(p) for p in p_list]
     rng = np.random.default_rng(seed)
     dim = 2 * N
     slack = 1e-9
-    rows = []
+    rows = [[] for _ in p_list]
     for t in range(trials):
         first = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
         second = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
@@ -565,29 +592,30 @@ def lipschitz_rank_bound_check(
 
         A1, B1, C1 = first
         A2, B2, C2 = second
-        d_norms = [
-            schatten_norm(X1.matrix - X2.matrix, p)
-            for X1, X2 in zip(first, second)
-        ]
+        d_values = [singular_values(X1.matrix - X2.matrix) for X1, X2 in zip(first, second)]
 
         corners = [
             apply_function_triple(f, *ops)
             for ops in ((A1, B1, C1), (A2, B1, C1), (A2, B2, C1), (A2, B2, C2))
         ]
+        step_values = [singular_values(corners[i] - corners[i + 1]) for i in range(3)]
+        total_values = singular_values(corners[0] - corners[3])
 
-        steps_ok = all(
-            schatten_norm(corners[i] - corners[i + 1], p) <= scale * d_norms[i] + slack
-            for i in range(3)
-        )
-        lhs = schatten_norm(corners[0] - corners[3], p)
-        bound = scale * sum(d_norms)
-        rows.append(
-            LipschitzTrial(
-                trial=t,
-                lhs=lhs,
-                bound=bound,
-                steps_ok=steps_ok,
-                total_ok=lhs <= bound + slack,
+        for p, p_rows in zip(p_list, rows):
+            d_norms = [norm_of_singular_values(s, p) for s in d_values]
+            steps_ok = all(
+                norm_of_singular_values(s, p) <= scale * d + slack
+                for s, d in zip(step_values, d_norms)
             )
-        )
-    return LipschitzCheckReport(N=N, p=p, trials=tuple(rows))
+            lhs = norm_of_singular_values(total_values, p)
+            bound = scale * sum(d_norms)
+            p_rows.append(
+                LipschitzTrial(
+                    trial=t,
+                    lhs=lhs,
+                    bound=bound,
+                    steps_ok=steps_ok,
+                    total_ok=lhs <= bound + slack,
+                )
+            )
+    return [LipschitzCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]

@@ -311,12 +311,22 @@ def schatten_norm(M, p: float) -> float:
     value so extreme finite p cannot overflow.
     """
     p = validate_schatten_index(p)
-    s = singular_values(M)
+    return norm_of_singular_values(singular_values(M), p)
+
+
+def norm_of_singular_values(s: np.ndarray, p: float) -> float:
+    """:func:`schatten_norm` of a matrix with singular values ``s``.
+
+    ``s`` is in descending order, as :func:`singular_values` returns it, and
+    ``p`` has passed :func:`validate_schatten_index`.  One SVD then serves
+    every index.
+    """
     top = float(s[0]) if s.size else 0.0
     if math.isinf(p) or top == 0.0:
         return top
     kept = s[s > _SINGULAR_VALUE_FLOOR * top]
-    return top * float(np.sum((kept / top) ** p)) ** (1.0 / p)
+    # the method skips np.sum's dispatch, which dominates on short vectors
+    return top * float(((kept / top) ** p).sum()) ** (1.0 / p)
 
 
 def rank_one(u: Sequence[complex], v: Sequence[complex]) -> np.ndarray:
@@ -334,7 +344,11 @@ def rank_one(u: Sequence[complex], v: Sequence[complex]) -> np.ndarray:
 
 def numerical_rank(M, rel_tol: float = 1e-10) -> int:
     """Number of singular values above rel_tol times the largest."""
-    s = singular_values(M)
+    return rank_of_singular_values(singular_values(M), rel_tol)
+
+
+def rank_of_singular_values(s: np.ndarray, rel_tol: float = 1e-10) -> int:
+    """:func:`numerical_rank` of a matrix with descending singular values ``s``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
 
 from . import besov, counterexample as ce, linalg, moi, reference
+from .counterexample import _worse
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def check_spectral_resolution(seed: int, draws: int) -> CheckResult:
         dim = int(rng.integers(2, 17))
         A = linalg.random_hermitian(rng, dim)
         E = linalg.spectral_measure(A)
-        worst = max(worst, E.deviations(A)["reconstruction"])
+        worst = _worse(worst, E.deviations(A)["reconstruction"])
     return _within("linalg.spectral_resolution", "max dev", worst, 1e-10)
 
 
@@ -73,8 +74,8 @@ def check_projection_algebra(seed: int, draws: int) -> CheckResult:
             total += P
             for j, Q in enumerate(projections):
                 expect = P if i == j else 0.0
-                worst = max(worst, float(np.max(np.abs(P @ Q - expect))))
-        worst = max(worst, float(np.max(np.abs(total - np.eye(dim)))))
+                worst = _worse(worst, float(np.max(np.abs(P @ Q - expect))))
+        worst = _worse(worst, float(np.max(np.abs(total - np.eye(dim)))))
     return _within("linalg.projection_algebra", "max dev", worst, 1e-10)
 
 
@@ -87,7 +88,7 @@ def check_schatten_monotonicity(
         M = linalg.complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         norms = [linalg.schatten_norm(M, p) for p in p_grid]
         for smaller, larger in zip(norms[1:], norms[:-1]):
-            worst = max(worst, smaller - larger)
+            worst = _worse(worst, smaller - larger)
     return _within("linalg.schatten_monotonicity", "max increase", worst, 1e-12)
 
 
@@ -100,7 +101,7 @@ def check_unitary_invariance(seed: int, draws: int) -> CheckResult:
         U = linalg.random_unitary(rng, dim)
         V = linalg.random_unitary(rng, dim)
         for p in (1.0, 2.0, 3.5, math.inf):
-            worst = max(
+            worst = _worse(
                 worst,
                 abs(
                     linalg.schatten_norm(U @ M @ V, p) - linalg.schatten_norm(M, p)
@@ -114,7 +115,7 @@ def check_frobenius_identity(seed: int, draws: int) -> CheckResult:
     worst = 0.0
     for _ in range(draws):
         M = linalg.complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        worst = max(
+        worst = _worse(
             worst,
             abs(linalg.schatten_norm(M, 2.0) ** 2 - float(np.sum(np.abs(M) ** 2))),
         )
@@ -131,7 +132,7 @@ def check_finite_rank_chain(seed: int, draws: int) -> CheckResult:
         for p in (2.0, 3.0, 4.0, math.inf):
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
             gap = linalg.schatten_norm(M, 2.0) - rank ** (0.5 - inv_p) * linalg.schatten_norm(M, p)
-            worst = max(worst, gap)
+            worst = _worse(worst, gap)
     return _within("linalg.finite_rank_chain", "max excess", worst, 1e-12)
 
 
@@ -149,7 +150,7 @@ def check_resolution_collapse(seed: int, draws: int) -> CheckResult:
         first_only = lambda x, y: np.exp(1j * x) + 0.0 * y
         lhs = moi.double_operator_integral(first_only, E1, T, E2)
         rhs = moi.apply_function_single(lambda x: np.exp(1j * x), E1) @ T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
     return _within("moi.resolution_collapse", "max dev", worst, 1e-10)
 
 
@@ -166,8 +167,8 @@ def check_diagonal_policy_independence(seed: int, draws: int) -> CheckResult:
         f = lambda t: t**3 - t
         one = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=0.0)
         other = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=7.5 - 2j)
-        worst = max(worst, float(np.max(np.abs(one - other))))
-        worst = max(
+        worst = _worse(worst, float(np.max(np.abs(one - other))))
+        worst = _worse(
             worst,
             float(
                 np.max(
@@ -194,7 +195,7 @@ def check_single_slot_exactness(seed: int, draws: int) -> CheckResult:
             lhs = moi.perturbation_via_divided_difference(f, A, B)
             rhs = moi.apply_function_single(f, linalg.spectral_measure(A)) - \
                 moi.apply_function_single(f, linalg.spectral_measure(B))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
     return _within("moi.single_slot_exactness", "max dev", worst, 1e-9)
 
 
@@ -220,7 +221,7 @@ def check_triple_slot_exactness(seed: int, draws: int) -> CheckResult:
             rhs = moi.apply_function_triple(f, *args1) - moi.apply_function_triple(
                 f, *args2
             )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
     return _within("moi.triple_slot_exactness", "max dev", worst, 1e-9)
 
 
@@ -236,7 +237,7 @@ def check_commuting_diagonal(seed: int, draws: int) -> CheckResult:
         ]
         out = moi.apply_function_triple(f, *ops)
         expected = np.diag(f(diags[0], diags[1], diags[2]).astype(complex))
-        worst = max(worst, float(np.max(np.abs(out - expected))))
+        worst = _worse(worst, float(np.max(np.abs(out - expected))))
     return _within("moi.commuting_diagonal", "max dev", worst, 1e-12)
 
 
@@ -251,7 +252,7 @@ def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
         T2 = linalg.complex_gaussian(rng, dim, dim)
         fast = moi.triple_operator_integral(phi, E1, T1, E2, T2, E3)
         slow = reference.naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
+        worst = _worse(worst, float(np.max(np.abs(fast - slow))))
     return _within("moi.naive_oracle_equivalence", "max dev", worst, 1e-10)
 
 
@@ -283,7 +284,7 @@ def check_band_support(grid_half_width: float, grid_log2_size: int) -> CheckResu
             continue
         outside = (freqs < 2.0 ** (n - 1)) | (freqs > 2.0 ** (n + 1))
         leak = float(np.max(spectrum[outside])) / peak if np.any(outside) else 0.0
-        worst = max(worst, leak)
+        worst = _worse(worst, leak)
     return _within("besov.band_support", "max relative leak", worst, 1e-12)
 
 
@@ -340,7 +341,7 @@ def check_exact_blowup(
     worst = 0.0
     for N in N_list:
         for record in ce.growth_records(N, p_list, psi_grid=psi_grid):
-            worst = max(worst, abs(record.ratio - math.sqrt(N)) / math.sqrt(N))
+            worst = _worse(worst, abs(record.ratio - math.sqrt(N)) / math.sqrt(N))
     return _within(
         "counterexample.exact_blowup", "max relative ratio error", worst, ce.RATIO_REL_TOL
     )
@@ -353,7 +354,7 @@ def check_factorization_identity(N_list: Sequence[int]) -> CheckResult:
         diff = moi.apply_function_triple(inst.f, inst.A, inst.B, inst.C) - \
             moi.apply_function_triple(inst.f, inst.A, inst.B, linalg.zero_operator(N))
         target = moi.apply_function_pair(inst.phi, inst.A, inst.B) @ inst.C.matrix
-        worst = max(worst, float(np.max(np.abs(diff - target))))
+        worst = _worse(worst, float(np.max(np.abs(diff - target))))
     return _within("counterexample.factorization_identity", "max dev", worst, 1e-10)
 
 
@@ -373,7 +374,7 @@ def check_rank_one_collapse(N_list: Sequence[int]) -> CheckResult:
 def check_gram_fidelity(N_list: Sequence[int]) -> CheckResult:
     worst = 0.0
     for N in N_list:
-        worst = max(worst, ce.build_instance(N).deviations()["gram"])
+        worst = _worse(worst, ce.build_instance(N).deviations()["gram"])
     return _within("counterexample.gram_fidelity", "max dev", worst, 1e-12)
 
 
@@ -381,7 +382,7 @@ def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
     sups = [ce.phi_grid_sup(ce.build_instance(N).phi, N) for N in N_list]
     spread = max(sups) / min(sups) - 1.0
     # the grid holds the lattice where the proved bound PHI_SUP is attained
-    dev = max(abs(s - ce.PHI_SUP) for s in sups)
+    dev = reduce(_worse, (abs(s - ce.PHI_SUP) for s in sups))
     spread_tol, dev_tol = 0.1, 1e-12
     return _result(
         "counterexample.bounded_symbol",
@@ -416,10 +417,11 @@ def check_lipschitz_bound(trials: int, seed: int) -> CheckResult:
     ok = True
     worst_ratio = 0.0
     for N in (2, 3):
-        for p in (1.0, 2.0, math.inf):
-            report = ce.lipschitz_rank_bound_check(N, p, trials=trials, seed=seed)
+        for report in ce.lipschitz_rank_bound_check(
+            N, (1.0, 2.0, math.inf), trials=trials, seed=seed
+        ):
             ok = ok and report.all_passed
-            worst_ratio = max(worst_ratio, report.max_ratio)
+            worst_ratio = _worse(worst_ratio, report.max_ratio)
     return _result(
         "counterexample.lipschitz_bound",
         ok,
@@ -430,10 +432,9 @@ def check_lipschitz_bound(trials: int, seed: int) -> CheckResult:
 def check_pairs_chain(trials: int, seed: int) -> CheckResult:
     ok = True
     worst_ratio = 0.0
-    for p in (2.0, 3.0, math.inf):
-        report = ce.rank_estimate_check_pairs(4, p, trials=trials, seed=seed)
+    for report in ce.rank_estimate_check_pairs(4, (2.0, 3.0, math.inf), trials=trials, seed=seed):
         ok = ok and report.all_passed
-        worst_ratio = max(worst_ratio, report.max_ratio)
+        worst_ratio = _worse(worst_ratio, report.max_ratio)
     return _result(
         "counterexample.pairs_chain",
         ok,

@@ -99,8 +99,9 @@ def test_criterion_6_lipschitz_rank_bound():
     all_passed = True
     worst_ratio = 0.0
     for N in (2, 3, 4):
-        for p in (1.0, 2.0, math.inf):
-            reportee = lipschitz_rank_bound_check(N, p, trials=23, seed=20240501 + N)
+        for reportee in lipschitz_rank_bound_check(
+            N, (1.0, 2.0, math.inf), trials=23, seed=20240501 + N
+        ):
             total_trials += len(reportee.trials)
             all_passed = all_passed and reportee.all_passed
             worst_ratio = max(worst_ratio, reportee.max_ratio)

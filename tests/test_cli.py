@@ -126,6 +126,33 @@ def test_bounds_exit_zero_on_default_style_run(tmp_path):
     assert all(line.endswith("ok") for line in lines)
 
 
+def test_bounds_output_is_deterministic(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    args = ["bounds", "--N", "2,3", "--p", "1,2,inf", "--trials", "3", "--seed", "5"]
+    assert run_cli(args + ["--out", str(a)]) == 0
+    assert run_cli(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_bounds_rows_put_pairs_before_lipschitz_per_cell(tmp_path):
+    # per (N, p), sorted: the pairs rows (one skipped row when p < 2), then
+    # the Lipschitz rows
+    out = tmp_path / "bounds.csv"
+    args = ["bounds", "--N", "3,2", "--p", "inf,1,2", "--trials", "2", "--out", str(out)]
+    assert run_cli(args) == 0
+    rows = [line.split(",")[:4] for line in out.read_text().splitlines()[1:]]
+    expected = []
+    for N in ("2", "3"):
+        for p in ("1", "2", "inf"):
+            if p == "1":
+                expected.append(["pairs_chain", N, p, ""])
+            else:
+                expected += [["pairs_chain", N, p, str(t)] for t in range(2)]
+            expected += [["lipschitz_bound", N, p, str(t)] for t in range(2)]
+    assert rows == expected
+
+
 def test_selfcheck_smoke(capsys):
     code = run_cli(
         ["selfcheck", "--N", "1,4", "--p", "1,2", "--trials", "4", "--grid-m", "12"]
@@ -145,6 +172,18 @@ def test_selfcheck_rejects_output_flags(tmp_path, capsys):
         run_cli(args + ["--format", "json", "--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["format", "out"])
+def test_selfcheck_rejects_output_keys_in_config_file(tmp_path, capsys, key):
+    # the config-file spelling of --format/--out is refused like the flags
+    out = tmp_path / "sc.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text({"format": "format=json\n", "out": f"out={out}\n"}[key])
+    args = ["selfcheck", "--config", str(cfg), "--N", "1", "--p", "1", "--trials", "1"]
+    assert run_cli(args + ["--grid-m", "12"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 

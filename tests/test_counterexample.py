@@ -9,8 +9,13 @@ from moilab import counterexample
 from moilab.besov import psi_band_majorant, psi_reference_grid
 from moilab.counterexample import (
     PHI_SUP,
+    ExperimentRecord,
     InvalidEpsilonError,
+    LipschitzCheckReport,
+    LipschitzTrial,
     NotUnitaryError,
+    PairsCheckReport,
+    PairsTrial,
     build_instance,
     dft_unitary,
     epsilon_scaling_run,
@@ -27,7 +32,7 @@ from moilab.counterexample import (
 )
 from moilab.linalg import schatten_norm, singular_values, spectral_measure
 from moilab.moi import apply_function_pair, apply_function_triple
-from moilab.selfcheck import check_bounded_symbol, check_rank_one_collapse
+from moilab.selfcheck import check_bounded_symbol, check_exact_blowup, check_rank_one_collapse
 
 
 def test_eta_special_values():
@@ -286,19 +291,62 @@ def test_kink_function_seminorm_dominates_differences(rng):
 
 def test_pairs_check_requires_p_at_least_two():
     with pytest.raises(ValueError):
-        rank_estimate_check_pairs(3, 1.0, trials=1)
+        rank_estimate_check_pairs(3, [1.0], trials=1)
 
 
 def test_pairs_check_passes_and_reports_ratio():
-    report = rank_estimate_check_pairs(3, 3.0, trials=10, seed=99)
+    (report,) = rank_estimate_check_pairs(3, [3.0], trials=10, seed=99)
     assert report.all_passed
     assert report.max_ratio > 0.0
     assert len(report.trials) == 10
 
 
 def test_pairs_check_p_two_is_trivial_chain():
-    report = rank_estimate_check_pairs(3, 2.0, trials=5, seed=7)
+    (report,) = rank_estimate_check_pairs(3, [2.0], trials=5, seed=7)
     assert report.all_passed
+
+
+def test_pairs_check_reports_each_p_as_if_alone():
+    # one call draws each trial once for every p; each report must equal
+    # the one a single-p call gives, field for field
+    p_list = (2.0, 3.0, math.inf)
+    shared = rank_estimate_check_pairs(3, p_list, trials=4, seed=31)
+    assert [report.p for report in shared] == list(p_list)
+    for p, report in zip(p_list, shared):
+        assert rank_estimate_check_pairs(3, [p], trials=4, seed=31) == [report]
+
+
+def test_lipschitz_check_reports_each_p_as_if_alone():
+    p_list = (1.0, 2.0, math.inf)
+    shared = lipschitz_rank_bound_check(3, p_list, trials=4, seed=31)
+    assert [report.p for report in shared] == list(p_list)
+    for p, report in zip(p_list, shared):
+        assert lipschitz_rank_bound_check(3, [p], trials=4, seed=31) == [report]
+
+
+def test_max_ratio_keeps_nan():
+    # a NaN trial must not vanish from the worst ratio (max(0.5, nan) is 0.5)
+    lipschitz = LipschitzCheckReport(
+        N=2,
+        p=1.0,
+        trials=(
+            LipschitzTrial(trial=0, lhs=1.0, bound=2.0, steps_ok=True, total_ok=True),
+            LipschitzTrial(trial=1, lhs=math.nan, bound=2.0, steps_ok=True, total_ok=False),
+        ),
+    )
+    pairs = PairsCheckReport(
+        N=2,
+        p=2.0,
+        trials=tuple(
+            PairsTrial(
+                trial=t, diff_norm_p=1.0, diff_norm_2=1.0, max_perturbation=1.0,
+                chain_ok=True, ratio=ratio,
+            )
+            for t, ratio in enumerate((0.5, math.nan, 0.25))
+        ),
+    )
+    assert math.isnan(lipschitz.max_ratio)
+    assert math.isnan(pairs.max_ratio)
 
 
 def test_rank_three_matrix_hilbert_schmidt_bound(rng):
@@ -319,7 +367,7 @@ def test_lipschitz_check_constant_function_gives_zero():
 
 
 def test_lipschitz_check_passes_every_trial():
-    report = lipschitz_rank_bound_check(3, 1.0, trials=50, seed=12)
+    (report,) = lipschitz_rank_bound_check(3, [1.0], trials=50, seed=12)
     assert report.all_passed
     assert report.max_ratio < 1.0
     assert len(report.trials) == 50
@@ -362,6 +410,22 @@ def test_fault_injection_unguarded_eta_is_caught(monkeypatch):
     monkeypatch.setattr(ce, "eta", unguarded)
     with pytest.raises((RuntimeError, ValueError)):
         ce.growth_records(2, [2.0])
+
+
+def test_nan_ratio_fails_exact_blowup(monkeypatch):
+    # the selfcheck's worst-deviation fold must keep a NaN, not drop it
+    def nan_records(N, p_list, **kwargs):
+        return [
+            ExperimentRecord(
+                N=N, p=p, lhs=math.nan, perturbation=1.0, besov_surrogate=1.0, ratio=math.nan
+            )
+            for p in p_list
+        ]
+
+    monkeypatch.setattr(counterexample, "growth_records", nan_records)
+    result = check_exact_blowup((4,), (2.0,), 64.0, 12)
+    assert not result.passed
+    assert "nan" in result.detail
 
 
 def test_growth_record_fields_are_finite():

@@ -12,8 +12,10 @@ from moilab.linalg import (
     NotSquareError,
     complex_gaussian,
     hermitian_from_matrix,
+    norm_of_singular_values,
     numerical_rank,
     random_hermitian,
+    rank_of_singular_values,
     rank_one,
     schatten_norm,
     singular_values,
@@ -200,6 +202,22 @@ def test_numerical_rank(rng):
     M = complex_gaussian(rng, 8, 3) @ complex_gaussian(rng, 3, 8)
     assert numerical_rank(M) == 3
     assert numerical_rank(np.zeros((4, 4))) == 0
+
+
+def test_singular_value_helpers_match_matrix_functions(rng):
+    # one SVD serves every p: the helpers reproduce the per-matrix answers bit for bit
+    matrices = [
+        complex_gaussian(rng, 5, 4),
+        complex_gaussian(rng, 6, 2) @ complex_gaussian(rng, 2, 6),
+        np.eye(3),
+        np.zeros((4, 4)),
+    ]
+    for M in matrices:
+        s = singular_values(M)
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            assert norm_of_singular_values(s, p) == schatten_norm(M, p)
+        for rel_tol in (1e-10, 0.5):
+            assert rank_of_singular_values(s, rel_tol) == numerical_rank(M, rel_tol)
 
 
 def test_operator_scaling():
