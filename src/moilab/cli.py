@@ -261,9 +261,10 @@ def cmd_growth(config: RunConfig) -> int:
                 "besov_surrogate": record.besov_surrogate,
             }
         )
-        if abs(record.ratio - sqrt_n) > RATIO_REL_TOL * sqrt_n:
+        # "not <=" so that a NaN fails the gate
+        if not abs(record.ratio - sqrt_n) <= RATIO_REL_TOL * sqrt_n:
             failures.append((record.N, record.p, record.ratio))
-        if abs(record.perturbation - float(eps_rule(record.N))) > RATIO_REL_TOL:
+        if not abs(record.perturbation - float(eps_rule(record.N))) <= RATIO_REL_TOL:
             failures.append((record.N, record.p, record.perturbation))
     emit_rows(rows, GROWTH_COLUMNS, config)
     if failures:

@@ -149,47 +149,44 @@ class SpectralAtom:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finitely atomic spectral measure: sorted (eigenvalue, projection) atoms.
+    """Finitely atomic spectral measure held as one eigenvector frame.
 
-    Atoms are ordered by strictly increasing eigenvalue and their
-    projections resolve the identity.  The cached frame (all eigenspace
-    bases stacked into one unitary) is what the operator-integral
-    contractions consume.
+    ``eigenvalues`` holds the atom values in strictly increasing order and
+    ``multiplicities`` their eigenspace dimensions.  ``frame`` is the dim x dim
+    unitary whose consecutive column blocks, of those widths, are the
+    eigenspace bases, so the atoms' projections resolve the identity.  The
+    operator-integral contractions read the frame directly; :attr:`atoms`
+    is a per-atom view derived from it.
     """
 
-    atoms: tuple[SpectralAtom, ...]
+    eigenvalues: np.ndarray
+    frame: np.ndarray
+    multiplicities: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.atoms[0].basis.shape[0]
+        return self.frame.shape[0]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([a.eigenvalue for a in self.atoms], dtype=float)
+    @cached_property
+    def atoms(self) -> tuple[SpectralAtom, ...]:
+        """Per-atom view: each value with its column block of the frame."""
+        return tuple(
+            SpectralAtom(float(value), self.frame[:, block])
+            for value, block in zip(self.eigenvalues, self.column_slices)
+        )
 
     def projections(self) -> list[np.ndarray]:
         return [a.projection for a in self.atoms]
 
     @cached_property
-    def frame(self) -> np.ndarray:
-        """dim x dim unitary whose column blocks are the atom bases."""
-        return np.hstack([a.basis for a in self.atoms])
-
-    @cached_property
     def column_slices(self) -> tuple[slice, ...]:
-        slices = []
-        start = 0
-        for a in self.atoms:
-            slices.append(slice(start, start + a.multiplicity))
-            start += a.multiplicity
-        return tuple(slices)
+        ends = np.cumsum(self.multiplicities).tolist()
+        return tuple(slice(lo, hi) for lo, hi in zip([0, *ends], ends))
 
     @cached_property
     def column_atom_index(self) -> np.ndarray:
         """For each frame column, the index of the atom it belongs to."""
-        return np.repeat(
-            np.arange(len(self.atoms)), [a.multiplicity for a in self.atoms]
-        )
+        return np.repeat(np.arange(len(self.eigenvalues)), self.multiplicities)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue * projection; recovers the source operator."""
@@ -239,17 +236,12 @@ def _decompose(A: HermitianOperator) -> SpectralMeasure:
         values, vectors = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(str(exc)) from exc
-    gaps = np.diff(values)
-    boundaries = [0, *(np.flatnonzero(gaps > _GROUP_TOL) + 1), len(values)]
-    atoms = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        atoms.append(
-            SpectralAtom(
-                eigenvalue=float(np.mean(values[lo:hi])),
-                basis=np.ascontiguousarray(vectors[:, lo:hi]),
-            )
-        )
-    return SpectralMeasure(atoms=tuple(atoms))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > _GROUP_TOL)
+    multiplicities = np.diff(starts, append=len(values))
+    eigenvalues = values[starts]
+    for k in np.flatnonzero(multiplicities > 1):
+        eigenvalues[k] = np.mean(values[starts[k] : starts[k] + multiplicities[k]])
+    return SpectralMeasure(eigenvalues, vectors, multiplicities)
 
 
 def spectral_measure_from_projections(
@@ -260,15 +252,18 @@ def spectral_measure_from_projections(
     Each projection is factored into an orthonormal eigenspace basis.
     Intended for hand-built measures in tests and cross-checks.
     """
-    atoms = []
+    values, bases = [], []
     for value, projection in sorted(pairs, key=lambda item: item[0]):
         P = as_complex_matrix(projection)
         evals, evecs = np.linalg.eigh(P)
         keep = evals > 0.5
         if not np.any(keep):
             raise ValueError(f"projection for eigenvalue {value} has rank zero")
-        atoms.append(SpectralAtom(eigenvalue=float(value), basis=evecs[:, keep]))
-    measure = SpectralMeasure(atoms=tuple(atoms))
+        values.append(float(value))
+        bases.append(evecs[:, keep])
+    measure = SpectralMeasure(
+        np.array(values), np.hstack(bases), np.array([b.shape[1] for b in bases])
+    )
     tol = projection_tolerance(measure.dim)
     worst = max(measure.deviations().values())
     if worst > tol:
@@ -392,8 +387,4 @@ def random_measure(
     )
     bounds = [0, *cuts, dim]
     values = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
-    atoms = tuple(
-        SpectralAtom(float(v), U[:, lo:hi])
-        for v, lo, hi in zip(values, bounds[:-1], bounds[1:])
-    )
-    return SpectralMeasure(atoms)
+    return SpectralMeasure(values, U, np.diff(bounds))

@@ -107,7 +107,7 @@ def _chain_integral(
     per column.
     """
     _check_chain_dims(measures, operators)
-    counts = tuple(len(E.atoms) for E in measures)
+    counts = tuple(len(E.eigenvalues) for E in measures)
     frames = [E.frame for E in measures]
     transformed = [
         frames[t].conj().T @ operators[t] @ frames[t + 1]
@@ -130,7 +130,7 @@ def _chain_integral(
             + ",".join(axes[t : t + 2] for t in range(len(head) - 1))
             + f"->z{axes[0]}{axes[-1]}"
         )
-        repeated = any(E.dim > len(E.atoms) for E in head)
+        repeated = any(E.dim > len(E.eigenvalues) for E in head)
         chunk = max(1, _CHUNK_ENTRIES // math.prod(E.dim for E in head))
         acc = np.empty((head[0].dim, last.dim), dtype=np.complex128)
         for lo in range(0, counts[-1], chunk):

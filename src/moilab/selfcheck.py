@@ -38,9 +38,10 @@ def _result(name, ok, detail, category="core"):
 
 
 def _tol_text(tol: float) -> str:
-    """Shortest spelling of a tolerance: 1e-9, not 1e-09; 0.1 stays 0.1."""
-    mantissa, _, exponent = f"{tol:g}".partition("e")
-    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+    """Shortest spelling of a tolerance: 1e-9 and 2e-2 below 0.1, plain 0.1 from there."""
+    if tol < 0.1:
+        return np.format_float_scientific(tol, trim="-", exp_digits=1)
+    return f"{tol:g}"
 
 
 def _within(name, label, observed, tol):
@@ -304,10 +305,11 @@ def check_summability_tail(grid_half_width: float, grid_log2_size: int) -> Check
         weighted[i + 1] <= weighted[i] or weighted[i + 1] < 1e-12
         for i in range(3, len(weighted) - 1)
     )
+    tol = 0.01
     return _result(
         "besov.summability_tail",
-        fraction < 0.01 and decaying,
-        f"tail fraction {fraction:.3e} (tol 1e-2), weighted sups decay: {decaying}",
+        fraction < tol and decaying,
+        f"tail fraction {fraction:.3e} (tol {_tol_text(tol)}), weighted sups decay: {decaying}",
         category="grid-stability",
     )
 
@@ -320,10 +322,11 @@ def check_surrogate_refinement(grid_half_width: float, grid_log2_size: int) -> C
         besov.psi_reference_grid(grid_half_width, grid_log2_size + 1)
     )
     rel = abs(fine - coarse) / coarse
+    tol = 0.02
     return _result(
         "besov.surrogate_refinement",
-        rel < 0.02,
-        f"majorant {coarse:.6f} -> {fine:.6f}, rel change {rel:.3e} (tol 2e-2)",
+        rel < tol,
+        f"majorant {coarse:.6f} -> {fine:.6f}, rel change {rel:.3e} (tol {_tol_text(tol)})",
         category="grid-stability",
     )
 

@@ -11,6 +11,7 @@ import time
 
 from moilab.besov import DEFAULT_HALF_WIDTH, DEFAULT_LOG2_SAMPLES
 from moilab.counterexample import (
+    _worse,
     epsilon_scaling_run,
     lipschitz_rank_bound_check,
     quarter_root_rule,
@@ -104,7 +105,7 @@ def test_criterion_6_lipschitz_rank_bound():
         ):
             total_trials += len(reportee.trials)
             all_passed = all_passed and reportee.all_passed
-            worst_ratio = max(worst_ratio, reportee.max_ratio)
+            worst_ratio = _worse(worst_ratio, reportee.max_ratio)
     ok = all_passed and total_trials >= 200
     report(
         6,
@@ -130,8 +131,8 @@ def test_criterion_8_epsilon_scaling():
     dev = 0.0
     for r in records:
         eps = quarter_root_rule(r.N)
-        dev = max(dev, abs(r.perturbation - eps))
-        dev = max(dev, abs(r.lhs - eps * math.sqrt(r.N)))
+        dev = _worse(dev, abs(r.perturbation - eps))
+        dev = _worse(dev, abs(r.lhs - eps * math.sqrt(r.N)))
     monotone = all(
         a > b for a, b in zip(perturbations[:-1], perturbations[1:])
     ) and all(a < b for a, b in zip(differences[:-1], differences[1:]))

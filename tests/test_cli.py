@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from moilab.cli import (
     load_config_file,
     main,
 )
+from moilab.counterexample import epsilon_scaling_run
 
 
 def run_cli(args):
@@ -38,6 +40,20 @@ def test_growth_ratio_matches_square_root(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     ratio, sqrt_n = float(row[4]), float(row[5])
     assert ratio == pytest.approx(sqrt_n, rel=1e-8)
+
+
+@pytest.mark.parametrize("field", ["ratio", "perturbation"])
+def test_growth_gate_fails_on_nan(tmp_path, capsys, monkeypatch, field):
+    def nan_run(N_list, eps_rule, p_list, **kwargs):
+        return [
+            replace(record, **{field: math.nan})
+            for record in epsilon_scaling_run(N_list, eps_rule, p_list, **kwargs)
+        ]
+
+    monkeypatch.setattr("moilab.cli.epsilon_scaling_run", nan_run)
+    out = tmp_path / "growth.csv"
+    assert run_cli(["growth", "--N", "4", "--p", "2", "--out", str(out)]) == 1
+    assert "growth mismatch at N=4, p=2: nan" in capsys.readouterr().err
 
 
 def test_growth_output_is_deterministic(tmp_path):

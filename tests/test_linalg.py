@@ -10,11 +10,14 @@ from moilab.linalg import (
     HermitianOperator,
     NotHermitianError,
     NotSquareError,
+    SpectralMeasure,
     complex_gaussian,
     hermitian_from_matrix,
     norm_of_singular_values,
     numerical_rank,
     random_hermitian,
+    random_measure,
+    random_unitary,
     rank_of_singular_values,
     rank_one,
     schatten_norm,
@@ -23,7 +26,7 @@ from moilab.linalg import (
     spectral_measure_from_projections,
     zero_operator,
 )
-from moilab.moi import apply_function_pair
+from moilab.moi import apply_function_pair, apply_function_triple, argument_perturbation
 from moilab.selfcheck import (
     check_finite_rank_chain,
     check_frobenius_identity,
@@ -68,6 +71,16 @@ def test_spectral_measure_groups_repeated_eigenvalues():
     assert np.allclose(P1, np.diag([1.0, 1.0, 0.0]))
 
 
+def test_spectral_measure_groups_planted_cluster(rng):
+    U = random_unitary(rng, 4)
+    A = hermitian_from_matrix((U * [1.0, 1.0 + 3e-9, 1.0 + 6e-9, 2.0]) @ U.conj().T)
+    E = spectral_measure(A)
+    computed = np.linalg.eigh(A.matrix)[0]
+    assert E.multiplicities.tolist() == [3, 1]
+    assert E.eigenvalues[0] == np.mean(computed[:3])
+    assert E.eigenvalues[1] == computed[3]
+
+
 def test_spectral_measure_zero_operator():
     E = spectral_measure(zero_operator(3))
     assert len(E.atoms) == 1
@@ -104,6 +117,29 @@ def test_spectral_measure_from_projections_roundtrip(rng):
         [(a.eigenvalue, a.projection) for a in E.atoms]
     )
     assert np.allclose(rebuilt.reconstruct(), A.matrix, atol=1e-10)
+    drawn = random_measure(rng, 6, 3)
+    redrawn = spectral_measure_from_projections(zip(drawn.eigenvalues, drawn.projections()))
+    # every builder's per-atom view is its frame cut into column blocks
+    for measure in (E, rebuilt, drawn, redrawn):
+        assert np.array_equal(np.hstack([a.basis for a in measure.atoms]), measure.frame)
+        assert [a.eigenvalue for a in measure.atoms] == measure.eigenvalues.tolist()
+        assert [a.multiplicity for a in measure.atoms] == measure.multiplicities.tolist()
+
+
+def test_contractions_do_not_build_the_atom_view(rng, monkeypatch):
+    def refuse(measure):
+        raise AssertionError("per-atom view built")
+
+    monkeypatch.setattr(SpectralMeasure, "atoms", property(refuse))
+    A, B, D = (random_hermitian(rng, 5) for _ in range(3))
+    C = zero_operator(5)  # one repeated atom
+
+    def f(x, y, z):
+        return np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2)
+
+    assert np.isfinite(apply_function_triple(f, A, B, C)).all()
+    for index in range(3):
+        assert np.isfinite(argument_perturbation(f, index, A, D, B, C)).all()
 
 
 def test_singular_values_identity():
