@@ -53,8 +53,8 @@ class InvalidEpsilonError(ValueError):
 DEFAULT_SEED = 20240501
 
 RATIO_REL_TOL = 1e-8
-"""Gate on |ratio - sqrt(N)| / sqrt(N) for the growth family, shared by
-``moilab growth`` and the exact-blowup selfcheck."""
+"""Gate on :attr:`ExperimentRecord.ratio_error` for the growth family,
+shared by ``moilab growth`` and the exact-blowup selfcheck."""
 
 PHI_SUP = 1.0
 """Exact value of sup|phi_N| over the plane, the same for every N.
@@ -255,10 +255,16 @@ class ExperimentRecord:
     besov_surrogate: float
     ratio: float
 
+    @property
+    def ratio_error(self) -> float:
+        """|ratio - sqrt(N)| / sqrt(N), the deviation gated at :data:`RATIO_REL_TOL`."""
+        return abs(self.ratio - math.sqrt(self.N)) / math.sqrt(self.N)
 
-def phi_grid_sup(
-    phi: Callable, N: int, points_per_period: int = 32, chunk_rows: int = 512
-) -> float:
+
+_SUP_CHUNK_ROWS = 512
+
+
+def phi_grid_sup(phi: Callable, N: int, points_per_period: int = 32) -> float:
     """Grid maximum of |phi| over [0, 2 pi (N+1)]^2.
 
     A sampled *lower* estimate of sup|phi|, costing O(N^3).  It serves only
@@ -270,11 +276,24 @@ def phi_grid_sup(
     points = (N + 1) * points_per_period + 1
     axis = np.linspace(0.0, 2.0 * math.pi * (N + 1), points)
     best = 0.0
-    for start in range(0, points, chunk_rows):
-        block = axis[start : start + chunk_rows]
+    for start in range(0, points, _SUP_CHUNK_ROWS):
+        block = axis[start : start + _SUP_CHUNK_ROWS]
         values = phi(block[:, None], axis[None, :])
         best = max(best, float(np.max(np.abs(values))))
     return best
+
+
+def _growth_difference(
+    inst: CounterexampleInstance, c: HermitianOperator
+) -> tuple[np.ndarray, float, float]:
+    """D = f(A, B, c) - f(A, B, 0) with the residuals of its two identities:
+    the peak entry of f(A, B, 0), which vanishes because psi(0) = 0, and the
+    max-entry deviation of D from phi(A, B) c."""
+    upper = apply_function_triple(inst.f, inst.A, inst.B, c)
+    base = apply_function_triple(inst.f, inst.A, inst.B, zero_operator(inst.N))
+    diff = upper - base
+    factored = apply_function_pair(inst.phi, inst.A, inst.B) @ c.matrix
+    return diff, float(np.max(np.abs(base))), float(np.max(np.abs(diff - factored)))
 
 
 def growth_records(
@@ -300,19 +319,13 @@ def growth_records(
     p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
     scaled_c = inst.C.scaled(eps)
-
-    upper = apply_function_triple(inst.f, inst.A, inst.B, scaled_c)
-    base = apply_function_triple(inst.f, inst.A, inst.B, zero_operator(N))
-    diff = upper - base
+    diff, base_peak, factor_dev = _growth_difference(inst, scaled_c)
 
     # written as not(<=) so a NaN from a broken symbol fails loudly
-    base_peak = float(np.max(np.abs(base)))
     if not base_peak <= 1e-12 * math.sqrt(N):
         raise RuntimeError(
             f"zero-slot term should vanish, got |f(A,B,0)|_max = {base_peak:.3e}"
         )
-    factored = apply_function_pair(inst.phi, inst.A, inst.B) @ scaled_c.matrix
-    factor_dev = float(np.max(np.abs(diff - factored)))
     if not factor_dev <= 1e-10:
         raise RuntimeError(
             f"difference does not match phi(A,B) C: deviation {factor_dev:.3e}"
@@ -361,14 +374,12 @@ def epsilon_scaling_run(
     Raises
     ------
     InvalidEpsilonError
-        If the rule produces a value outside (0, 1].
+        If the rule produces a value outside (0, 1] (raised by
+        :func:`growth_records`).
     """
     records = []
     for N in N_list:
-        eps = float(eps_rule(N))
-        if not 0.0 < eps <= 1.0:
-            raise InvalidEpsilonError(f"eps_rule({N}) = {eps} is outside (0, 1]")
-        records.extend(growth_records(N, p_list, eps=eps, **kwargs))
+        records.extend(growth_records(N, p_list, eps=float(eps_rule(N)), **kwargs))
     return records
 
 
@@ -382,19 +393,20 @@ def random_rank_limited_hermitian(
     return hermitian_from_matrix((Q * values) @ Q.conj().T)
 
 
-def random_trig_polynomial(
-    rng: np.random.Generator, max_degree: int = 3
-) -> tuple[Callable, float]:
+_TRIG_MAX_DEGREE = 3
+
+
+def random_trig_polynomial(rng: np.random.Generator) -> tuple[Callable, float]:
     """Random two-variable trigonometric polynomial plus a certified
     smoothness surrogate.
 
-    Coefficients c_{ml} over |m|, |l| <= max_degree are complex Gaussian.
+    Coefficients c_{ml} over |m|, |l| <= 3 are complex Gaussian.
     Each frequency pair contributes to the dyadic bands selected by
     w(|(m, l)|_2 / 2^n), so the triangle inequality certifies
     sum_n 2^n sup|f_n| <= sum_n 2^n sum_{ml} |c_ml| w(...), which is the
     returned bound.  The constant term never enters (w vanishes at 0).
     """
-    span = np.arange(-max_degree, max_degree + 1)
+    span = np.arange(-_TRIG_MAX_DEGREE, _TRIG_MAX_DEGREE + 1)
     coeffs = rng.standard_normal((span.size, span.size)) + 1j * rng.standard_normal(
         (span.size, span.size)
     )
@@ -416,25 +428,27 @@ def random_trig_polynomial(
     return f, bound
 
 
-def random_kink_function(
-    rng: np.random.Generator, pieces: int = 3
-) -> tuple[Callable, float]:
+_KINK_PIECES = 3
+
+
+def random_kink_function(rng: np.random.Generator) -> tuple[Callable, float]:
     """Random affine-plus-kinks function of three variables with a certified
     Lipschitz seminorm.
 
-    f(v) = a0 + a . v + sum_m c_m min(1, |b_m . v + d_m|); the returned
-    seminorm |a|_2 + sum |c_m| |b_m|_2 dominates the true one, so bounds
-    asserted with it remain consequences of the underlying estimate.
+    f(v) = a0 + a . v + sum_m c_m min(1, |b_m . v + d_m|) over three kinks m;
+    the returned seminorm |a|_2 + sum |c_m| |b_m|_2 dominates the true one,
+    so bounds asserted with it remain consequences of the underlying
+    estimate.
     """
     a0 = rng.uniform(-1.0, 1.0)
     a = rng.uniform(-1.0, 1.0, size=3)
-    c = rng.uniform(-1.0, 1.0, size=pieces)
-    b = rng.uniform(-1.0, 1.0, size=(pieces, 3))
-    d = rng.uniform(-1.0, 1.0, size=pieces)
+    c = rng.uniform(-1.0, 1.0, size=_KINK_PIECES)
+    b = rng.uniform(-1.0, 1.0, size=(_KINK_PIECES, 3))
+    d = rng.uniform(-1.0, 1.0, size=_KINK_PIECES)
 
     def f(x, y, z):
         total = a0 + a[0] * x + a[1] * y + a[2] * z
-        for m in range(pieces):
+        for m in range(_KINK_PIECES):
             linear = b[m, 0] * x + b[m, 1] * y + b[m, 2] * z + d[m]
             total = total + c[m] * np.minimum(1.0, np.abs(linear))
         return total
@@ -452,16 +466,39 @@ class PairsTrial:
     chain_ok: bool
     ratio: float
 
+    @property
+    def ok(self) -> bool:
+        return self.chain_ok
+
 
 @dataclass(frozen=True)
-class PairsCheckReport:
+class LipschitzTrial:
+    trial: int
+    lhs: float
+    bound: float
+    steps_ok: bool
+    total_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.total_ok and self.steps_ok
+
+    @property
+    def ratio(self) -> float:
+        return self.lhs / self.bound if self.bound > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class RankCheckReport:
+    """One rank check's trials at one (N, p); a trial's verdict is ``trial.ok``."""
+
     N: int
     p: float
-    trials: tuple[PairsTrial, ...]
+    trials: tuple[PairsTrial, ...] | tuple[LipschitzTrial, ...]
 
     @property
     def all_passed(self) -> bool:
-        return all(t.chain_ok for t in self.trials)
+        return all(t.ok for t in self.trials)
 
     @property
     def max_ratio(self) -> float:
@@ -470,7 +507,7 @@ class PairsCheckReport:
 
 def rank_estimate_check_pairs(
     N: int, p_list: Sequence[float], trials: int, seed: int = DEFAULT_SEED
-) -> list[PairsCheckReport]:
+) -> list[RankCheckReport]:
     """Numerical check of the Hilbert-Schmidt chain behind the
     N^(1/2 - 1/p) estimate for pairs; one report per entry of ``p_list``.
 
@@ -531,40 +568,12 @@ def rank_estimate_check_pairs(
                     ratio=norm_p / denom if denom > 0 else 0.0,
                 )
             )
-    return [PairsCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
-
-
-@dataclass(frozen=True)
-class LipschitzTrial:
-    trial: int
-    lhs: float
-    bound: float
-    steps_ok: bool
-    total_ok: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.bound if self.bound > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class LipschitzCheckReport:
-    N: int
-    p: float
-    trials: tuple[LipschitzTrial, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(t.total_ok and t.steps_ok for t in self.trials)
-
-    @property
-    def max_ratio(self) -> float:
-        return reduce(_worse, (t.ratio for t in self.trials), 0.0)
+    return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
 def lipschitz_rank_bound_check(
     N: int, p_list: Sequence[float], trials: int, seed: int = DEFAULT_SEED
-) -> list[LipschitzCheckReport]:
+) -> list[RankCheckReport]:
     """Numerical check of the N^4 Lipschitz-type bound for triples; one
     report per entry of ``p_list``.
 
@@ -618,4 +627,4 @@ def lipschitz_rank_bound_check(
                     total_ok=lhs <= bound + slack,
                 )
             )
-    return [LipschitzCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
+    return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]

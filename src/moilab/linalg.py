@@ -356,18 +356,15 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex Gaussian."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(complex_gaussian(rng, dim, dim))
     phases = np.diag(R).copy()
     phases /= np.abs(phases)
     return Q * phases.conj()
 
 
-def random_hermitian(
-    rng: np.random.Generator, dim: int, scale: float = 1.0
-) -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
     G = complex_gaussian(rng, dim, dim)
-    return HermitianOperator(scale * (G + G.conj().T) / 2.0)
+    return HermitianOperator((G + G.conj().T) / 2.0)
 
 
 def random_measure(

@@ -13,7 +13,7 @@ from moilab.cli import (
     load_config_file,
     main,
 )
-from moilab.counterexample import epsilon_scaling_run
+from moilab.counterexample import LipschitzTrial, PairsTrial, RankCheckReport, epsilon_scaling_run
 
 
 def run_cli(args):
@@ -140,6 +140,29 @@ def test_bounds_exit_zero_on_default_style_run(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()[1:]
     assert all(line.endswith("ok") for line in lines)
+
+
+def test_bounds_failing_trials_read_fail_and_exit_one(tmp_path, monkeypatch):
+    pairs = PairsTrial(
+        trial=0, diff_norm_p=1.0, diff_norm_2=1.0, max_perturbation=1.0, chain_ok=False, ratio=0.5
+    )
+    lipschitz = LipschitzTrial(trial=0, lhs=1.0, bound=2.0, steps_ok=False, total_ok=True)
+    monkeypatch.setattr(
+        "moilab.cli.rank_estimate_check_pairs",
+        lambda N, p_list, trials, seed: [RankCheckReport(N=N, p=2.0, trials=(pairs,))],
+    )
+    monkeypatch.setattr(
+        "moilab.cli.lipschitz_rank_bound_check",
+        lambda N, p_list, trials, seed: [RankCheckReport(N=N, p=2.0, trials=(lipschitz,))],
+    )
+    out = tmp_path / "bounds.csv"
+    code = run_cli(["bounds", "--N", "2", "--p", "2", "--trials", "1", "--out", str(out)])
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[5]) for row in rows] == [
+        ("pairs_chain", "fail"),
+        ("lipschitz_bound", "fail"),
+    ]
 
 
 def test_bounds_output_is_deterministic(tmp_path):

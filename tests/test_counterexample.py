@@ -11,11 +11,10 @@ from moilab.counterexample import (
     PHI_SUP,
     ExperimentRecord,
     InvalidEpsilonError,
-    LipschitzCheckReport,
     LipschitzTrial,
     NotUnitaryError,
-    PairsCheckReport,
     PairsTrial,
+    RankCheckReport,
     build_instance,
     dft_unitary,
     epsilon_scaling_run,
@@ -326,7 +325,7 @@ def test_lipschitz_check_reports_each_p_as_if_alone():
 
 def test_max_ratio_keeps_nan():
     # a NaN trial must not vanish from the worst ratio (max(0.5, nan) is 0.5)
-    lipschitz = LipschitzCheckReport(
+    lipschitz = RankCheckReport(
         N=2,
         p=1.0,
         trials=(
@@ -334,7 +333,7 @@ def test_max_ratio_keeps_nan():
             LipschitzTrial(trial=1, lhs=math.nan, bound=2.0, steps_ok=True, total_ok=False),
         ),
     )
-    pairs = PairsCheckReport(
+    pairs = RankCheckReport(
         N=2,
         p=2.0,
         trials=tuple(
