@@ -20,7 +20,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .besov import max_resolvable_band, psi_reference_grid
+from .besov import (
+    DEFAULT_HALF_WIDTH,
+    DEFAULT_LOG2_SAMPLES,
+    max_resolvable_band,
+    psi_reference_grid,
+)
 from .counterexample import (
     DEFAULT_SEED,
     RATIO_REL_TOL,
@@ -30,7 +35,7 @@ from .counterexample import (
     rank_estimate_check_pairs,
 )
 from .linalg import validate_schatten_index
-from .selfcheck import run_selfcheck
+from .selfcheck import DEFAULT_BLOWUP_N, DEFAULT_BLOWUP_P, DEFAULT_TRIALS, run_selfcheck
 
 GROWTH_COLUMNS = ("N", "p", "lhs", "perturbation", "ratio", "sqrt_N", "besov_surrogate")
 BOUNDS_COLUMNS = ("check", "N", "p", "trial", "ratio", "status")
@@ -46,14 +51,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    N_list: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
-    p_list: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, math.inf)
+    N_list: tuple[int, ...] = DEFAULT_BLOWUP_N
+    p_list: tuple[float, ...] = DEFAULT_BLOWUP_P
     seed: int = DEFAULT_SEED
-    grid_half_width: float = 64.0
-    grid_log2_size: int = 16
+    grid_half_width: float = DEFAULT_HALF_WIDTH
+    grid_log2_size: int = DEFAULT_LOG2_SAMPLES
     output_format: str = "csv"
     output_path: str = "-"
-    trials: int = 25
+    trials: int = DEFAULT_TRIALS
     eps_rule: str = "one"
     strict: bool = True
 
@@ -239,10 +244,9 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> 
 
 
 def cmd_growth(config: RunConfig) -> int:
-    eps_rule = _parse_eps_rule(config.eps_rule)
     records = epsilon_scaling_run(
         sorted(config.N_list),
-        eps_rule,
+        _parse_eps_rule(config.eps_rule),
         tuple(sorted(config.p_list)),
         psi_grid=psi_reference_grid(config.grid_half_width, config.grid_log2_size),
     )
@@ -263,7 +267,7 @@ def cmd_growth(config: RunConfig) -> int:
         # "not <=" so that a NaN fails the gate
         if not record.ratio_error <= RATIO_REL_TOL:
             failures.append((record.N, record.p, record.ratio))
-        if not abs(record.perturbation - float(eps_rule(record.N))) <= RATIO_REL_TOL:
+        if not record.perturbation_error <= RATIO_REL_TOL:
             failures.append((record.N, record.p, record.perturbation))
     emit_rows(rows, GROWTH_COLUMNS, config)
     if failures:

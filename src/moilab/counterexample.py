@@ -54,7 +54,8 @@ DEFAULT_SEED = 20240501
 
 RATIO_REL_TOL = 1e-8
 """Gate on :attr:`ExperimentRecord.ratio_error` for the growth family,
-shared by ``moilab growth`` and the exact-blowup selfcheck."""
+shared by ``moilab growth`` and the exact-blowup selfcheck; ``moilab
+growth`` also gates :attr:`ExperimentRecord.perturbation_error` with it."""
 
 PHI_SUP = 1.0
 """Exact value of sup|phi_N| over the plane, the same for every N.
@@ -254,11 +255,17 @@ class ExperimentRecord:
     perturbation: float
     besov_surrogate: float
     ratio: float
+    eps: float = 1.0
 
     @property
     def ratio_error(self) -> float:
         """|ratio - sqrt(N)| / sqrt(N), the deviation gated at :data:`RATIO_REL_TOL`."""
         return abs(self.ratio - math.sqrt(self.N)) / math.sqrt(self.N)
+
+    @property
+    def perturbation_error(self) -> float:
+        """|perturbation - eps| / eps: ||eps C||_{S_p} = eps, since C is a rank-one projection."""
+        return abs(self.perturbation - self.eps) / self.eps
 
 
 _SUP_CHUNK_ROWS = 512
@@ -271,7 +278,8 @@ def phi_grid_sup(phi: Callable, N: int, points_per_period: int = 32) -> float:
     to verify the proved value :data:`PHI_SUP` (the grid contains the
     lattice points where the bound is attained); the growth experiment
     uses the exact value instead.  The scan is chunked along rows so the
-    pairwise table never exceeds a few tens of megabytes.
+    pairwise table never exceeds a few tens of megabytes; a NaN in any
+    chunk makes the result NaN.
     """
     points = (N + 1) * points_per_period + 1
     axis = np.linspace(0.0, 2.0 * math.pi * (N + 1), points)
@@ -279,7 +287,7 @@ def phi_grid_sup(phi: Callable, N: int, points_per_period: int = 32) -> float:
     for start in range(0, points, _SUP_CHUNK_ROWS):
         block = axis[start : start + _SUP_CHUNK_ROWS]
         values = phi(block[:, None], axis[None, :])
-        best = max(best, float(np.max(np.abs(values))))
+        best = _worse(best, float(np.max(np.abs(values))))
     return best
 
 
@@ -349,6 +357,7 @@ def growth_records(
                 perturbation=perturbation,
                 besov_surrogate=surrogate,
                 ratio=lhs / perturbation,
+                eps=eps,
             )
         )
     return records
@@ -458,34 +467,12 @@ def random_kink_function(rng: np.random.Generator) -> tuple[Callable, float]:
 
 
 @dataclass(frozen=True)
-class PairsTrial:
+class RankTrial:
+    """One trial of a rank check at one p: the reported ratio and the verdict."""
+
     trial: int
-    diff_norm_p: float
-    diff_norm_2: float
-    max_perturbation: float
-    chain_ok: bool
     ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return self.chain_ok
-
-
-@dataclass(frozen=True)
-class LipschitzTrial:
-    trial: int
-    lhs: float
-    bound: float
-    steps_ok: bool
-    total_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.total_ok and self.steps_ok
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.bound if self.bound > 0 else 0.0
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -494,7 +481,7 @@ class RankCheckReport:
 
     N: int
     p: float
-    trials: tuple[PairsTrial, ...] | tuple[LipschitzTrial, ...]
+    trials: tuple[RankTrial, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -503,6 +490,21 @@ class RankCheckReport:
     @property
     def max_ratio(self) -> float:
         return reduce(_worse, (t.ratio for t in self.trials), 0.0)
+
+
+def _rank_check(
+    N: int, p_list: Sequence[float], trials: int, seed: int, trial: Callable
+) -> list[RankCheckReport]:
+    """The loop both rank checks share: ``trial(rng)`` draws once from the
+    seeded generator and yields one ``(ratio, ok)`` per entry of ``p_list``."""
+    if not p_list:
+        return []
+    rng = np.random.default_rng(seed)
+    rows = [[] for _ in p_list]
+    for t in range(trials):
+        for p_rows, (ratio, ok) in zip(rows, trial(rng)):
+            p_rows.append(RankTrial(trial=t, ratio=ratio, ok=ok))
+    return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
 def rank_estimate_check_pairs(
@@ -526,16 +528,10 @@ def rank_estimate_check_pairs(
     p_list = [validate_schatten_index(p) for p in p_list]
     if any(p < 2.0 for p in p_list):
         raise ValueError("rank_estimate_check_pairs requires p >= 2")
-    if not p_list:
-        return []
-    rng = np.random.default_rng(seed)
     dim = 2 * N
-    rows = [[] for _ in p_list]
-    for t in range(trials):
-        A1 = random_rank_limited_hermitian(rng, dim, N)
-        B1 = random_rank_limited_hermitian(rng, dim, N)
-        A2 = random_rank_limited_hermitian(rng, dim, N)
-        B2 = random_rank_limited_hermitian(rng, dim, N)
+
+    def trial(rng):
+        A1, B1, A2, B2 = (random_rank_limited_hermitian(rng, dim, N) for _ in range(4))
         f, surrogate = random_trig_polynomial(rng)
 
         diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
@@ -547,7 +543,7 @@ def rank_estimate_check_pairs(
             s = singular_values(X)
             perturbations.append((s, rank_of_singular_values(s), norm_of_singular_values(s, 2.0)))
 
-        for p, p_rows in zip(p_list, rows):
+        for p in p_list:
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
             norm_p = norm_of_singular_values(diff_values, p)
             ok = norm_p <= norm_2 + 1e-12
@@ -556,19 +552,10 @@ def rank_estimate_check_pairs(
                 x_p = norm_of_singular_values(s, p)
                 ok = ok and x_2 <= rank ** (0.5 - inv_p) * x_p + 1e-12
                 max_perturbation = max(max_perturbation, x_p)
-
             denom = N ** (0.5 - inv_p) * surrogate * max_perturbation
-            p_rows.append(
-                PairsTrial(
-                    trial=t,
-                    diff_norm_p=norm_p,
-                    diff_norm_2=norm_2,
-                    max_perturbation=max_perturbation,
-                    chain_ok=ok,
-                    ratio=norm_p / denom if denom > 0 else 0.0,
-                )
-            )
-    return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
+            yield norm_p / denom if denom > 0 else 0.0, ok
+
+    return _rank_check(N, p_list, trials, seed, trial)
 
 
 def lipschitz_rank_bound_check(
@@ -589,28 +576,22 @@ def lipschitz_rank_bound_check(
     not depend on ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
-    rng = np.random.default_rng(seed)
     dim = 2 * N
     slack = 1e-9
-    rows = [[] for _ in p_list]
-    for t in range(trials):
+
+    def trial(rng):
         first = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
         second = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
         f, seminorm = random_kink_function(rng)
         scale = N**4 * seminorm
 
-        A1, B1, C1 = first
-        A2, B2, C2 = second
         d_values = [singular_values(X1.matrix - X2.matrix) for X1, X2 in zip(first, second)]
-
-        corners = [
-            apply_function_triple(f, *ops)
-            for ops in ((A1, B1, C1), (A2, B1, C1), (A2, B2, C1), (A2, B2, C2))
-        ]
+        # corner k takes its first k slots from the second triple
+        corners = [apply_function_triple(f, *second[:k], *first[k:]) for k in range(4)]
         step_values = [singular_values(corners[i] - corners[i + 1]) for i in range(3)]
         total_values = singular_values(corners[0] - corners[3])
 
-        for p, p_rows in zip(p_list, rows):
+        for p in p_list:
             d_norms = [norm_of_singular_values(s, p) for s in d_values]
             steps_ok = all(
                 norm_of_singular_values(s, p) <= scale * d + slack
@@ -618,13 +599,6 @@ def lipschitz_rank_bound_check(
             )
             lhs = norm_of_singular_values(total_values, p)
             bound = scale * sum(d_norms)
-            p_rows.append(
-                LipschitzTrial(
-                    trial=t,
-                    lhs=lhs,
-                    bound=bound,
-                    steps_ok=steps_ok,
-                    total_ok=lhs <= bound + slack,
-                )
-            )
-    return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
+            yield lhs / bound if bound > 0 else 0.0, lhs <= bound + slack and steps_ok
+
+    return _rank_check(N, p_list, trials, seed, trial)

@@ -49,101 +49,98 @@ def _within(name, label, observed, tol):
     return _result(name, observed <= tol, f"{label} {observed:.3e} (tol {_tol_text(tol)})")
 
 
+def _worst_within(name, label, deviations, tol, start=0.0):
+    """:func:`_within` on the worst of ``deviations``, folded from ``start``
+    with the NaN-keeping :func:`_worse`."""
+    return _within(name, label, reduce(_worse, deviations, start), tol)
+
+
+def _draws(seed, draws, draw):
+    """The deviations of ``draws`` calls of ``draw(rng)``, each an iterable
+    over one draw, all from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        yield from draw(rng)
+
+
 # ---------------------------------------------------------------- linalg
 
 
 def check_spectral_resolution(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        dim = int(rng.integers(2, 17))
-        A = linalg.random_hermitian(rng, dim)
-        E = linalg.spectral_measure(A)
-        worst = _worse(worst, E.deviations(A)["reconstruction"])
-    return _within("linalg.spectral_resolution", "max dev", worst, 1e-10)
+    def draw(rng):
+        A = linalg.random_hermitian(rng, int(rng.integers(2, 17)))
+        yield linalg.spectral_measure(A).deviations(A)["reconstruction"]
+
+    return _worst_within("linalg.spectral_resolution", "max dev", _draws(seed, draws, draw), 1e-10)
 
 
 def check_projection_algebra(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(2, 17))
-        E = linalg.spectral_measure(linalg.random_hermitian(rng, dim))
-        projections = E.projections()
-        total = np.zeros((dim, dim), dtype=complex)
+        projections = linalg.spectral_measure(linalg.random_hermitian(rng, dim)).projections()
         for i, P in enumerate(projections):
-            total += P
             for j, Q in enumerate(projections):
-                expect = P if i == j else 0.0
-                worst = _worse(worst, float(np.max(np.abs(P @ Q - expect))))
-        worst = _worse(worst, float(np.max(np.abs(total - np.eye(dim)))))
-    return _within("linalg.projection_algebra", "max dev", worst, 1e-10)
+                yield float(np.max(np.abs(P @ Q - (P if i == j else 0.0))))
+        yield float(np.max(np.abs(sum(projections) - np.eye(dim))))
+
+    return _worst_within("linalg.projection_algebra", "max dev", _draws(seed, draws, draw), 1e-10)
 
 
 def check_schatten_monotonicity(
     seed: int, draws: int, p_grid: Sequence[float]
 ) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(draws):
+    def draw(rng):
         M = linalg.complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         norms = [linalg.schatten_norm(M, p) for p in p_grid]
         for smaller, larger in zip(norms[1:], norms[:-1]):
-            worst = _worse(worst, smaller - larger)
-    return _within("linalg.schatten_monotonicity", "max increase", worst, 1e-12)
+            yield smaller - larger
+
+    return _worst_within(
+        "linalg.schatten_monotonicity", "max increase", _draws(seed, draws, draw), 1e-12,
+        start=-math.inf,
+    )
 
 
 def check_unitary_invariance(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(2, 9))
         M = linalg.complex_gaussian(rng, dim, dim)
         U = linalg.random_unitary(rng, dim)
         V = linalg.random_unitary(rng, dim)
         for p in (1.0, 2.0, 3.5, math.inf):
-            worst = _worse(
-                worst,
-                abs(
-                    linalg.schatten_norm(U @ M @ V, p) - linalg.schatten_norm(M, p)
-                ),
-            )
-    return _within("linalg.unitary_invariance", "max dev", worst, 1e-10)
+            yield abs(linalg.schatten_norm(U @ M @ V, p) - linalg.schatten_norm(M, p))
+
+    return _worst_within("linalg.unitary_invariance", "max dev", _draws(seed, draws, draw), 1e-10)
 
 
 def check_frobenius_identity(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         M = linalg.complex_gaussian(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        worst = _worse(
-            worst,
-            abs(linalg.schatten_norm(M, 2.0) ** 2 - float(np.sum(np.abs(M) ** 2))),
-        )
-    return _within("linalg.frobenius_identity", "max dev", worst, 1e-10)
+        yield abs(linalg.schatten_norm(M, 2.0) ** 2 - float(np.sum(np.abs(M) ** 2)))
+
+    return _worst_within("linalg.frobenius_identity", "max dev", _draws(seed, draws, draw), 1e-10)
 
 
 def check_finite_rank_chain(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(3, 13))
         rank = int(rng.integers(1, dim + 1))
         M = linalg.complex_gaussian(rng, dim, rank) @ linalg.complex_gaussian(rng, rank, dim)
         for p in (2.0, 3.0, 4.0, math.inf):
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
-            gap = linalg.schatten_norm(M, 2.0) - rank ** (0.5 - inv_p) * linalg.schatten_norm(M, p)
-            worst = _worse(worst, gap)
-    return _within("linalg.finite_rank_chain", "max excess", worst, 1e-12)
+            yield linalg.schatten_norm(M, 2.0) - rank ** (0.5 - inv_p) * linalg.schatten_norm(M, p)
+
+    return _worst_within(
+        "linalg.finite_rank_chain", "max excess", _draws(seed, draws, draw), 1e-12,
+        start=-math.inf,
+    )
 
 
 # ------------------------------------------------------------------- moi
 
 
 def check_resolution_collapse(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(2, 9))
         E1 = linalg.random_measure(rng, dim, int(rng.integers(1, 6)))
         E2 = linalg.random_measure(rng, dim, int(rng.integers(1, 6)))
@@ -151,39 +148,34 @@ def check_resolution_collapse(seed: int, draws: int) -> CheckResult:
         first_only = lambda x, y: np.exp(1j * x) + 0.0 * y
         lhs = moi.double_operator_integral(first_only, E1, T, E2)
         rhs = moi.apply_function_single(lambda x: np.exp(1j * x), E1) @ T
-        worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
-    return _within("moi.resolution_collapse", "max dev", worst, 1e-10)
+        yield float(np.max(np.abs(lhs - rhs)))
+
+    return _worst_within("moi.resolution_collapse", "max dev", _draws(seed, draws, draw), 1e-10)
 
 
 def check_diagonal_policy_independence(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    f = lambda t: t**3 - t
+
+    def draw(rng):
         dim = int(rng.integers(2, 8))
         # overlapping spectra: share eigenvalues through a common diagonal
         shared = np.sort(rng.uniform(-2.0, 2.0, size=dim))
         Q = linalg.random_unitary(rng, dim)
         A = linalg.hermitian_from_matrix((Q * shared) @ Q.conj().T)
         B = linalg.hermitian_from_matrix(np.diag(shared).astype(complex))
-        f = lambda t: t**3 - t
         one = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=0.0)
         other = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=7.5 - 2j)
-        worst = _worse(worst, float(np.max(np.abs(one - other))))
-        worst = _worse(
-            worst,
-            float(
-                np.max(
-                    np.abs(moi.perturbation_via_divided_difference(f, A, A, diagonal_value=3.0))
-                )
-            ),
-        )
-    return _within("moi.diagonal_policy_independence", "max dev", worst, 1e-12)
+        yield float(np.max(np.abs(one - other)))
+        same = moi.perturbation_via_divided_difference(f, A, A, diagonal_value=3.0)
+        yield float(np.max(np.abs(same)))
+
+    return _worst_within(
+        "moi.diagonal_policy_independence", "max dev", _draws(seed, draws, draw), 1e-12
+    )
 
 
 def check_single_slot_exactness(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(2, 11))
         A = linalg.random_hermitian(rng, dim)
         B = linalg.random_hermitian(rng, dim)
@@ -196,14 +188,13 @@ def check_single_slot_exactness(seed: int, draws: int) -> CheckResult:
             lhs = moi.perturbation_via_divided_difference(f, A, B)
             rhs = moi.apply_function_single(f, linalg.spectral_measure(A)) - \
                 moi.apply_function_single(f, linalg.spectral_measure(B))
-            worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
-    return _within("moi.single_slot_exactness", "max dev", worst, 1e-9)
+            yield float(np.max(np.abs(lhs - rhs)))
+
+    return _worst_within("moi.single_slot_exactness", "max dev", _draws(seed, draws, draw), 1e-9)
 
 
 def check_triple_slot_exactness(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
+    def draw(rng):
         dim = int(rng.integers(2, 11))
         X1, X2, Y, Z = (linalg.random_hermitian(rng, dim) for _ in range(4))
         c = rng.uniform(-1.0, 1.0, size=4)
@@ -222,15 +213,15 @@ def check_triple_slot_exactness(seed: int, draws: int) -> CheckResult:
             rhs = moi.apply_function_triple(f, *args1) - moi.apply_function_triple(
                 f, *args2
             )
-            worst = _worse(worst, float(np.max(np.abs(lhs - rhs))))
-    return _within("moi.triple_slot_exactness", "max dev", worst, 1e-9)
+            yield float(np.max(np.abs(lhs - rhs)))
+
+    return _worst_within("moi.triple_slot_exactness", "max dev", _draws(seed, draws, draw), 1e-9)
 
 
 def check_commuting_diagonal(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
     f = lambda x, y, z: np.cos(x) * y + z**2
-    for _ in range(draws):
+
+    def draw(rng):
         dim = int(rng.integers(2, 9))
         diags = [np.sort(rng.uniform(-2.0, 2.0, size=dim)) for _ in range(3)]
         ops = [
@@ -238,23 +229,26 @@ def check_commuting_diagonal(seed: int, draws: int) -> CheckResult:
         ]
         out = moi.apply_function_triple(f, *ops)
         expected = np.diag(f(diags[0], diags[1], diags[2]).astype(complex))
-        worst = _worse(worst, float(np.max(np.abs(out - expected))))
-    return _within("moi.commuting_diagonal", "max dev", worst, 1e-12)
+        yield float(np.max(np.abs(out - expected)))
+
+    return _worst_within("moi.commuting_diagonal", "max dev", _draws(seed, draws, draw), 1e-12)
 
 
 def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
     phi = lambda x, y, z: np.exp(1j * (x - 2.0 * y)) + x * z
-    for _ in range(draws):
+
+    def draw(rng):
         dim = int(rng.integers(3, 9))
         E1, E2, E3 = (linalg.random_measure(rng, dim, int(rng.integers(1, 6))) for _ in range(3))
         T1 = linalg.complex_gaussian(rng, dim, dim)
         T2 = linalg.complex_gaussian(rng, dim, dim)
         fast = moi.triple_operator_integral(phi, E1, T1, E2, T2, E3)
         slow = reference.naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
-        worst = _worse(worst, float(np.max(np.abs(fast - slow))))
-    return _within("moi.naive_oracle_equivalence", "max dev", worst, 1e-10)
+        yield float(np.max(np.abs(fast - slow)))
+
+    return _worst_within(
+        "moi.naive_oracle_equivalence", "max dev", _draws(seed, draws, draw), 1e-10
+    )
 
 
 # ----------------------------------------------------------------- besov
@@ -275,18 +269,17 @@ def check_partition_of_unity() -> CheckResult:
 def check_band_support(grid_half_width: float, grid_log2_size: int) -> CheckResult:
     psi = besov.psi_reference_grid(grid_half_width, grid_log2_size)
     freqs = np.abs(psi.frequencies())
-    worst = 0.0
-    top = besov.max_resolvable_band(psi)
-    for n in range(0, top + 1):
-        piece = besov.band_piece(psi, n)
-        spectrum = np.abs(np.fft.fft(piece.samples))
-        peak = float(np.max(spectrum))
-        if peak == 0.0:
-            continue
-        outside = (freqs < 2.0 ** (n - 1)) | (freqs > 2.0 ** (n + 1))
-        leak = float(np.max(spectrum[outside])) / peak if np.any(outside) else 0.0
-        worst = _worse(worst, leak)
-    return _within("besov.band_support", "max relative leak", worst, 1e-12)
+
+    def leaks():
+        for n in range(0, besov.max_resolvable_band(psi) + 1):
+            spectrum = np.abs(np.fft.fft(besov.band_piece(psi, n).samples))
+            peak = float(np.max(spectrum))
+            if peak == 0.0:
+                continue
+            outside = (freqs < 2.0 ** (n - 1)) | (freqs > 2.0 ** (n + 1))
+            yield float(np.max(spectrum[outside])) / peak if np.any(outside) else 0.0
+
+    return _worst_within("besov.band_support", "max relative leak", leaks(), 1e-12)
 
 
 def check_summability_tail(grid_half_width: float, grid_log2_size: int) -> CheckResult:
@@ -341,22 +334,20 @@ def check_exact_blowup(
     grid_log2_size: int,
 ) -> CheckResult:
     psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
-    worst = 0.0
-    for N in N_list:
-        for record in ce.growth_records(N, p_list, psi_grid=psi_grid):
-            worst = _worse(worst, record.ratio_error)
-    return _within(
-        "counterexample.exact_blowup", "max relative ratio error", worst, ce.RATIO_REL_TOL
+    errors = (
+        record.ratio_error
+        for N in N_list
+        for record in ce.growth_records(N, p_list, psi_grid=psi_grid)
+    )
+    return _worst_within(
+        "counterexample.exact_blowup", "max relative ratio error", errors, ce.RATIO_REL_TOL
     )
 
 
 def check_factorization_identity(N_list: Sequence[int]) -> CheckResult:
-    worst = 0.0
-    for N in N_list:
-        inst = ce.build_instance(N)
-        _, _, factor_dev = ce._growth_difference(inst, inst.C)
-        worst = _worse(worst, factor_dev)
-    return _within("counterexample.factorization_identity", "max dev", worst, 1e-10)
+    instances = (ce.build_instance(N) for N in N_list)
+    deviations = (ce._growth_difference(inst, inst.C)[2] for inst in instances)
+    return _worst_within("counterexample.factorization_identity", "max dev", deviations, 1e-10)
 
 
 def check_rank_one_collapse(N_list: Sequence[int]) -> CheckResult:
@@ -373,10 +364,8 @@ def check_rank_one_collapse(N_list: Sequence[int]) -> CheckResult:
 
 
 def check_gram_fidelity(N_list: Sequence[int]) -> CheckResult:
-    worst = 0.0
-    for N in N_list:
-        worst = _worse(worst, ce.build_instance(N).deviations()["gram"])
-    return _within("counterexample.gram_fidelity", "max dev", worst, 1e-12)
+    deviations = (ce.build_instance(N).deviations()["gram"] for N in N_list)
+    return _worst_within("counterexample.gram_fidelity", "max dev", deviations, 1e-12)
 
 
 def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
@@ -414,37 +403,36 @@ def check_bounded_surrogate(
     )
 
 
+def _rank_reports(name, label, reports):
+    """Pass iff every trial of every report passed; the detail quotes the worst ratio."""
+    worst_ratio = reduce(_worse, (report.max_ratio for report in reports), 0.0)
+    return _result(name, all(r.all_passed for r in reports), f"{label} {worst_ratio:.3e}")
+
+
 def check_lipschitz_bound(trials: int, seed: int) -> CheckResult:
-    ok = True
-    worst_ratio = 0.0
-    for N in (2, 3):
+    reports = [
+        report
+        for N in (2, 3)
         for report in ce.lipschitz_rank_bound_check(
             N, (1.0, 2.0, math.inf), trials=trials, seed=seed
-        ):
-            ok = ok and report.all_passed
-            worst_ratio = _worse(worst_ratio, report.max_ratio)
-    return _result(
-        "counterexample.lipschitz_bound",
-        ok,
-        f"all trials within bound, max lhs/bound ratio {worst_ratio:.3e}",
+        )
+    ]
+    return _rank_reports(
+        "counterexample.lipschitz_bound", "all trials within bound, max lhs/bound ratio", reports
     )
 
 
 def check_pairs_chain(trials: int, seed: int) -> CheckResult:
-    ok = True
-    worst_ratio = 0.0
-    for report in ce.rank_estimate_check_pairs(4, (2.0, 3.0, math.inf), trials=trials, seed=seed):
-        ok = ok and report.all_passed
-        worst_ratio = _worse(worst_ratio, report.max_ratio)
-    return _result(
-        "counterexample.pairs_chain",
-        ok,
-        f"chain inequalities hold, max normalized ratio {worst_ratio:.3e}",
+    reports = ce.rank_estimate_check_pairs(4, (2.0, 3.0, math.inf), trials=trials, seed=seed)
+    return _rank_reports(
+        "counterexample.pairs_chain", "chain inequalities hold, max normalized ratio", reports
     )
 
 
 DEFAULT_BLOWUP_N = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_BLOWUP_P = (1.0, 1.5, 2.0, 3.0, math.inf)
+DEFAULT_TRIALS = 25
+"""Rank-check trials per (N, p) in ``moilab selfcheck`` and ``moilab bounds``."""
 
 
 def run_selfcheck(
@@ -453,7 +441,7 @@ def run_selfcheck(
     seed: int = ce.DEFAULT_SEED,
     grid_half_width: float = besov.DEFAULT_HALF_WIDTH,
     grid_log2_size: int = besov.DEFAULT_LOG2_SAMPLES,
-    trials: int = 25,
+    trials: int = DEFAULT_TRIALS,
 ) -> list[CheckResult]:
     """Run every invariant check and return the results in a fixed order."""
     small_N = tuple(n for n in N_list if n <= 16) or tuple(N_list[:1])

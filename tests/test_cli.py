@@ -13,7 +13,13 @@ from moilab.cli import (
     load_config_file,
     main,
 )
-from moilab.counterexample import LipschitzTrial, PairsTrial, RankCheckReport, epsilon_scaling_run
+from moilab.counterexample import (
+    ExperimentRecord,
+    RankCheckReport,
+    RankTrial,
+    epsilon_scaling_run,
+    quarter_root_rule,
+)
 
 
 def run_cli(args):
@@ -54,6 +60,26 @@ def test_growth_gate_fails_on_nan(tmp_path, capsys, monkeypatch, field):
     out = tmp_path / "growth.csv"
     assert run_cli(["growth", "--N", "4", "--p", "2", "--out", str(out)]) == 1
     assert "growth mismatch at N=4, p=2: nan" in capsys.readouterr().err
+
+
+def test_growth_gate_on_perturbation_is_relative(tmp_path, capsys, monkeypatch):
+    # eps = 256^(-1/4) = 0.25: an absolute error of 5e-9 is a relative error of 2e-8
+    def off_run(N_list, eps_rule, p_list, **kwargs):
+        return [
+            ExperimentRecord(
+                N=N, p=p, lhs=16.0 * eps_rule(N), perturbation=eps_rule(N) * (1.0 + 2e-8),
+                besov_surrogate=1.0, ratio=16.0, eps=eps_rule(N),
+            )
+            for N in N_list
+            for p in p_list
+        ]
+
+    assert quarter_root_rule(256) == 0.25
+    monkeypatch.setattr("moilab.cli.epsilon_scaling_run", off_run)
+    out = tmp_path / "growth.csv"
+    args = ["growth", "--N", "256", "--p", "2", "--eps-rule", "quarter-root", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert "growth mismatch at N=256, p=2: 0.250000005" in capsys.readouterr().err
 
 
 def test_growth_output_is_deterministic(tmp_path):
@@ -143,10 +169,8 @@ def test_bounds_exit_zero_on_default_style_run(tmp_path):
 
 
 def test_bounds_failing_trials_read_fail_and_exit_one(tmp_path, monkeypatch):
-    pairs = PairsTrial(
-        trial=0, diff_norm_p=1.0, diff_norm_2=1.0, max_perturbation=1.0, chain_ok=False, ratio=0.5
-    )
-    lipschitz = LipschitzTrial(trial=0, lhs=1.0, bound=2.0, steps_ok=False, total_ok=True)
+    pairs = RankTrial(trial=0, ratio=0.5, ok=False)
+    lipschitz = RankTrial(trial=0, ratio=0.5, ok=False)
     monkeypatch.setattr(
         "moilab.cli.rank_estimate_check_pairs",
         lambda N, p_list, trials, seed: [RankCheckReport(N=N, p=2.0, trials=(pairs,))],

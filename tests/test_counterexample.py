@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,10 +12,9 @@ from moilab.counterexample import (
     PHI_SUP,
     ExperimentRecord,
     InvalidEpsilonError,
-    LipschitzTrial,
     NotUnitaryError,
-    PairsTrial,
     RankCheckReport,
+    RankTrial,
     build_instance,
     dft_unitary,
     epsilon_scaling_run,
@@ -22,6 +22,7 @@ from moilab.counterexample import (
     growth_records,
     lipschitz_rank_bound_check,
     orthonormal_realization,
+    phi_grid_sup,
     phi_symbol,
     quarter_root_rule,
     random_kink_function,
@@ -29,7 +30,7 @@ from moilab.counterexample import (
     random_trig_polynomial,
     rank_estimate_check_pairs,
 )
-from moilab.linalg import schatten_norm, singular_values, spectral_measure
+from moilab.linalg import schatten_norm, singular_values, spectral_measure, zero_operator
 from moilab.moi import apply_function_pair, apply_function_triple
 from moilab.selfcheck import check_bounded_symbol, check_exact_blowup, check_rank_one_collapse
 
@@ -329,18 +330,15 @@ def test_max_ratio_keeps_nan():
         N=2,
         p=1.0,
         trials=(
-            LipschitzTrial(trial=0, lhs=1.0, bound=2.0, steps_ok=True, total_ok=True),
-            LipschitzTrial(trial=1, lhs=math.nan, bound=2.0, steps_ok=True, total_ok=False),
+            RankTrial(trial=0, ratio=0.5, ok=True),
+            RankTrial(trial=1, ratio=math.nan, ok=False),
         ),
     )
     pairs = RankCheckReport(
         N=2,
         p=2.0,
         trials=tuple(
-            PairsTrial(
-                trial=t, diff_norm_p=1.0, diff_norm_2=1.0, max_perturbation=1.0,
-                chain_ok=True, ratio=ratio,
-            )
+            RankTrial(trial=t, ratio=ratio, ok=True)
             for t, ratio in enumerate((0.5, math.nan, 0.25))
         ),
     )
@@ -363,6 +361,29 @@ def test_lipschitz_check_constant_function_gives_zero():
     ops2 = [random_rank_limited_hermitian(rng, 6, 3) for _ in range(3)]
     diff = apply_function_triple(f, *ops1) - apply_function_triple(f, *ops2)
     assert float(np.max(np.abs(diff))) <= 1e-12
+
+
+def test_lipschitz_verdict_needs_its_steps(monkeypatch):
+    # f = x - y on (X, X, 0) and (Y, Y, 0): the total difference is 0 and the
+    # zero seminorm makes the bound 0, but the first step is X - Y
+    rng = np.random.default_rng(3)
+    X, Y = (random_rank_limited_hermitian(rng, 4, 2) for _ in range(2))
+    zero = zero_operator(4)
+    draws = itertools.cycle((X, X, zero, Y, Y, zero))
+    monkeypatch.setattr(counterexample, "random_rank_limited_hermitian", lambda *a: next(draws))
+    monkeypatch.setattr(
+        counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
+    )
+    reports = lipschitz_rank_bound_check(2, [1.0, 2.0, math.inf], trials=3, seed=1)
+    assert [len(report.trials) for report in reports] == [3, 3, 3]
+    assert not any(t.ok for report in reports for t in report.trials)
+    assert all(t.ratio == 0.0 for report in reports for t in report.trials)
+
+
+def test_phi_grid_sup_keeps_nan():
+    # the second row chunk (x above about 100) holds the NaN; max(1.0, nan) is 1.0
+    phi = lambda x, y: np.where(x <= 110.0, 1.0, math.nan) + 0.0 * y
+    assert math.isnan(phi_grid_sup(phi, 20))
 
 
 def test_lipschitz_check_passes_every_trial():

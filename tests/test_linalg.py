@@ -230,6 +230,20 @@ def test_frobenius_identity_property():
     assert check_frobenius_identity(SEED, 25).passed
 
 
+def test_nan_on_a_middle_draw_fails_a_randomized_check(monkeypatch):
+    calls = []
+
+    def norm_with_nan(M, p):
+        calls.append(p)
+        return math.nan if len(calls) == 2 else schatten_norm(M, p)
+
+    monkeypatch.setattr("moilab.linalg.schatten_norm", norm_with_nan)
+    result = check_frobenius_identity(SEED, 3)
+    assert len(calls) == 3
+    assert not result.passed
+    assert "nan" in result.detail
+
+
 def test_finite_rank_chain_property():
     assert check_finite_rank_chain(SEED, 40).passed
 
