@@ -55,6 +55,7 @@ from .linalg import (
 )
 from .moi import (
     DividedDifference2,
+    NonFiniteSymbolError,
     apply_function_pair,
     apply_function_single,
     apply_function_triple,
@@ -74,6 +75,7 @@ __all__ = [
     "GridFunction",
     "HermitianOperator",
     "InvalidEpsilonError",
+    "NonFiniteSymbolError",
     "NonpositiveArgumentError",
     "NotHermitianError",
     "NotSquareError",

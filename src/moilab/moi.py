@@ -18,6 +18,16 @@ built, so a generic triple at dimension d holds O(d^2 * chunk) weights.
 The contraction order depends only on the dimensions and atom counts,
 which keeps outputs bit-stable between runs.  A literal atom-by-atom loop
 lives in :mod:`moilab.reference` for cross-checking.
+
+In the four-measure one-slot perturbation the symbol weights are the plain
+differences ``high - low`` of f on the two perturbed measures.  The
+inverse-gap kernel 1/(l1 - l2) of the divided difference touches only
+those two measures, so it rides on the perturbation between them: it
+multiplies the eigenbasis form of X1 - X2 entrywise, once per call, and no
+weight is divided.
+
+A symbol that returns NaN or infinity at some atom raises
+:class:`NonFiniteSymbolError` instead of spreading through the sum.
 """
 
 from __future__ import annotations
@@ -35,6 +45,26 @@ from .linalg import (
     as_complex_matrix,
     spectral_measure,
 )
+
+
+class NonFiniteSymbolError(ValueError):
+    """A symbol returned NaN or infinity at some atom of its spectral measures."""
+
+
+def _require_finite(
+    values: np.ndarray, measures: Sequence[SpectralMeasure], start: int = 0
+) -> None:
+    """Raise :class:`NonFiniteSymbolError` naming one atom where ``values`` is not finite.
+
+    ``values`` has one axis per measure, indexed by its atoms; the last
+    axis starts at atom ``start`` (the first atom of a chunk).
+    """
+    if np.isfinite(values).all():
+        return
+    atom = np.argwhere(~np.isfinite(values))[0].tolist()
+    atom[-1] += start
+    at = ", ".join(repr(float(E.eigenvalues[i])) for E, i in zip(measures, atom))
+    raise NonFiniteSymbolError(f"symbol is not finite at atom {tuple(atom)} (eigenvalues {at})")
 
 
 @dataclass(frozen=True)
@@ -88,12 +118,25 @@ def _chain_integral(
     weights_of: Callable[[slice], np.ndarray],
     measures: Sequence[SpectralMeasure],
     operators: Sequence[np.ndarray],
+    divided: int | None = None,
 ) -> np.ndarray:
     """Sum of w[i1..im] * P1_{i1} T1 P2_{i2} ... T_{m-1} Pm_{im}.
 
     ``weights_of(sl)`` returns the symbol weights w over every atom of the
     first m - 1 measures and the atoms ``sl`` of the last one (anything
-    broadcastable to that shape).
+    broadcastable to that shape).  A non-finite weight raises
+    :class:`NonFiniteSymbolError`.
+
+    With ``divided = t`` the sum carries the inverse-gap kernel of the two
+    measures around operator t as well: each weight is multiplied by
+    1/(l - l') for the atoms l of measure t and l' of measure t + 1, and by
+    0 where l == l' exactly.  The kernel touches only those two measures,
+    so it is folded into the transformed T_t once, as a Schur product:
+    P_l (sum K P T Q) Q_l' = K(l, l') P_l T Q_l' by orthogonality of the
+    atoms.  ``weights_of`` then returns undivided weights.  The kernel is
+    applied in the eigenbasis and not in the original basis, where its
+    1/gap-sized entries would pass through two more frame transforms and
+    lose accuracy on clustered spectra.
 
     Works in the concatenated eigenbases: every interleaved operator is
     transformed once.  For m = 2 the weights act entrywise, as one Schur
@@ -113,11 +156,20 @@ def _chain_integral(
         frames[t].conj().T @ operators[t] @ frames[t + 1]
         for t in range(len(operators))
     ]
+    if divided is not None:
+        left, right = measures[divided], measures[divided + 1]
+        gaps = left.eigenvalues[:, None] - right.eigenvalues[None, :]
+        kernel = _difference_quotient(1.0, gaps)
+        transformed[divided] = transformed[divided] * kernel[
+            np.ix_(left.column_atom_index, right.column_atom_index)
+        ]
     *head, last = measures
 
     def chunk_weights(sl: slice) -> np.ndarray:
         w = np.asarray(weights_of(sl), dtype=np.complex128)
-        return np.broadcast_to(w, (*counts[:-1], sl.stop - sl.start))
+        w = np.broadcast_to(w, (*counts[:-1], sl.stop - sl.start))
+        _require_finite(w, measures, sl.start)
+        return w
 
     if len(measures) == 2:
         w = chunk_weights(slice(0, counts[-1]))
@@ -145,10 +197,14 @@ def _chain_integral(
 
 
 def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
-    """Sum of f(eigenvalue) * projection over the atoms of ``E``."""
+    """Sum of f(eigenvalue) * projection over the atoms of ``E``.
+
+    Raises :class:`NonFiniteSymbolError` if f is NaN or infinite at an atom.
+    """
     V = E.frame
     values = np.asarray(f(E.eigenvalues), dtype=np.complex128)
     values = np.broadcast_to(values, E.eigenvalues.shape)
+    _require_finite(values, (E,))
     return (V * values[E.column_atom_index]) @ V.conj().T
 
 
@@ -254,6 +310,13 @@ def argument_perturbation(
 
     and analogously for the middle and last slots.  The l1 != l2 test is
     exact float inequality of the grouped eigenvalues.
+
+    The symbol weights are the plain differences high - low =
+    f(l1,mu,nu) - f(l2,mu,nu), formed before any multiplication; the
+    inverse-gap kernel 1/(l1 - l2), 0 on exact ties, rides on X1 - X2 in
+    the eigenbases of X1 and X2 (see :func:`_chain_integral`), so no weight
+    is divided.  A symbol that is not finite at some atom raises
+    :class:`NonFiniteSymbolError`.
     """
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
@@ -280,9 +343,8 @@ def argument_perturbation(
     def weights_of(sl: slice) -> np.ndarray:
         g = grids[:3] + [grids[3][..., sl]]
         high = f_on(index, g) if upper is None else upper
-        return _difference_quotient(high - f_on(index + 1, g), g[index] - g[index + 1])
+        return high - f_on(index + 1, g)
 
     operators = [_identity(dim)] * 2
     operators.insert(index, X1.matrix - X2.matrix)
-    return _chain_integral(weights_of, measures, operators)
-
+    return _chain_integral(weights_of, measures, operators, divided=index)

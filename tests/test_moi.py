@@ -19,6 +19,7 @@ from moilab.linalg import (
 )
 from moilab.moi import (
     DividedDifference2,
+    NonFiniteSymbolError,
     apply_function_pair,
     apply_function_single,
     apply_function_triple,
@@ -268,6 +269,13 @@ def test_mixed_dimension_rejection(rng):
         apply_function_triple(lambda x, y, z: x, A, A, B)
 
 
+def _slot_operands(index, perturbed, first, second):
+    """``[first, second]`` with ``perturbed`` inserted at slot ``index``."""
+    operands = [first, second]
+    operands.insert(index, perturbed)
+    return operands
+
+
 def _degenerate_hermitian(rng, dim):
     """A Hermitian operator with fewer distinct eigenvalues than its dimension."""
     return hermitian_from_matrix(
@@ -314,10 +322,9 @@ def test_chunked_argument_perturbation_matches_triple_difference(
         mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * dim**3)
         for index in range(3):
             lhs = argument_perturbation(f, index, X1, X2, Y, Z)
-            high, low = [Y, Z], [Y, Z]
-            high.insert(index, X1)
-            low.insert(index, X2)
-            rhs = apply_function_triple(f, *high) - apply_function_triple(f, *low)
+            rhs = apply_function_triple(f, *_slot_operands(index, X1, Y, Z)) - apply_function_triple(
+                f, *_slot_operands(index, X2, Y, Z)
+            )
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -331,3 +338,94 @@ def test_generic_triple_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+# Clustered perturbations X2 = X1 + delta G: the divided difference of t^2
+# is formed from f(l1) - f(l2), whose rounding is relative to f, so the
+# error grows like eps / delta.  At this seed the largest error times delta
+# over the three slots and delta = 1e-2 .. 1e-8 measured 1.5e-16, with the
+# kernel on the eigenbasis perturbation and with divided weights alike;
+# 4e-16 keeps over 2x headroom.  Applying the kernel in the original basis
+# and transforming back measured 1.0e-15 to 1.2e-15 at every delta.
+CLUSTERED_ERROR_TIMES_DELTA = 4e-16
+
+
+@pytest.mark.parametrize("exponent", range(2, 9))
+def test_argument_perturbation_clustered_exact_answer(exponent):
+    rng = np.random.default_rng(SEED)
+    dim = 12
+    X1, Y, Z = (random_hermitian(rng, dim) for _ in range(3))
+    G = random_hermitian(rng, dim).matrix
+    delta = 10.0**-exponent
+    X2 = hermitian_from_matrix(X1.matrix + delta * G)
+    D = X1.matrix - X2.matrix
+    # with a product symbol the calculus factorises, and t^2 in the perturbed
+    # slot gives X1^2 - X2^2 = X1 D + D X2 there, with no cancellation
+    g, k = (lambda t: np.exp(1j * t)), (lambda t: 1.0 / (1.0 + t * t))
+    gY = apply_function_single(g, spectral_measure(Y))
+    kZ = apply_function_single(k, spectral_measure(Z))
+    for index in range(3):
+        factors = _slot_operands(index, lambda t: t * t, g, k)
+        f = lambda x, y, z, fs=factors: fs[0](x) * fs[1](y) * fs[2](z)
+        first, middle, last = _slot_operands(index, X1.matrix @ D + D @ X2.matrix, gY, kZ)
+        exact = first @ middle @ last
+        out = argument_perturbation(f, index, X1, X2, Y, Z)
+        error = np.max(np.abs(out - exact)) / np.max(np.abs(exact))
+        assert error <= CLUSTERED_ERROR_TIMES_DELTA / delta, (index, error)
+
+
+def test_argument_perturbation_exact_ties_match_direct_difference(rng):
+    # diagonal inputs decompose exactly and share the identity frame, so the
+    # kernel has exact zeros at the shared values 0.25, 1.5 and 2 next to
+    # nonzero gaps; 1.5 and 2 are repeated atoms in one of the two
+    X1 = hermitian_from_matrix(np.diag([1.5, 1.5, 2.0, -1.0, 4.0, 0.25]).astype(complex))
+    X2 = hermitian_from_matrix(np.diag([1.5, 3.0, 2.0, 2.0, -0.5, 0.25]).astype(complex))
+    shared = np.intersect1d(spectral_measure(X1).eigenvalues, spectral_measure(X2).eigenvalues)
+    assert shared.tolist() == [0.25, 1.5, 2.0]
+    Y, Z = (random_hermitian(rng, 6) for _ in range(2))
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2) + x**3 * y
+    for index in range(3):
+        lhs = argument_perturbation(f, index, X1, X2, Y, Z)
+        rhs = apply_function_triple(f, *_slot_operands(index, X1, Y, Z)) - apply_function_triple(
+            f, *_slot_operands(index, X2, Y, Z)
+        )
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs)), index
+
+
+def test_non_finite_symbol_raises_and_names_an_atom(rng):
+    # log x on an indefinite matrix: NaN at every negative eigenvalue
+    A, B, C = (random_hermitian(rng, 4) for _ in range(3))
+    assert spectral_measure(A).eigenvalues[0] < 0
+    log_first = lambda x, y, z: np.log(x) + y * z
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(NonFiniteSymbolError, match=r"atom \(0,\)"):
+            apply_function_single(np.log, spectral_measure(A))
+        with pytest.raises(NonFiniteSymbolError, match=r"atom \(0, 0, 0\)"):
+            apply_function_triple(log_first, A, B, C)
+        # with X2 = A every atom pair of the perturbed slot is a tie, where the
+        # kernel is 0 and a NaN weight must still raise, not vanish or spread
+        for X2 in (B, A):
+            with pytest.raises(NonFiniteSymbolError, match=r"atom \(0, 0, 0, 0\)"):
+                argument_perturbation(log_first, 0, A, X2, B, C)
+        with pytest.raises(NonFiniteSymbolError, match=r"atom \(0,\)"):
+            apply_function_single(lambda t: 1.0 / t, spectral_measure(zero_operator(3)))
+    assert issubclass(NonFiniteSymbolError, ValueError)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_argument_perturbation_memory_is_bounded(index):
+    # at d = 64 one chunk is one atom of the last measure, 64^3 complex
+    # weights (4 MiB); the last slot also keeps f(.., X1) over the atoms of
+    # the three other measures, another 4 MiB
+    rng = np.random.default_rng(SEED)
+    X1, X2, Y, Z = (random_hermitian(rng, 64) for _ in range(4))
+    for op in (X1, X2, Y, Z):
+        spectral_measure(op)
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2)
+    tracemalloc.start()
+    try:
+        argument_perturbation(f, index, X1, X2, Y, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (11 + (4 if index == 2 else 0)) * 2**20
