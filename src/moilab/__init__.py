@@ -40,12 +40,14 @@ from .linalg import (
     DimensionMismatchError,
     EigensolverError,
     HermitianOperator,
+    InvalidSpectrumError,
     NotHermitianError,
     NotSquareError,
     SpectralAtom,
     SpectralMeasure,
     SvdError,
     hermitian_from_matrix,
+    hermitian_from_spectrum,
     rank_one,
     schatten_norm,
     singular_values,
@@ -75,6 +77,7 @@ __all__ = [
     "GridFunction",
     "HermitianOperator",
     "InvalidEpsilonError",
+    "InvalidSpectrumError",
     "NonFiniteSymbolError",
     "NonpositiveArgumentError",
     "NotHermitianError",
@@ -94,6 +97,7 @@ __all__ = [
     "epsilon_scaling_run",
     "eta",
     "hermitian_from_matrix",
+    "hermitian_from_spectrum",
     "lipschitz_rank_bound_check",
     "orthonormal_realization",
     "partition_check",

@@ -29,8 +29,11 @@ import numpy as np
 from .besov import GridFunction, psi_reference, psi_reference_grid, tensor_bound_kappa, window_w
 from .linalg import (
     HermitianOperator,
+    InvalidSpectrumError,
     as_complex_matrix,
     hermitian_from_matrix,
+    hermitian_from_spectrum,
+    hermitian_singular_values,
     norm_of_singular_values,
     random_unitary,
     rank_of_singular_values,
@@ -215,15 +218,29 @@ def build_instance(N: int) -> CounterexampleInstance:
     A = sum 2 pi j (., g_j) g_j, B = sum 2 pi k (., h_k) h_k,
     C = (1/N)(., s) s with s the sum of the h_k, theta = sqrt(N) conj(U),
     and f(x, y, z) = phi(x, y) psi(z) with the reference cutoff psi.
+
+    All three spectra are known in closed form, so each operator is built
+    from its spectral measure and never decomposed:
+
+    * A: simple eigenvalues 2 pi j, j = 1..N, with frame g.T (column j is g_j);
+    * B: the same eigenvalues with the identity frame (the h_k);
+    * C: atoms 0 and 1 with multiplicities N - 1 and 1 on the frame U,
+      whose last column is s / sqrt(N) = ones / sqrt(N); for N = 1 the
+      single atom 1.
     """
     U = dft_unitary(N)
     g, h = orthonormal_realization(U)
     theta = math.sqrt(N) * U.conj()
 
     weights = 2.0 * math.pi * np.arange(1, N + 1)
-    A = hermitian_from_matrix(g.T @ (weights[:, None] * g.conj()))
-    B = hermitian_from_matrix(np.diag(weights).astype(np.complex128))
-    C = hermitian_from_matrix(np.full((N, N), 1.0 / N, dtype=np.complex128))
+    simple = np.ones(N, dtype=np.int64)
+    A = hermitian_from_spectrum(weights, g.T, simple)
+    B = hermitian_from_spectrum(weights, h, simple)
+    C = (
+        hermitian_from_spectrum([0.0, 1.0], U, [N - 1, 1])
+        if N > 1
+        else hermitian_from_spectrum([1.0], U, [1])
+    )
 
     phi = phi_symbol(theta, N)
     psi = psi_reference()
@@ -344,7 +361,7 @@ def growth_records(
     surrogate = tensor_bound_kappa(PHI_SUP, psi_grid)
 
     diff_values = singular_values(diff)
-    c_values = singular_values(scaled_c.matrix)
+    c_values = hermitian_singular_values(scaled_c)
     records = []
     for p in p_list:
         lhs = norm_of_singular_values(diff_values, p)
@@ -395,11 +412,28 @@ def epsilon_scaling_run(
 def random_rank_limited_hermitian(
     rng: np.random.Generator, dim: int, rank: int
 ) -> HermitianOperator:
-    """Q Lambda Q* with unitary Q and ``rank`` uniform(-1, 1) eigenvalues."""
+    """Q Lambda Q* with unitary Q and ``rank`` uniform(-1, 1) eigenvalues.
+
+    The first ``rank`` columns of Q carry the drawn values and the rest the
+    zero atom.  The operator is built from that spectrum, with the atoms
+    sorted, and is never decomposed.  In the rare draw that puts two atoms
+    within the grouping tolerance it is built from Q Lambda Q* instead, so
+    ``eigh`` merges them.
+    """
     Q = random_unitary(rng, dim)
-    values = np.zeros(dim)
-    values[:rank] = rng.uniform(-1.0, 1.0, size=rank)
-    return hermitian_from_matrix((Q * values) @ Q.conj().T)
+    drawn = rng.uniform(-1.0, 1.0, size=rank)
+    # the zero atom takes the undrawn columns and sorts as the value 0
+    keys = np.append(drawn, 0.0) if rank < dim else drawn
+    order = np.argsort(keys, kind="stable")
+    blocks = [[i] for i in range(rank)] + [list(range(rank, dim))]
+    frame = Q[:, [col for k in order for col in blocks[k]]]
+    multiplicities = [len(blocks[k]) for k in order]
+    try:
+        return hermitian_from_spectrum(keys[order], frame, multiplicities)
+    except InvalidSpectrumError:
+        values = np.zeros(dim)
+        values[:rank] = drawn
+        return hermitian_from_matrix((Q * values) @ Q.conj().T)
 
 
 _TRIG_MAX_DEGREE = 3

@@ -5,6 +5,12 @@ values, Schatten norms and rank-one builders.  Everything is built on
 numpy's LAPACK bindings; the contracts live in the grouping logic and in
 the tolerance conventions below.
 
+Operators come from one of two constructors.  :func:`hermitian_from_matrix`
+validates a matrix, whose spectral measure ``eigh`` finds on first use.
+:func:`hermitian_from_spectrum` takes a spectrum that is already known
+(eigenvalues, an eigenvector frame and multiplicities), validates it and
+forms the matrix, so that operator is never decomposed.
+
 Conventions
 -----------
 * Inner products are conjugate-linear in the SECOND slot:
@@ -44,6 +50,10 @@ class SvdError(RuntimeError):
     """Singular value decomposition did not converge."""
 
 
+class InvalidSpectrumError(ValueError):
+    """Eigenvalues, frame and multiplicities do not form a spectral measure."""
+
+
 # Consecutive eigenvalues whose gap is at most this land in one atom.
 _GROUP_TOL = 1e-8
 
@@ -78,8 +88,10 @@ class HermitianOperator:
     """A square complex matrix equal to its conjugate transpose.
 
     Construct through :func:`hermitian_from_matrix`, which validates and
-    symmetrizes; instances are treated as immutable.  The spectral measure
-    (:func:`spectral_measure`) is computed once and cached.
+    symmetrizes a matrix, or :func:`hermitian_from_spectrum`, which forms
+    the matrix from a known spectral measure; instances are treated as
+    immutable.  The spectral measure (:func:`spectral_measure`) is computed
+    once and cached; an operator built from its spectrum starts with it.
     """
 
     matrix: np.ndarray
@@ -93,8 +105,34 @@ class HermitianOperator:
         return _decompose(self)
 
     def scaled(self, factor: float) -> "HermitianOperator":
-        """The operator multiplied by a real scalar (still Hermitian)."""
-        return HermitianOperator(self.matrix * float(factor))
+        """The operator multiplied by a real scalar (still Hermitian).
+
+        A positive factor keeps the order of the atoms, so when this
+        operator's measure is known the result carries ``factor *
+        eigenvalues`` on the same frame and is never decomposed, unless the
+        scaling brings two atoms within the grouping tolerance.  A zero or
+        negative factor merges or reverses the atoms, and the result is
+        decomposed on first use.
+        """
+        factor = float(factor)
+        out = HermitianOperator(self.matrix * factor)
+        E = self.__dict__.get("_measure")  # the measure, if known; never computed here
+        if factor > 0.0 and E is not None:
+            values = E.eigenvalues * factor
+            if _separated(values):
+                _seed_measure(out, SpectralMeasure(values, E.frame, E.multiplicities))
+        return out
+
+
+def _seed_measure(A: HermitianOperator, measure: "SpectralMeasure") -> None:
+    """Fill the cached measure of ``A``, so it is never decomposed."""
+    A.__dict__["_measure"] = measure
+
+
+def _separated(values: np.ndarray) -> bool:
+    """True when the values are finite and each exceeds the one before it by
+    more than the grouping tolerance, so ``eigh`` would keep them as atoms."""
+    return bool(np.isfinite(values).all() and (np.diff(values) > _GROUP_TOL).all())
 
 
 def hermitian_from_matrix(entries) -> HermitianOperator:
@@ -123,8 +161,54 @@ def hermitian_from_matrix(entries) -> HermitianOperator:
     return HermitianOperator((M + M.conj().T) / 2.0)
 
 
+def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOperator:
+    """The operator with a known spectral measure, which it carries.
+
+    ``eigenvalues`` are the atoms in strictly increasing order,
+    ``multiplicities`` their eigenspace dimensions, and ``frame`` the
+    dim x dim unitary whose consecutive column blocks of those widths span
+    the eigenspaces.  The matrix is (V diag(lambda)) V*, symmetrized, and the
+    measure is stored on the operator, so :func:`spectral_measure` never
+    runs ``eigh`` on it.
+
+    Raises
+    ------
+    InvalidSpectrumError
+        If an eigenvalue is not finite or does not exceed the one before it
+        by more than the grouping tolerance (``eigh`` would merge them), if
+        a multiplicity is below 1 or they do not sum to the dimension, or if
+        max|V*V - I| exceeds :func:`projection_tolerance`.
+    """
+    values = np.array(eigenvalues, dtype=float, ndmin=1)
+    V = as_complex_matrix(frame)
+    counts = np.array(multiplicities, dtype=np.int64, ndmin=1)
+    dim = V.shape[0]
+    if V.shape != (dim, dim):
+        raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
+    if not _separated(values):
+        raise InvalidSpectrumError(
+            f"eigenvalues must be finite and increase by more than {_GROUP_TOL:g}"
+        )
+    if counts.shape != values.shape or (counts < 1).any() or counts.sum() != dim:
+        raise InvalidSpectrumError(
+            f"multiplicities {counts.tolist()} must be >= 1, one per eigenvalue, "
+            f"and sum to {dim}"
+        )
+    deviation = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
+    if deviation > projection_tolerance(dim):
+        raise InvalidSpectrumError(
+            f"frame is not unitary: |V*V - I|_max = {deviation:.3e}"
+        )
+    measure = SpectralMeasure(values, V, counts)
+    M = measure.reconstruct()
+    A = HermitianOperator((M + M.conj().T) / 2.0)
+    _seed_measure(A, measure)
+    return A
+
+
 def zero_operator(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.zeros((dim, dim), dtype=np.complex128))
+    """The dim x dim zero operator: one atom at 0 with the identity frame."""
+    return hermitian_from_spectrum([0.0], np.eye(dim, dtype=np.complex128), [dim])
 
 
 @dataclass(frozen=True)
@@ -221,7 +305,9 @@ def spectral_measure(A: HermitianOperator) -> SpectralMeasure:
     Consecutive eigenvalues whose gap is at most 1e-8 land in the same
     atom; the atom's eigenvalue is the group mean and its projection is
     the sum of the grouped rank-one eigenprojections.  The measure is
-    cached on ``A``, so each operator is decomposed once.
+    cached on ``A``, so each operator is decomposed once; an operator from
+    :func:`hermitian_from_spectrum` carries its measure and is never
+    decomposed.
 
     Raises
     ------
@@ -286,6 +372,17 @@ def singular_values(M) -> np.ndarray:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SvdError(str(exc)) from exc
+
+
+def hermitian_singular_values(A: HermitianOperator) -> np.ndarray:
+    """Singular values of a Hermitian operator, read off its spectral measure.
+
+    They are the absolute eigenvalues, each repeated by its multiplicity,
+    in descending order, as :func:`singular_values` returns them.  No SVD
+    runs, and an operator that carries its measure is not decomposed.
+    """
+    E = spectral_measure(A)
+    return np.sort(np.abs(E.eigenvalues[E.column_atom_index]))[::-1]
 
 
 def validate_schatten_index(p: float) -> float:

@@ -104,23 +104,27 @@ _CHUNK_ENTRIES = 2**18
 
 
 def _check_chain_dims(
-    measures: Sequence[SpectralMeasure], operators: Sequence[np.ndarray]
+    measures: Sequence[SpectralMeasure], operators: Sequence[np.ndarray | None]
 ) -> None:
     for t, T in enumerate(operators):
         left, right = measures[t].dim, measures[t + 1].dim
-        if T.shape != (left, right):
+        shape = (left, left) if T is None else T.shape
+        if shape != (left, right):
             raise DimensionMismatchError(
-                f"operator {t} has shape {T.shape}, expected ({left}, {right})"
+                f"operator {t} has shape {shape}, expected ({left}, {right})"
             )
 
 
 def _chain_integral(
     weights_of: Callable[[slice], np.ndarray],
     measures: Sequence[SpectralMeasure],
-    operators: Sequence[np.ndarray],
+    operators: Sequence[np.ndarray | None],
     divided: int | None = None,
 ) -> np.ndarray:
     """Sum of w[i1..im] * P1_{i1} T1 P2_{i2} ... T_{m-1} Pm_{im}.
+
+    An operator given as ``None`` is the identity; its transform is the
+    frame product V_t* V_{t+1}, with no product by an identity matrix.
 
     ``weights_of(sl)`` returns the symbol weights w over every atom of the
     first m - 1 measures and the atoms ``sl`` of the last one (anything
@@ -152,10 +156,10 @@ def _chain_integral(
     _check_chain_dims(measures, operators)
     counts = tuple(len(E.eigenvalues) for E in measures)
     frames = [E.frame for E in measures]
-    transformed = [
-        frames[t].conj().T @ operators[t] @ frames[t + 1]
-        for t in range(len(operators))
-    ]
+    transformed = []
+    for t, T in enumerate(operators):
+        pre = frames[t].conj().T if T is None else frames[t].conj().T @ T
+        transformed.append(pre @ frames[t + 1])
     if divided is not None:
         left, right = measures[divided], measures[divided + 1]
         gaps = left.eigenvalues[:, None] - right.eigenvalues[None, :]
@@ -208,6 +212,21 @@ def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
     return (V * values[E.column_atom_index]) @ V.conj().T
 
 
+def _atom_grids(measures: Sequence[SpectralMeasure]) -> list[np.ndarray]:
+    """Each measure's eigenvalues along its own axis of the weight tensor."""
+    m = len(measures)
+    return [
+        E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(m)])
+        for k, E in enumerate(measures)
+    ]
+
+
+def _symbol_weights(phi: Callable, measures: Sequence[SpectralMeasure]) -> Callable:
+    """The ``weights_of`` of :func:`_chain_integral` for phi on the atom grid."""
+    *head, last = _atom_grids(measures)
+    return lambda sl: phi(*head, last[..., sl])
+
+
 def double_operator_integral(
     phi: Callable,
     E1: SpectralMeasure,
@@ -215,10 +234,8 @@ def double_operator_integral(
     E2: SpectralMeasure,
 ) -> np.ndarray:
     """Sum over atom pairs of phi(a_j, b_k) * P_j T Q_k."""
-    T = as_complex_matrix(T)
-    a = E1.eigenvalues
-    b = E2.eigenvalues
-    return _chain_integral(lambda sl: phi(a[:, None], b[None, sl]), (E1, E2), (T,))
+    measures = (E1, E2)
+    return _chain_integral(_symbol_weights(phi, measures), measures, (as_complex_matrix(T),))
 
 
 def triple_operator_integral(
@@ -230,33 +247,27 @@ def triple_operator_integral(
     E3: SpectralMeasure,
 ) -> np.ndarray:
     """Sum over atom triples of phi(a_j, b_k, c_l) * P_j T1 Q_k T2 R_l."""
-    T1 = as_complex_matrix(T1)
-    T2 = as_complex_matrix(T2)
-    a = E1.eigenvalues
-    b = E2.eigenvalues
-    c = E3.eigenvalues
-    return _chain_integral(
-        lambda sl: phi(a[:, None, None], b[None, :, None], c[None, None, sl]),
-        (E1, E2, E3),
-        (T1, T2),
-    )
+    measures = (E1, E2, E3)
+    operators = (as_complex_matrix(T1), as_complex_matrix(T2))
+    return _chain_integral(_symbol_weights(phi, measures), measures, operators)
 
 
-def _identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
-
-
-def _same_dim(*ops: HermitianOperator) -> int:
+def _same_dim(*ops: HermitianOperator) -> None:
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise DimensionMismatchError(f"operators have mixed dimensions {sorted(dims)}")
-    return dims.pop()
+
+
+def _apply_function(f: Callable, *ops: HermitianOperator) -> np.ndarray:
+    """f(ops) as a chain over the operators' measures with identities between them."""
+    _same_dim(*ops)
+    measures = [spectral_measure(op) for op in ops]
+    return _chain_integral(_symbol_weights(f, measures), measures, [None] * (len(ops) - 1))
 
 
 def apply_function_pair(f: Callable, A: HermitianOperator, B: HermitianOperator) -> np.ndarray:
     """f(A, B) = sum of f(lambda_j, mu_k) P_j Q_k over both spectra."""
-    dim = _same_dim(A, B)
-    return double_operator_integral(f, spectral_measure(A), _identity(dim), spectral_measure(B))
+    return _apply_function(f, A, B)
 
 
 def apply_function_triple(
@@ -266,10 +277,7 @@ def apply_function_triple(
     C: HermitianOperator,
 ) -> np.ndarray:
     """f(A, B, C) = sum of f(lambda, mu, nu) E_A E_B E_C over the three spectra."""
-    eye = _identity(_same_dim(A, B, C))
-    return triple_operator_integral(
-        f, spectral_measure(A), eye, spectral_measure(B), eye, spectral_measure(C)
-    )
+    return _apply_function(f, A, B, C)
 
 
 def perturbation_via_divided_difference(
@@ -320,14 +328,10 @@ def argument_perturbation(
     """
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
-    dim = _same_dim(X1, X2, Y, Z)
+    _same_dim(X1, X2, Y, Z)
     others = [spectral_measure(Y), spectral_measure(Z)]
     measures = others[:index] + [spectral_measure(X1), spectral_measure(X2)] + others[index:]
-    # each measure's eigenvalues along its own axis of the 4-d weight tensor
-    grids = [
-        E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(4)])
-        for k, E in enumerate(measures)
-    ]
+    grids = _atom_grids(measures)
     rest = [k for k in range(4) if k not in (index, index + 1)]
 
     def f_on(k: int, g: list) -> np.ndarray:
@@ -345,6 +349,6 @@ def argument_perturbation(
         high = f_on(index, g) if upper is None else upper
         return high - f_on(index + 1, g)
 
-    operators = [_identity(dim)] * 2
+    operators = [None, None]
     operators.insert(index, X1.matrix - X2.matrix)
     return _chain_integral(weights_of, measures, operators, divided=index)

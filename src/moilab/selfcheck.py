@@ -136,6 +136,47 @@ def check_finite_rank_chain(seed: int, draws: int) -> CheckResult:
     )
 
 
+def _measure_distance(E: linalg.SpectralMeasure, F: linalg.SpectralMeasure) -> float:
+    """Largest gap between two measures' eigenvalues and projections, atom by
+    atom; infinite when their atom counts differ."""
+    if len(E.eigenvalues) != len(F.eigenvalues):
+        return math.inf
+    gaps = [float(np.max(np.abs(E.eigenvalues - F.eigenvalues)))]
+    gaps += [float(np.max(np.abs(P - Q))) for P, Q in zip(E.projections(), F.projections())]
+    return max(gaps)
+
+
+def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> CheckResult:
+    """Every measure built by hand, never by ``eigh``, against ``eigh`` of its
+    own matrix: the growth family's A, B, C, eps C and zero operator at each
+    size, and seeded rank-limited draws.  The atom counts must agree, the
+    eigenvalues and projections to 1e-10, and the measure must reconstruct
+    its matrix to 1e-12 times the dimension."""
+
+    def operators():
+        for N in N_list:
+            inst = ce.build_instance(N)
+            yield from (inst.A, inst.B, inst.C, linalg.zero_operator(N))
+            yield inst.C.scaled(ce.quarter_root_rule(N))
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            dim = int(rng.integers(2, 13))
+            yield ce.random_rank_limited_hermitian(rng, dim, int(rng.integers(0, dim + 1)))
+
+    spectral = residual = 0.0
+    for op in operators():
+        built = linalg.spectral_measure(op)
+        spectral = _worse(spectral, _measure_distance(built, linalg._decompose(op)))
+        residual = _worse(residual, built.deviations(op)["reconstruction"] / op.dim)
+    spectral_tol, residual_tol = 1e-10, 1e-12
+    return _result(
+        "linalg.constructed_spectrum",
+        spectral <= spectral_tol and residual <= residual_tol,
+        f"max dev from eigh {spectral:.3e} (tol {_tol_text(spectral_tol)}), "
+        f"max reconstruction residual / dim {residual:.3e} (tol {_tol_text(residual_tol)})",
+    )
+
+
 # ------------------------------------------------------------------- moi
 
 
@@ -161,8 +202,9 @@ def check_diagonal_policy_independence(seed: int, draws: int) -> CheckResult:
         # overlapping spectra: share eigenvalues through a common diagonal
         shared = np.sort(rng.uniform(-2.0, 2.0, size=dim))
         Q = linalg.random_unitary(rng, dim)
-        A = linalg.hermitian_from_matrix((Q * shared) @ Q.conj().T)
-        B = linalg.hermitian_from_matrix(np.diag(shared).astype(complex))
+        simple = np.ones(dim, dtype=int)
+        A = linalg.hermitian_from_spectrum(shared, Q, simple)
+        B = linalg.hermitian_from_spectrum(shared, np.eye(dim), simple)
         one = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=0.0)
         other = moi.perturbation_via_divided_difference(f, A, B, diagonal_value=7.5 - 2j)
         yield float(np.max(np.abs(one - other)))
@@ -471,4 +513,5 @@ def run_selfcheck(
         check_bounded_surrogate(N_list, p_list, grid_half_width, grid_log2_size),
         check_lipschitz_bound(trials, seed),
         check_pairs_chain(trials, seed),
+        check_constructed_spectrum(tuple(n for n in N_list if n <= 64), seed + 12, 20),
     ]

@@ -223,7 +223,7 @@ def test_selfcheck_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 25
+    assert len(lines) == 26
     assert all(line.startswith("PASS") for line in lines)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
-from moilab import counterexample
+from moilab import counterexample, linalg
 from moilab.besov import psi_band_majorant, psi_reference_grid
 from moilab.counterexample import (
     PHI_SUP,
@@ -30,7 +31,14 @@ from moilab.counterexample import (
     random_trig_polynomial,
     rank_estimate_check_pairs,
 )
-from moilab.linalg import schatten_norm, singular_values, spectral_measure, zero_operator
+from moilab.linalg import (
+    hermitian_from_matrix,
+    numerical_rank,
+    schatten_norm,
+    singular_values,
+    spectral_measure,
+    zero_operator,
+)
 from moilab.moi import apply_function_pair, apply_function_triple
 from moilab.selfcheck import check_bounded_symbol, check_exact_blowup, check_rank_one_collapse
 
@@ -240,6 +248,49 @@ def test_rank_limited_draws_have_bounded_rank(rng):
         s = singular_values(op.matrix)
         assert int(np.count_nonzero(s > 1e-10)) <= 3
         assert float(np.max(np.abs(op.matrix - op.matrix.conj().T))) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [0, 1, 5, 6])
+def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
+    op = random_rank_limited_hermitian(rng, 6, rank)
+    calls = []
+    monkeypatch.setattr(linalg, "_decompose", lambda A: calls.append(A))
+    E = spectral_measure(op)
+    assert calls == []
+    assert int(E.multiplicities.sum()) == 6
+    assert np.all(np.diff(E.eigenvalues) > 0)
+    assert int(np.count_nonzero(E.eigenvalues)) == rank
+    assert len(E.eigenvalues) == rank + (rank < 6)
+    assert E.deviations(op)["reconstruction"] <= 1e-14
+    assert numerical_rank(op.matrix) == rank
+
+
+def test_growth_records_decompose_nothing(monkeypatch):
+    def refuse(A):
+        raise AssertionError("eigh ran on a constructed operator")
+
+    monkeypatch.setattr(linalg, "_decompose", refuse)
+    for N in (1, 2, 16):
+        assert growth_records(N, [1.0, 2.0, math.inf], eps=0.5)[0].perturbation == 0.5
+
+
+def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):
+    sizes = [2**k for k in range(9)]
+    p_list = [1.0, 2.0, math.inf]
+    built = [r.ratio for N in sizes for r in growth_records(N, p_list)]
+    constructed = counterexample.build_instance
+
+    def decomposed(N):
+        inst = constructed(N)
+        again = {name: hermitian_from_matrix(getattr(inst, name).matrix) for name in "ABC"}
+        return dataclasses.replace(inst, **again)
+
+    monkeypatch.setattr(counterexample, "build_instance", decomposed)
+    monkeypatch.setattr(
+        counterexample, "zero_operator", lambda N: hermitian_from_matrix(np.zeros((N, N)))
+    )
+    eigh = [r.ratio for N in sizes for r in growth_records(N, p_list)]
+    assert np.allclose(built, eigh, rtol=1e-12, atol=0.0)
 
 
 def test_trig_polynomial_surrogate_bounds_band_content(rng):

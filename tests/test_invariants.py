@@ -34,6 +34,7 @@ NAMES = (
     "counterexample.bounded_surrogate",
     "counterexample.lipschitz_bound",
     "counterexample.pairs_chain",
+    "linalg.constructed_spectrum",
 )
 
 

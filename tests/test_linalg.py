@@ -5,14 +5,18 @@ import pytest
 
 from conftest import SEED
 from moilab.counterexample import build_instance
+from moilab import linalg
 from moilab.linalg import (
     DimensionMismatchError,
     HermitianOperator,
+    InvalidSpectrumError,
     NotHermitianError,
     NotSquareError,
     SpectralMeasure,
     complex_gaussian,
     hermitian_from_matrix,
+    hermitian_from_spectrum,
+    hermitian_singular_values,
     norm_of_singular_values,
     numerical_rank,
     random_hermitian,
@@ -140,6 +144,106 @@ def test_contractions_do_not_build_the_atom_view(rng, monkeypatch):
     assert np.isfinite(apply_function_triple(f, A, B, C)).all()
     for index in range(3):
         assert np.isfinite(argument_perturbation(f, index, A, D, B, C)).all()
+
+
+def _count_decompositions(monkeypatch) -> list:
+    calls = []
+    real = linalg._decompose
+    monkeypatch.setattr(linalg, "_decompose", lambda A: calls.append(A) or real(A))
+    return calls
+
+
+def test_hermitian_from_spectrum_carries_its_measure(rng, monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    Q = random_unitary(rng, 5)
+    values = np.array([-1.0, 0.5, 2.0])
+    A = hermitian_from_spectrum(values, Q, [2, 1, 2])
+    E = spectral_measure(A)
+    assert calls == []
+    assert np.array_equal(E.eigenvalues, values) and np.array_equal(E.frame, Q)
+    assert np.array_equal(A.matrix, A.matrix.conj().T)
+    assert E.deviations(A)["reconstruction"] <= 1e-14
+    eigh = linalg._decompose(A)
+    assert eigh.multiplicities.tolist() == [2, 1, 2]
+    assert np.allclose(eigh.eigenvalues, values, atol=1e-12)
+
+
+def test_hermitian_from_spectrum_rejects_unordered_eigenvalues():
+    with pytest.raises(InvalidSpectrumError, match="increase"):
+        hermitian_from_spectrum([1.0, 0.0], np.eye(2), [1, 1])
+
+
+def test_hermitian_from_spectrum_rejects_non_finite_eigenvalues():
+    with pytest.raises(InvalidSpectrumError, match="finite"):
+        hermitian_from_spectrum([0.0, np.nan], np.eye(2), [1, 1])
+
+
+def test_hermitian_from_spectrum_rejects_a_gap_at_the_grouping_tolerance(monkeypatch):
+    # a gap eigh would merge; the bound is read from linalg._GROUP_TOL at call time
+    with pytest.raises(InvalidSpectrumError):
+        hermitian_from_spectrum([0.0, linalg._GROUP_TOL], np.eye(2), [1, 1])
+    hermitian_from_spectrum([0.0, 0.5], np.eye(2), [1, 1])
+    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.5)
+    with pytest.raises(InvalidSpectrumError):
+        hermitian_from_spectrum([0.0, 0.5], np.eye(2), [1, 1])
+
+
+def test_hermitian_from_spectrum_rejects_empty_multiplicities():
+    with pytest.raises(InvalidSpectrumError, match="multiplicities"):
+        hermitian_from_spectrum([0.0, 1.0, 2.0], np.eye(3), [2, 0, 1])
+
+
+def test_hermitian_from_spectrum_rejects_multiplicities_off_the_dimension():
+    with pytest.raises(InvalidSpectrumError, match="multiplicities"):
+        hermitian_from_spectrum([0.0, 1.0], np.eye(3), [1, 1])
+    with pytest.raises(InvalidSpectrumError, match="multiplicities"):
+        hermitian_from_spectrum([0.0, 1.0], np.eye(3), [3])
+
+
+def test_hermitian_from_spectrum_rejects_a_non_unitary_frame(rng):
+    Q = random_unitary(rng, 4)
+    Q[:, 0] *= 1.0 + 1e-6
+    with pytest.raises(InvalidSpectrumError, match="unitary"):
+        hermitian_from_spectrum([0.0, 1.0], Q, [3, 1])
+    with pytest.raises(InvalidSpectrumError, match="square"):
+        hermitian_from_spectrum([0.0], Q[:, :3], [3])
+
+
+def test_scaled_by_a_positive_factor_is_never_decomposed(rng, monkeypatch):
+    A = hermitian_from_spectrum([-2.0, 0.0, 3.0], random_unitary(rng, 4), [1, 2, 1])
+    calls = _count_decompositions(monkeypatch)
+    for factor in (0.25, 1.0, 3.0):
+        E = spectral_measure(A.scaled(factor))
+        assert np.array_equal(E.eigenvalues, factor * spectral_measure(A).eigenvalues)
+        assert E.frame is spectral_measure(A).frame
+        assert E.deviations(A.scaled(factor))["reconstruction"] <= 1e-14
+    assert calls == []
+
+
+@pytest.mark.parametrize("factor", [0.0, -2.0])
+def test_scaled_by_zero_or_a_negative_factor_matches_eigh(rng, factor):
+    A = hermitian_from_spectrum([-2.0, 0.0, 3.0], random_unitary(rng, 4), [1, 2, 1])
+    E = spectral_measure(A.scaled(factor))
+    expected = linalg._decompose(hermitian_from_matrix(A.matrix * factor))
+    assert np.array_equal(E.eigenvalues, expected.eigenvalues)
+    assert np.array_equal(E.multiplicities, expected.multiplicities)
+    assert np.array_equal(E.frame, expected.frame)
+
+
+def test_scaled_falls_back_to_eigh_when_atoms_merge(monkeypatch):
+    A = hermitian_from_spectrum([0.0, 1.0], np.eye(2), [1, 1])
+    calls = _count_decompositions(monkeypatch)
+    assert spectral_measure(A.scaled(1e-9)).multiplicities.tolist() == [2]
+    assert len(calls) == 1
+
+
+def test_hermitian_singular_values_match_the_svd(rng):
+    A = hermitian_from_spectrum([-3.0, 0.0, 0.5], random_unitary(rng, 5), [2, 2, 1])
+    s = hermitian_singular_values(A)
+    assert s.tolist() == [3.0, 3.0, 0.5, 0.0, 0.0]
+    assert np.allclose(s, singular_values(A.matrix), atol=1e-12)
+    B = random_hermitian(rng, 6)
+    assert np.allclose(hermitian_singular_values(B), singular_values(B.matrix), atol=1e-12)
 
 
 def test_singular_values_identity():

@@ -11,6 +11,7 @@ from moilab.linalg import (
     DimensionMismatchError,
     complex_gaussian,
     hermitian_from_matrix,
+    hermitian_from_spectrum,
     random_hermitian,
     random_measure,
     rank_one,
@@ -278,9 +279,8 @@ def _slot_operands(index, perturbed, first, second):
 
 def _degenerate_hermitian(rng, dim):
     """A Hermitian operator with fewer distinct eigenvalues than its dimension."""
-    return hermitian_from_matrix(
-        random_measure(rng, dim, int(rng.integers(1, dim))).reconstruct()
-    )
+    E = random_measure(rng, dim, int(rng.integers(1, dim)))
+    return hermitian_from_spectrum(E.eigenvalues, E.frame, E.multiplicities)
 
 
 @settings(max_examples=25, deadline=None)
