@@ -167,9 +167,10 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     ``eigenvalues`` are the atoms in strictly increasing order,
     ``multiplicities`` their eigenspace dimensions, and ``frame`` the
     dim x dim unitary whose consecutive column blocks of those widths span
-    the eigenspaces.  The matrix is (V diag(lambda)) V*, symmetrized, and the
-    measure is stored on the operator, so :func:`spectral_measure` never
-    runs ``eigh`` on it.
+    the eigenspaces.  The matrix is (V diag(lambda)) V*, symmetrized, formed
+    from the columns whose eigenvalue is not zero only, so a rank-r operator
+    costs a rank-r product and the zero operator none.  The measure is stored
+    on the operator, so :func:`spectral_measure` never runs ``eigh`` on it.
 
     Raises
     ------
@@ -200,7 +201,10 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
             f"frame is not unitary: |V*V - I|_max = {deviation:.3e}"
         )
     measure = SpectralMeasure(values, V, counts)
-    M = measure.reconstruct()
+    weights = values[measure.column_atom_index]
+    nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
+    W = V[:, nonzero]
+    M = (W * weights[nonzero]) @ W.conj().T
     A = HermitianOperator((M + M.conj().T) / 2.0)
     _seed_measure(A, measure)
     return A

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from moilab.linalg import (
     hermitian_from_spectrum,
     random_hermitian,
     random_measure,
+    random_unitary,
     rank_one,
     spectral_measure,
     zero_operator,
@@ -319,7 +321,9 @@ def test_chunked_argument_perturbation_matches_triple_difference(
         X2 = X1
     f = lambda x, y, z: np.sin(x) * np.cos(y) + x * y * z
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * dim**3)
+        # the perturbation sizes a chunk at _PERTURBATION_ARRAYS arrays of
+        # dim^2 entries per last atom, so this runs 1 or 2 atoms per chunk
+        mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * moi._PERTURBATION_ARRAYS * dim**2)
         for index in range(3):
             lhs = argument_perturbation(f, index, X1, X2, Y, Z)
             rhs = apply_function_triple(f, *_slot_operands(index, X1, Y, Z)) - apply_function_triple(
@@ -340,13 +344,33 @@ def test_generic_triple_memory_is_bounded(rng):
     assert peak <= 64 * 2**20
 
 
+def _clustered_errors(X1, X2, Y, Z):
+    """Per slot, the relative error of argument_perturbation against the exact
+    X1^2 - X2^2 = X1 D + D X2 (D = X1 - X2) of a product symbol with t^2 in
+    the perturbed slot, where the calculus factorises with no cancellation."""
+    D = X1.matrix - X2.matrix
+    g, k = (lambda t: np.exp(1j * t)), (lambda t: 1.0 / (1.0 + t * t))
+    gY = apply_function_single(g, spectral_measure(Y))
+    kZ = apply_function_single(k, spectral_measure(Z))
+    errors = []
+    for index in range(3):
+        factors = _slot_operands(index, lambda t: t * t, g, k)
+        f = lambda x, y, z, fs=factors: fs[0](x) * fs[1](y) * fs[2](z)
+        first, middle, last = _slot_operands(index, X1.matrix @ D + D @ X2.matrix, gY, kZ)
+        exact = first @ middle @ last
+        out = argument_perturbation(f, index, X1, X2, Y, Z)
+        errors.append(np.max(np.abs(out - exact)) / np.max(np.abs(exact)))
+    return errors
+
+
 # Clustered perturbations X2 = X1 + delta G: the divided difference of t^2
 # is formed from f(l1) - f(l2), whose rounding is relative to f, so the
 # error grows like eps / delta.  At this seed the largest error times delta
 # over the three slots and delta = 1e-2 .. 1e-8 measured 1.5e-16, with the
-# kernel on the eigenbasis perturbation and with divided weights alike;
-# 4e-16 keeps over 2x headroom.  Applying the kernel in the original basis
-# and transforming back measured 1.0e-15 to 1.2e-15 at every delta.
+# kernel on the eigenbasis perturbation and with divided weights alike, and
+# with the three-measure chains; 4e-16 keeps over 2x headroom.  Applying the
+# kernel in the original basis and transforming back measured 1.0e-15 to
+# 1.2e-15 at every delta; chains without nearest-atom pairs, 3.1e-16.
 CLUSTERED_ERROR_TIMES_DELTA = 4e-16
 
 
@@ -358,20 +382,70 @@ def test_argument_perturbation_clustered_exact_answer(exponent):
     G = random_hermitian(rng, dim).matrix
     delta = 10.0**-exponent
     X2 = hermitian_from_matrix(X1.matrix + delta * G)
-    D = X1.matrix - X2.matrix
-    # with a product symbol the calculus factorises, and t^2 in the perturbed
-    # slot gives X1^2 - X2^2 = X1 D + D X2 there, with no cancellation
-    g, k = (lambda t: np.exp(1j * t)), (lambda t: 1.0 / (1.0 + t * t))
-    gY = apply_function_single(g, spectral_measure(Y))
-    kZ = apply_function_single(k, spectral_measure(Z))
-    for index in range(3):
-        factors = _slot_operands(index, lambda t: t * t, g, k)
-        f = lambda x, y, z, fs=factors: fs[0](x) * fs[1](y) * fs[2](z)
-        first, middle, last = _slot_operands(index, X1.matrix @ D + D @ X2.matrix, gY, kZ)
-        exact = first @ middle @ last
-        out = argument_perturbation(f, index, X1, X2, Y, Z)
-        error = np.max(np.abs(out - exact)) / np.max(np.abs(exact))
+    for index, error in enumerate(_clustered_errors(X1, X2, Y, Z)):
         assert error <= CLUSTERED_ERROR_TIMES_DELTA / delta, (index, error)
+
+
+# A degenerate X1 (4 atoms of multiplicity 3) split by X2 = X1 + delta G: each
+# X1 atom has three X2 atoms within about delta, so two of its three near
+# pairs are nearest only from the X2 side.  Over seeds SEED .. SEED + 5, the
+# three slots and delta = 1e-2 .. 1e-8, the largest error times delta
+# measured 6.4e-17 with both nearest-atom pairings, the same as with the
+# whole four-measure weight tensor; pairing only X1 atoms with their nearest
+# X2 atom measured 1.5e-16, and no pairing 1.6e-16.  1.3e-16 keeps about 2x
+# headroom.
+DEGENERATE_CLUSTER_ERROR_TIMES_DELTA = 1.3e-16
+
+
+@pytest.mark.parametrize("exponent", range(2, 9))
+def test_argument_perturbation_degenerate_cluster_exact_answer(exponent):
+    delta = 10.0**-exponent
+    for k in range(6):
+        rng = np.random.default_rng(SEED + k)
+        dim = 12
+        values = np.sort(rng.uniform(-2.0, 2.0, size=4))
+        X1 = hermitian_from_spectrum(values, random_unitary(rng, dim), [3, 3, 3, 3])
+        Y, Z = (random_hermitian(rng, dim) for _ in range(2))
+        G = random_hermitian(rng, dim).matrix
+        X2 = hermitian_from_matrix(X1.matrix + delta * G)
+        for index, error in enumerate(_clustered_errors(X1, X2, Y, Z)):
+            assert error <= DEGENERATE_CLUSTER_ERROR_TIMES_DELTA / delta, (k, index, error)
+
+
+def _planted_pair(rng, gap):
+    """X1, X2 with an exactly shared repeated atom, one repeated X1 atom near
+    two X2 atoms and one repeated X2 atom near two X1 atoms, in random frames."""
+    centers = rng.choice(np.arange(-4.0, 5.0), size=4, replace=False) + rng.uniform(0.0, 0.25, 4)
+    shared, a, b, far = centers
+    m = int(rng.integers(1, 4))
+    g1, g2 = gap * rng.uniform(1.0, 2.0, size=2)
+    ones = {shared: m, a: 2, b - g1: 1, b + g2: 1, far: 1}
+    twos = {shared: m, a - g2: 1, a + g1: 1, b: 2, far + 0.5: 1}
+    ops = []
+    for atoms in (ones, twos):
+        values = sorted(atoms)
+        frame = random_unitary(rng, sum(atoms.values()))
+        ops.append(hermitian_from_spectrum(values, frame, [atoms[v] for v in values]))
+    return ops
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gap_exponent=st.integers(2, 7))
+def test_argument_perturbation_planted_ties_match_triple_difference(seed, gap_exponent):
+    rng = np.random.default_rng(seed)
+    X1, X2 = _planted_pair(rng, 10.0**-gap_exponent)
+    E1, E2 = spectral_measure(X1), spectral_measure(X2)
+    assert np.intersect1d(E1.eigenvalues, E2.eigenvalues).size >= 1
+    # some near pair is nearest only from the X2 side
+    assert moi._nearest_pairs(E1, E2)[3].any()
+    Y, Z = (_degenerate_hermitian(rng, X1.dim) for _ in range(2))
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2) + np.sin(x) * y
+    for index in range(3):
+        lhs = argument_perturbation(f, index, X1, X2, Y, Z)
+        rhs = apply_function_triple(f, *_slot_operands(index, X1, Y, Z)) - apply_function_triple(
+            f, *_slot_operands(index, X2, Y, Z)
+        )
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs)), index
 
 
 def test_argument_perturbation_exact_ties_match_direct_difference(rng):
@@ -412,20 +486,61 @@ def test_non_finite_symbol_raises_and_names_an_atom(rng):
     assert issubclass(NonFiniteSymbolError, ValueError)
 
 
-@pytest.mark.parametrize("index", range(3))
-def test_argument_perturbation_memory_is_bounded(index):
-    # at d = 64 one chunk is one atom of the last measure, 64^3 complex
-    # weights (4 MiB); the last slot also keeps f(.., X1) over the atoms of
-    # the three other measures, another 4 MiB
+@pytest.mark.parametrize(
+    "index, slots, atom",
+    [
+        (0, (("X2", 2), ("Y", 1), ("Z", 3)), (0, 2, 1, 3)),
+        (1, (("X1", 1), ("Z", 3)), (0, 1, 0, 3)),
+        (1, (("Y", 2), ("X2", 1)), (2, 0, 1, 0)),
+        (2, (("Y", 3),), (3, 0, 0, 0)),
+        (2, (("Z", 2), ("X1", 1)), (0, 2, 1, 0)),
+        (2, (("X2", 3),), (0, 0, 0, 3)),
+    ],
+)
+def test_non_finite_perturbation_names_its_atom_in_chain_order(rng, index, slots, atom):
+    # NaN only where the named slots sit at the named atoms; one atom per
+    # chunk, so the chunk offset must be added on the right axis
+    ops = dict(zip(("X1", "X2", "Y", "Z"), (random_hermitian(rng, 4) for _ in range(4))))
+    names = _slot_operands(index, "X", "Y", "Z")
+
+    def f(x, y, z):
+        hit = True
+        for name, k in slots:
+            arg = (x, y, z)[names.index(name.rstrip("12"))]
+            hit = hit & (arg == spectral_measure(ops[name]).eigenvalues[k])
+        return np.where(hit, np.nan, 1.0) + x * y * z
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", moi._PERTURBATION_ARRAYS * 4**2)
+        with pytest.raises(NonFiniteSymbolError, match=re.escape(f"atom {atom}")):
+            argument_perturbation(f, index, *ops.values())
+
+
+def _perturbation_peak(dim, index):
+    """tracemalloc peak of one argument_perturbation call at ``dim``, with
+    the spectral measures computed beforehand."""
     rng = np.random.default_rng(SEED)
-    X1, X2, Y, Z = (random_hermitian(rng, 64) for _ in range(4))
+    X1, X2, Y, Z = (random_hermitian(rng, dim) for _ in range(4))
     for op in (X1, X2, Y, Z):
         spectral_measure(op)
     f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2)
     tracemalloc.start()
     try:
         argument_perturbation(f, index, X1, X2, Y, Z)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (11 + (4 if index == 2 else 0)) * 2**20
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_argument_perturbation_memory_is_bounded(index):
+    # at d = 64 one chunk holds 8 arrays of 64^2 entries per last atom, 4 MiB
+    # in all; every slot peaks at 5.9 MiB
+    assert _perturbation_peak(64, index) <= 11 * 2**20
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_argument_perturbation_memory_is_bounded_at_128(index):
+    # a weight over all four measures at d = 128 would take 4 GiB; the chunked
+    # three-measure chains peak at 8.6 MiB in every slot
+    assert _perturbation_peak(128, index) <= 16 * 2**20
