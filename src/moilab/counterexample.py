@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,14 +31,15 @@ from .linalg import (
     HermitianOperator,
     InvalidSpectrumError,
     as_complex_matrix,
+    complex_gaussian,
     hermitian_from_matrix,
     hermitian_from_spectrum,
     hermitian_singular_values,
     norm_of_singular_values,
-    random_unitary,
     rank_of_singular_values,
     schatten_norm,
     singular_values,
+    unitary_from_gaussian,
     validate_schatten_index,
     zero_operator,
 )
@@ -409,31 +410,46 @@ def epsilon_scaling_run(
     return records
 
 
-def random_rank_limited_hermitian(
-    rng: np.random.Generator, dim: int, rank: int
-) -> HermitianOperator:
-    """Q Lambda Q* with unitary Q and ``rank`` uniform(-1, 1) eigenvalues.
+def random_rank_limited_hermitians(
+    rng: np.random.Generator, dim: int, rank: int, count: int
+) -> tuple[HermitianOperator, ...]:
+    """``count`` operators Q Lambda Q*, each with its own unitary Q and
+    ``rank`` uniform(-1, 1) eigenvalues.
+
+    Per operator the generator gives the real and then the imaginary part
+    of a complex Gaussian, then the ``rank`` values.  One stacked QR turns
+    the Gaussians into the unitaries, so ``count`` operators cost one numpy
+    QR call and equal, bit for bit, the same draws taken one at a time.
 
     The first ``rank`` columns of Q carry the drawn values and the rest the
-    zero atom.  The operator is built from that spectrum, with the atoms
+    zero atom.  Each operator is built from that spectrum, with the atoms
     sorted, and is never decomposed.  In the rare draw that puts two atoms
     within the grouping tolerance it is built from Q Lambda Q* instead, so
     ``eigh`` merges them.
     """
-    Q = random_unitary(rng, dim)
-    drawn = rng.uniform(-1.0, 1.0, size=rank)
-    # the zero atom takes the undrawn columns and sorts as the value 0
-    keys = np.append(drawn, 0.0) if rank < dim else drawn
-    order = np.argsort(keys, kind="stable")
-    blocks = [[i] for i in range(rank)] + [list(range(rank, dim))]
-    frame = Q[:, [col for k in order for col in blocks[k]]]
-    multiplicities = [len(blocks[k]) for k in order]
-    try:
-        return hermitian_from_spectrum(keys[order], frame, multiplicities)
-    except InvalidSpectrumError:
-        values = np.zeros(dim)
-        values[:rank] = drawn
-        return hermitian_from_matrix((Q * values) @ Q.conj().T)
+    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
+    drawn = np.empty((count, rank))
+    for k in range(count):
+        gaussians[k] = complex_gaussian(rng, dim, dim)
+        drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
+    frames = unitary_from_gaussian(gaussians)
+    # column j < rank carries drawn value j and the rest the zero atom; the
+    # stable sort keeps the zero atom's columns together and in order
+    weights = np.pad(drawn, ((0, 0), (0, dim - rank)))
+    columns = np.argsort(weights, axis=1, kind="stable")
+    sorted_frames = np.take_along_axis(frames, columns[:, None, :], axis=2)
+    keys = weights[:, : rank + 1]  # the drawn values, then the zero atom if rank < dim
+    orders = np.argsort(keys, axis=1, kind="stable")
+    atoms = np.take_along_axis(keys, orders, axis=1)
+    multiplicities = np.where(orders == rank, dim - rank, 1)
+    operators = []
+    for Q, w, frame, values, counts in zip(frames, weights, sorted_frames, atoms, multiplicities):
+        try:
+            op = hermitian_from_spectrum(values, frame, counts)
+        except InvalidSpectrumError:
+            op = hermitian_from_matrix((Q * w) @ Q.conj().T)
+        operators.append(op)
+    return tuple(operators)
 
 
 _TRIG_MAX_DEGREE = 3
@@ -462,13 +478,26 @@ def random_trig_polynomial(rng: np.random.Generator) -> tuple[Callable, float]:
         ya = np.asarray(y, dtype=float)[..., None, None]
         return np.sum(coeffs * np.exp(1j * (m * xa + l * ya)), axis=(-2, -1))
 
-    radii = np.hypot(span[:, None], span[None, :])
     magnitudes = np.abs(coeffs)
-    top_band = int(math.ceil(math.log2(max(float(np.max(radii)), 1.0)))) + 1
     bound = 0.0
-    for n in range(0, top_band + 1):
-        bound += (2.0**n) * float(np.sum(magnitudes * window_w(radii / 2.0**n)))
+    for scale, window in _trig_band_windows():
+        bound += scale * float(np.sum(magnitudes * window))
     return f, bound
+
+
+@cache
+def _trig_band_windows() -> tuple[tuple[float, np.ndarray], ...]:
+    """(2^n, w(|(m, l)|_2 / 2^n)) over the frequency grid, for every band n
+    that can meet it; the same for every draw, so computed once (read-only)."""
+    span = np.arange(-_TRIG_MAX_DEGREE, _TRIG_MAX_DEGREE + 1)
+    radii = np.hypot(span[:, None], span[None, :])
+    top_band = int(math.ceil(math.log2(max(float(np.max(radii)), 1.0)))) + 1
+    bands = []
+    for n in range(0, top_band + 1):
+        window = window_w(radii / 2.0**n)
+        window.setflags(write=False)
+        bands.append((2.0**n, window))
+    return tuple(bands)
 
 
 _KINK_PIECES = 3
@@ -553,9 +582,10 @@ def rank_estimate_check_pairs(
     and reports the ratio of ||Df||_{S_p} to
     N^(1/2 - 1/p) * surrogate * max perturbation.
 
-    Each trial draws its operators and polynomial once and takes one SVD
-    per difference, which serves every index; so the draws, and each
-    report, do not depend on the other entries of ``p_list``.
+    Each trial draws its four operators in one stacked draw and its
+    polynomial once, and takes one stacked SVD of its three differences,
+    which serves every index; so the draws, and each report, do not depend
+    on the other entries of ``p_list``.
 
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
@@ -565,17 +595,18 @@ def rank_estimate_check_pairs(
     dim = 2 * N
 
     def trial(rng):
-        A1, B1, A2, B2 = (random_rank_limited_hermitian(rng, dim, N) for _ in range(4))
+        A1, B1, A2, B2 = random_rank_limited_hermitians(rng, dim, N, 4)
         f, surrogate = random_trig_polynomial(rng)
 
         diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
-        diff_values = singular_values(diff)
+        diff_values, *x_values = singular_values(
+            np.stack((diff, A1.matrix - A2.matrix, B1.matrix - B2.matrix))
+        )
         norm_2 = norm_of_singular_values(diff_values, 2.0)
         # per perturbation X: singular values, rank and ||X||_{S_2}
-        perturbations = []
-        for X in (A1.matrix - A2.matrix, B1.matrix - B2.matrix):
-            s = singular_values(X)
-            perturbations.append((s, rank_of_singular_values(s), norm_of_singular_values(s, 2.0)))
+        perturbations = [
+            (s, rank_of_singular_values(s), norm_of_singular_values(s, 2.0)) for s in x_values
+        ]
 
         for p in p_list:
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
@@ -605,25 +636,28 @@ def lipschitz_rank_bound_check(
 
     together with the three telescoping one-slot steps it is assembled
     from.  A violation indicates an implementation bug, since the bound is
-    a proven estimate.  Each trial draws once, evaluates the four corners
-    once and takes one SVD per difference for every index, so the draws do
-    not depend on ``p_list``.
+    a proven estimate.  Each trial draws its six operators in one stacked
+    draw, evaluates the four corners once and takes one stacked SVD of its
+    seven differences for every index, so the draws do not depend on
+    ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
     dim = 2 * N
     slack = 1e-9
 
     def trial(rng):
-        first = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
-        second = tuple(random_rank_limited_hermitian(rng, dim, N) for _ in range(3))
+        operators = random_rank_limited_hermitians(rng, dim, N, 6)
+        first, second = operators[:3], operators[3:]
         f, seminorm = random_kink_function(rng)
         scale = N**4 * seminorm
 
-        d_values = [singular_values(X1.matrix - X2.matrix) for X1, X2 in zip(first, second)]
         # corner k takes its first k slots from the second triple
         corners = [apply_function_triple(f, *second[:k], *first[k:]) for k in range(4)]
-        step_values = [singular_values(corners[i] - corners[i + 1]) for i in range(3)]
-        total_values = singular_values(corners[0] - corners[3])
+        differences = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
+        differences += [corners[i] - corners[i + 1] for i in range(3)]
+        differences.append(corners[0] - corners[3])
+        values = singular_values(np.stack(differences))
+        d_values, step_values, total_values = values[:3], values[3:6], values[6]
 
         for p in p_list:
             d_norms = [norm_of_singular_values(s, p) for s in d_values]

@@ -64,8 +64,14 @@ _SINGULAR_VALUE_FLOOR = 1e-14
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce input to a 2-d complex128 array, rejecting non-finite entries."""
+    return _complex_matrices(entries, stack=False)
+
+
+def _complex_matrices(entries, stack: bool) -> np.ndarray:
+    """:func:`as_complex_matrix`, which also takes a stack (..., m, n) when
+    ``stack`` is true."""
     M = np.asarray(entries, dtype=np.complex128)
-    if M.ndim != 2:
+    if M.ndim != 2 and not (stack and M.ndim > 2):
         raise ValueError(f"expected a matrix, got an array of rank {M.ndim}")
     if M.size and not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -366,12 +372,19 @@ def spectral_measure_from_projections(
 def singular_values(M) -> np.ndarray:
     """Singular values of ``M`` in descending order.
 
+    ``M`` may be one matrix or a stack of shape (..., m, n).  A stack costs
+    one numpy call, not one per matrix, and gives each of its matrices the
+    singular values that matrix gives on its own, bit for bit, in an array
+    of shape (..., min(m, n)).
+
     Raises
     ------
+    ValueError
+        If an entry is not finite, or ``M`` has fewer than two axes.
     SvdError
         If the SVD iteration fails to converge.
     """
-    M = as_complex_matrix(M)
+    M = _complex_matrices(M, stack=True)
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -457,10 +470,20 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary from the QR factorization of a complex Gaussian."""
-    Q, R = np.linalg.qr(complex_gaussian(rng, dim, dim))
-    phases = np.diag(R).copy()
+    return unitary_from_gaussian(complex_gaussian(rng, dim, dim))
+
+
+def unitary_from_gaussian(G: np.ndarray) -> np.ndarray:
+    """The Q factor of ``G = QR``, its columns rotated so diag(R) is positive.
+
+    ``G`` may be one square complex Gaussian matrix or a stack (..., dim,
+    dim) of them.  A stack costs one numpy QR call, not one per matrix, and
+    gives each matrix the unitary it gives on its own, bit for bit.
+    """
+    Q, R = np.linalg.qr(G)
+    phases = np.diagonal(R, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return Q * phases.conj()
+    return Q * phases.conj()[..., None, :]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:

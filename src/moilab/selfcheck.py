@@ -161,7 +161,7 @@ def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> 
         rng = np.random.default_rng(seed)
         for _ in range(draws):
             dim = int(rng.integers(2, 13))
-            yield ce.random_rank_limited_hermitian(rng, dim, int(rng.integers(0, dim + 1)))
+            yield from ce.random_rank_limited_hermitians(rng, dim, int(rng.integers(0, dim + 1)), 1)
 
     spectral = residual = 0.0
     for op in operators():

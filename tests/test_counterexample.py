@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
 from moilab import counterexample, linalg
-from moilab.besov import psi_band_majorant, psi_reference_grid
+from moilab.besov import psi_band_majorant, psi_reference_grid, window_w
 from moilab.counterexample import (
     PHI_SUP,
     ExperimentRecord,
@@ -27,13 +26,16 @@ from moilab.counterexample import (
     phi_symbol,
     quarter_root_rule,
     random_kink_function,
-    random_rank_limited_hermitian,
+    random_rank_limited_hermitians,
     random_trig_polynomial,
     rank_estimate_check_pairs,
 )
 from moilab.linalg import (
+    InvalidSpectrumError,
     hermitian_from_matrix,
+    hermitian_from_spectrum,
     numerical_rank,
+    random_unitary,
     schatten_norm,
     singular_values,
     spectral_measure,
@@ -244,7 +246,7 @@ def test_rank_one_collapse_of_symbol_calculus():
 
 def test_rank_limited_draws_have_bounded_rank(rng):
     for _ in range(5):
-        op = random_rank_limited_hermitian(rng, 8, 3)
+        (op,) = random_rank_limited_hermitians(rng, 8, 3, 1)
         s = singular_values(op.matrix)
         assert int(np.count_nonzero(s > 1e-10)) <= 3
         assert float(np.max(np.abs(op.matrix - op.matrix.conj().T))) <= 1e-12
@@ -252,7 +254,7 @@ def test_rank_limited_draws_have_bounded_rank(rng):
 
 @pytest.mark.parametrize("rank", [0, 1, 5, 6])
 def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
-    op = random_rank_limited_hermitian(rng, 6, rank)
+    (op,) = random_rank_limited_hermitians(rng, 6, rank, 1)
     calls = []
     monkeypatch.setattr(linalg, "_decompose", lambda A: calls.append(A))
     E = spectral_measure(op)
@@ -408,8 +410,8 @@ def test_lipschitz_check_constant_function_gives_zero():
     # degenerate kink function: no slope, no kinks
     f = lambda x, y, z: 1.0 + 0.0 * (x + y + z)
     rng = np.random.default_rng(5)
-    ops1 = [random_rank_limited_hermitian(rng, 6, 3) for _ in range(3)]
-    ops2 = [random_rank_limited_hermitian(rng, 6, 3) for _ in range(3)]
+    ops1 = random_rank_limited_hermitians(rng, 6, 3, 3)
+    ops2 = random_rank_limited_hermitians(rng, 6, 3, 3)
     diff = apply_function_triple(f, *ops1) - apply_function_triple(f, *ops2)
     assert float(np.max(np.abs(diff))) <= 1e-12
 
@@ -418,17 +420,101 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
     # f = x - y on (X, X, 0) and (Y, Y, 0): the total difference is 0 and the
     # zero seminorm makes the bound 0, but the first step is X - Y
     rng = np.random.default_rng(3)
-    X, Y = (random_rank_limited_hermitian(rng, 4, 2) for _ in range(2))
+    X, Y = random_rank_limited_hermitians(rng, 4, 2, 2)
     zero = zero_operator(4)
-    draws = itertools.cycle((X, X, zero, Y, Y, zero))
-    monkeypatch.setattr(counterexample, "random_rank_limited_hermitian", lambda *a: next(draws))
+    counts = []
+
+    def planted(rng, dim, rank, count):
+        counts.append(count)
+        return (X, X, zero, Y, Y, zero)
+
+    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", planted)
     monkeypatch.setattr(
         counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
     )
     reports = lipschitz_rank_bound_check(2, [1.0, 2.0, math.inf], trials=3, seed=1)
+    assert counts == [6, 6, 6]  # every trial took the planted triples
     assert [len(report.trials) for report in reports] == [3, 3, 3]
     assert not any(t.ok for report in reports for t in report.trials)
     assert all(t.ratio == 0.0 for report in reports for t in report.trials)
+
+
+def _reference_draw(rng, dim, rank):
+    """One rank-limited operator drawn alone: its own QR, then its values."""
+    Q = random_unitary(rng, dim)
+    drawn = rng.uniform(-1.0, 1.0, size=rank)
+    keys = np.append(drawn, 0.0) if rank < dim else drawn
+    order = np.argsort(keys, kind="stable")
+    blocks = [[i] for i in range(rank)] + [list(range(rank, dim))]
+    frame = Q[:, [col for k in order for col in blocks[k]]]
+    try:
+        return hermitian_from_spectrum(keys[order], frame, [len(blocks[k]) for k in order])
+    except InvalidSpectrumError:
+        values = np.zeros(dim)
+        values[:rank] = drawn
+        return hermitian_from_matrix((Q * values) @ Q.conj().T)
+
+
+def _reference_trig_polynomial(rng):
+    """The trigonometric polynomial draw with w(radius / 2^n) computed per band."""
+    span = np.arange(-3, 4)
+    coeffs = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    m, l = span[:, None], span[None, :]
+
+    def f(x, y):
+        xa = np.asarray(x, dtype=float)[..., None, None]
+        ya = np.asarray(y, dtype=float)[..., None, None]
+        return np.sum(coeffs * np.exp(1j * (m * xa + l * ya)), axis=(-2, -1))
+
+    radii = np.hypot(m, l)
+    bound = 0.0
+    for n in range(5):  # radii reach 3 sqrt(2), so bands 0..4 can meet them
+        bound += (2.0**n) * float(np.sum(np.abs(coeffs) * window_w(radii / 2.0**n)))
+    return f, bound
+
+
+def test_rank_limited_draws_fall_back_to_eigh_per_operator(monkeypatch):
+    # a wide grouping tolerance makes some draws, not all, hold atoms eigh would merge
+    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.15)
+    ops = random_rank_limited_hermitians(np.random.default_rng(SEED), 6, 3, 8)
+    redraw = np.random.default_rng(SEED)
+    reference = [_reference_draw(redraw, 6, 3) for _ in range(8)]
+    carried = ["_measure" in op.__dict__ for op in ops]
+    assert any(carried) and not all(carried)
+    assert carried == ["_measure" in op.__dict__ for op in reference]
+    for op, ref in zip(ops, reference):
+        assert np.array_equal(op.matrix, ref.matrix)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_rank_checks_equal_a_per_operator_reference(N, monkeypatch):
+    stacked = [
+        lipschitz_rank_bound_check(N, [1.0, 2.0, math.inf], trials=4, seed=SEED),
+        rank_estimate_check_pairs(N, [2.0, math.inf], trials=4, seed=SEED),
+    ]
+    calls = {"draws": 0, "svds": 0, "polynomials": 0}
+
+    def one_at_a_time(rng, dim, rank, count):
+        calls["draws"] += count
+        return tuple(_reference_draw(rng, dim, rank) for _ in range(count))
+
+    def svd_each(stack):
+        calls["svds"] += len(stack)
+        return [singular_values(M) for M in stack]
+
+    def polynomial(rng):
+        calls["polynomials"] += 1
+        return _reference_trig_polynomial(rng)
+
+    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", one_at_a_time)
+    monkeypatch.setattr(counterexample, "singular_values", svd_each)
+    monkeypatch.setattr(counterexample, "random_trig_polynomial", polynomial)
+    reference = [
+        lipschitz_rank_bound_check(N, [1.0, 2.0, math.inf], trials=4, seed=SEED),
+        rank_estimate_check_pairs(N, [2.0, math.inf], trials=4, seed=SEED),
+    ]
+    assert calls == {"draws": 4 * (6 + 4), "svds": 4 * (7 + 3), "polynomials": 4}
+    assert reference == stacked
 
 
 def test_phi_grid_sup_keeps_nan():
@@ -448,8 +534,8 @@ def test_coordinate_function_bounds_hold_with_slack(rng):
     # f(x, y, z) = x: the difference is exactly A1 - A2, far below N^4 * sum
     N = 3
     f = lambda x, y, z: x + 0.0 * (y + z)
-    ops1 = [random_rank_limited_hermitian(rng, 2 * N, N) for _ in range(3)]
-    ops2 = [random_rank_limited_hermitian(rng, 2 * N, N) for _ in range(3)]
+    ops1 = random_rank_limited_hermitians(rng, 2 * N, N, 3)
+    ops2 = random_rank_limited_hermitians(rng, 2 * N, N, 3)
     diff = apply_function_triple(f, *ops1) - apply_function_triple(f, *ops2)
     delta_a = ops1[0].matrix - ops2[0].matrix
     assert float(np.max(np.abs(diff - delta_a))) <= 1e-10
@@ -462,7 +548,7 @@ def test_coordinate_function_bounds_hold_with_slack(rng):
 
 def test_pairs_difference_of_coordinate_function(rng):
     # f(x, y) = x reduces the functional-calculus difference to A1 - A2
-    A1, B1, A2, B2 = (random_rank_limited_hermitian(rng, 6, 3) for _ in range(4))
+    A1, B1, A2, B2 = random_rank_limited_hermitians(rng, 6, 3, 4)
     f = lambda x, y: x + 0.0 * y
     diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
     assert float(np.max(np.abs(diff - (A1.matrix - A2.matrix)))) <= 1e-10

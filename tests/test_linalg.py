@@ -28,6 +28,7 @@ from moilab.linalg import (
     singular_values,
     spectral_measure,
     spectral_measure_from_projections,
+    unitary_from_gaussian,
     zero_operator,
 )
 from moilab.moi import apply_function_pair, apply_function_triple, argument_perturbation
@@ -262,6 +263,35 @@ def test_singular_values_rank_one(rng):
 
 def test_singular_values_of_normal_matrix():
     assert np.allclose(singular_values(np.diag([3.0, -4.0])), [4.0, 3.0])
+
+
+def test_stacked_singular_values_match_each_matrix_bit_for_bit(rng):
+    stack = np.stack([complex_gaussian(rng, 5, 3) for _ in range(6)]).reshape(2, 3, 5, 3)
+    stack[1, 2] = 0.0
+    values = singular_values(stack)
+    assert values.shape == (2, 3, 3)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(values[index], singular_values(stack[index]))
+
+
+def test_stacked_singular_values_reject_a_nan_in_one_matrix(rng):
+    stack = np.stack([complex_gaussian(rng, 4, 4) for _ in range(3)])
+    stack[1, 2, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        singular_values(stack)
+
+
+def test_singular_values_reject_a_vector():
+    with pytest.raises(ValueError, match="rank 1"):
+        singular_values(np.ones(4))
+
+
+def test_stacked_unitaries_match_each_draw_bit_for_bit(rng):
+    gaussians = np.stack([complex_gaussian(rng, 6, 6) for _ in range(4)])
+    frames = unitary_from_gaussian(gaussians)
+    for G, Q in zip(gaussians, frames):
+        assert np.array_equal(Q, unitary_from_gaussian(G))
+    assert np.max(np.abs(frames[0].conj().T @ frames[0] - np.eye(6))) <= 1e-14
 
 
 def test_schatten_norm_identity():
