@@ -26,13 +26,11 @@ from .counterexample import (
     CounterexampleInstance,
     ExperimentRecord,
     InvalidEpsilonError,
-    NotUnitaryError,
     build_instance,
     dft_unitary,
     epsilon_scaling_run,
     eta,
     lipschitz_rank_bound_check,
-    orthonormal_realization,
     phi_symbol,
     rank_estimate_check_pairs,
 )
@@ -48,11 +46,9 @@ from .linalg import (
     SvdError,
     hermitian_from_matrix,
     hermitian_from_spectrum,
-    rank_one,
     schatten_norm,
     singular_values,
     spectral_measure,
-    spectral_measure_from_projections,
     zero_operator,
 )
 from .moi import (
@@ -82,7 +78,6 @@ __all__ = [
     "NonpositiveArgumentError",
     "NotHermitianError",
     "NotSquareError",
-    "NotUnitaryError",
     "SpectralAtom",
     "SpectralMeasure",
     "SvdError",
@@ -99,18 +94,15 @@ __all__ = [
     "hermitian_from_matrix",
     "hermitian_from_spectrum",
     "lipschitz_rank_bound_check",
-    "orthonormal_realization",
     "partition_check",
     "perturbation_via_divided_difference",
     "phi_symbol",
     "psi_reference",
     "psi_reference_grid",
     "rank_estimate_check_pairs",
-    "rank_one",
     "schatten_norm",
     "singular_values",
     "spectral_measure",
-    "spectral_measure_from_projections",
     "tensor_bound_kappa",
     "triple_operator_integral",
     "window_w",

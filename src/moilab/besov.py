@@ -4,10 +4,10 @@ Provides the dyadic window ``w`` (smooth, supported on (1/2, 2), with
 w(s) + w(s/2) == 1 on [1, 2]), frequency-band components of grid-sampled
 functions, the smooth compactly supported reference cutoff psi that
 equals the identity on [-1, 1], its band majorant (sup of the
-low-frequency remainder plus the l^1 sum of 2^n times band sup-norms, an
-upper-bound surrogate for the first-order Besov norm), and the tensor
-majorant used to certify that product functions phi(x, y) * psi(z) have a
-bounded smoothness surrogate whenever phi is a bounded bandlimited symbol.
+low-frequency remainder plus the l^1 sum of 2^n times band sup-norms, each
+sup a maximum over the grid, so a grid estimate of a first-order Besov-type
+norm, not a certified bound), and the tensor product that reports the
+smoothness surrogate of product functions phi(x, y) * psi(z).
 
 The Fourier convention is (F f)(t) = integral of f(x) exp(-i x t) dx; the
 discrete transform is scaled by the grid spacing so that band multipliers
@@ -243,9 +243,9 @@ def psi_band_majorant(psi: GridFunction) -> float:
     """sup|psi_flat| + sum over n >= 0 of 2^n sup|psi_n|.
 
     psi_n are the dyadic band components up to the largest resolvable band
-    and psi_flat is the low-frequency remainder psi - sum(psi_n).  This is
-    the explicit quantity whose product with sup|phi| bounds the smoothness
-    surrogate of phi(x, y) * psi(z).  The value is computed once per grid
+    and psi_flat is the low-frequency remainder psi - sum(psi_n).  Each sup
+    is a maximum over the grid points, a lower estimate of the true sup, so
+    refining the grid can raise the value.  It is computed once per grid
     and cached on ``psi``, like its spectrum, so repeated calls with the
     same grid do no band work.
 
@@ -258,14 +258,14 @@ def psi_band_majorant(psi: GridFunction) -> float:
 
 
 def tensor_bound_kappa(phi_sup: float, psi: GridFunction) -> float:
-    """Majorant for the smoothness surrogate of (x,y,z) -> phi(x,y) psi(z).
+    """The smoothness surrogate of (x,y,z) -> phi(x,y) psi(z).
 
     Returns phi_sup * psi_band_majorant(psi), that is
     phi_sup * (sup|psi_flat| + sum 2^n sup|psi_n|); homogeneous of degree
-    one in ``phi_sup``.  The result is a true majorant only when
-    ``phi_sup`` really bounds |phi|, as the proved value 1 does for the
-    growth-family symbols; a sampled grid maximum is a lower estimate.
-    The psi factor is cached per grid.
+    one in ``phi_sup``.  Only a ``phi_sup`` can be proved, as the value 1
+    is for the growth-family symbols; the psi factor is a grid estimate, so
+    the product is not a certified upper bound.  The psi factor is cached
+    per grid.
     """
     if phi_sup < 0:
         raise ValueError("phi_sup must be nonnegative")

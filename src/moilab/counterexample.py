@@ -39,15 +39,12 @@ from .linalg import (
     rank_of_singular_values,
     schatten_norm,
     singular_values,
+    spectral_measure,
     unitary_from_gaussian,
     validate_schatten_index,
     zero_operator,
 )
 from .moi import apply_function_pair, apply_function_triple
-
-
-class NotUnitaryError(ValueError):
-    """Matrix expected to be unitary."""
 
 
 class InvalidEpsilonError(ValueError):
@@ -125,30 +122,6 @@ def dft_unitary(size: int) -> np.ndarray:
     return np.exp((2j * math.pi / size) * phase) / math.sqrt(size)
 
 
-def orthonormal_realization(unitary) -> tuple[np.ndarray, np.ndarray]:
-    """Vector systems whose Gram matrix reproduces a given unitary.
-
-    Returns (g, h) with rows g_j and h_k such that (h_k, g_j) = u_jk under
-    the inner product (x, y) = sum x conj(y); concretely h_k is the k-th
-    standard basis vector and g_j has coordinates conj(u_jk).  Both systems
-    are orthonormal because the rows of a unitary are.
-
-    Raises
-    ------
-    NotUnitaryError
-        If U* U deviates from the identity by more than 1e-10.
-    """
-    U = as_complex_matrix(unitary)
-    if U.shape[0] != U.shape[1]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {U.shape}")
-    deviation = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-    if deviation > 1e-10:
-        raise NotUnitaryError(f"|U*U - I|_max = {deviation:.3e} exceeds 1e-10")
-    g = U.conj()
-    h = np.eye(U.shape[0], dtype=np.complex128)
-    return g, h
-
-
 def phi_symbol(theta, size: int) -> Callable:
     """The bandlimited two-variable symbol
     sum over 1 <= j, k <= size of theta[j-1, k-1] eta(x - 2 pi j) eta(y - 2 pi k).
@@ -184,8 +157,6 @@ class CounterexampleInstance:
     N: int
     U: np.ndarray
     theta: np.ndarray
-    g_vectors: np.ndarray
-    h_vectors: np.ndarray
     A: HermitianOperator
     B: HermitianOperator
     C: HermitianOperator
@@ -193,20 +164,16 @@ class CounterexampleInstance:
     f: Callable
 
     def deviations(self) -> dict[str, float]:
-        """Max-entry deviations from the construction identities."""
-        N = self.N
-        eye = np.eye(N)
-        gram = np.einsum("ki,ji->jk", self.h_vectors, self.g_vectors.conj())
+        """Max-entry deviations from the construction identities.
+
+        'gram' compares U with the Gram matrix (h_k, g_j) of the eigenvectors
+        g_j of A and h_k of B, read off the frames the operators carry.
+        """
+        gram = spectral_measure(self.A).frame.conj().T @ spectral_measure(self.B).frame
         C = self.C.matrix
         return {
-            "unitary": float(np.max(np.abs(self.U.conj().T @ self.U - eye))),
+            "unitary": float(np.max(np.abs(self.U.conj().T @ self.U - np.eye(self.N)))),
             "gram": float(np.max(np.abs(gram - self.U))),
-            "g_orthonormal": float(
-                np.max(np.abs(self.g_vectors @ self.g_vectors.conj().T - eye))
-            ),
-            "h_orthonormal": float(
-                np.max(np.abs(self.h_vectors @ self.h_vectors.conj().T - eye))
-            ),
             "c_norm": abs(schatten_norm(C, math.inf) - 1.0),
             "c_idempotent": float(np.max(np.abs(C @ C - C))),
             "c_trace": abs(float(np.trace(C).real) - 1.0),
@@ -223,20 +190,21 @@ def build_instance(N: int) -> CounterexampleInstance:
     All three spectra are known in closed form, so each operator is built
     from its spectral measure and never decomposed:
 
-    * A: simple eigenvalues 2 pi j, j = 1..N, with frame g.T (column j is g_j);
-    * B: the same eigenvalues with the identity frame (the h_k);
+    * A: simple eigenvalues 2 pi j, j = 1..N, with frame U* (column j is g_j,
+      with coordinates conj(u_jk));
+    * B: the same eigenvalues with the identity frame (h_k is the k-th
+      standard basis vector), so the Gram matrix (h_k, g_j) is U;
     * C: atoms 0 and 1 with multiplicities N - 1 and 1 on the frame U,
       whose last column is s / sqrt(N) = ones / sqrt(N); for N = 1 the
       single atom 1.
     """
     U = dft_unitary(N)
-    g, h = orthonormal_realization(U)
     theta = math.sqrt(N) * U.conj()
 
     weights = 2.0 * math.pi * np.arange(1, N + 1)
     simple = np.ones(N, dtype=np.int64)
-    A = hermitian_from_spectrum(weights, g.T, simple)
-    B = hermitian_from_spectrum(weights, h, simple)
+    A = hermitian_from_spectrum(weights, U.conj().T, simple)
+    B = hermitian_from_spectrum(weights, np.eye(N, dtype=np.complex128), simple)
     C = (
         hermitian_from_spectrum([0.0, 1.0], U, [N - 1, 1])
         if N > 1
@@ -253,8 +221,6 @@ def build_instance(N: int) -> CounterexampleInstance:
         N=N,
         U=U,
         theta=theta,
-        g_vectors=g,
-        h_vectors=h,
         A=A,
         B=B,
         C=C,
@@ -337,8 +303,9 @@ def growth_records(
     there means an implementation bug, not an experimental outcome.
 
     The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
-    psi_grid), i.e. 1 x psi_band_majorant(psi_grid): a proved upper bound,
-    identical bit for bit for every N, and computed once per grid.
+    psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
+    a grid estimate and not a certified bound.  It is identical bit for bit
+    for every N, and computed once per grid.
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")

@@ -1,9 +1,12 @@
 """Dense complex linear algebra substrate.
 
 Hermitian validation, spectral measures with eigenvalue grouping, singular
-values, Schatten norms and rank-one builders.  Everything is built on
-numpy's LAPACK bindings; the contracts live in the grouping logic and in
-the tolerance conventions below.
+values and Schatten norms.  Everything is built on numpy's LAPACK bindings;
+the contracts live in the grouping logic and in the tolerance conventions
+below.  The rank-one builder, the numerical rank of a matrix and the
+measure built from explicit projections are gone from the API: use
+``np.outer(u, v.conj())``, ``rank_of_singular_values(singular_values(M))``
+and :func:`hermitian_from_spectrum`.
 
 Operators come from one of two constructors.  :func:`hermitian_from_matrix`
 validates a matrix, whose spectral measure ``eigh`` finds on first use.
@@ -14,8 +17,8 @@ forms the matrix, so that operator is never decomposed.
 Conventions
 -----------
 * Inner products are conjugate-linear in the SECOND slot:
-  (x, y) = sum_i x_i * conj(y_i).  Consequently ``rank_one(u, v)`` is the
-  map w -> (w, v) u with matrix u v*.
+  (x, y) = sum_i x_i * conj(y_i).  Consequently the map w -> (w, v) u has
+  the matrix u v*, ``np.outer(u, v.conj())``.
 * Schatten indices are plain floats with ``math.inf`` as the operator-norm
   value; the infinite case is branched before any exponentiation.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -340,35 +342,6 @@ def _decompose(A: HermitianOperator) -> SpectralMeasure:
     return SpectralMeasure(eigenvalues, vectors, multiplicities)
 
 
-def spectral_measure_from_projections(
-    pairs: Iterable[tuple[float, np.ndarray]]
-) -> SpectralMeasure:
-    """Build a measure from explicit (eigenvalue, projection) atoms.
-
-    Each projection is factored into an orthonormal eigenspace basis.
-    Intended for hand-built measures in tests and cross-checks.
-    """
-    values, bases = [], []
-    for value, projection in sorted(pairs, key=lambda item: item[0]):
-        P = as_complex_matrix(projection)
-        evals, evecs = np.linalg.eigh(P)
-        keep = evals > 0.5
-        if not np.any(keep):
-            raise ValueError(f"projection for eigenvalue {value} has rank zero")
-        values.append(float(value))
-        bases.append(evecs[:, keep])
-    measure = SpectralMeasure(
-        np.array(values), np.hstack(bases), np.array([b.shape[1] for b in bases])
-    )
-    tol = projection_tolerance(measure.dim)
-    worst = max(measure.deviations().values())
-    if worst > tol:
-        raise ValueError(
-            f"atoms do not form a spectral resolution (deviation {worst:.3e})"
-        )
-    return measure
-
-
 def singular_values(M) -> np.ndarray:
     """Singular values of ``M`` in descending order.
 
@@ -438,26 +411,9 @@ def norm_of_singular_values(s: np.ndarray, p: float) -> float:
     return top * float(((kept / top) ** p).sum()) ** (1.0 / p)
 
 
-def rank_one(u: Sequence[complex], v: Sequence[complex]) -> np.ndarray:
-    """The operator w -> (w, v) u, i.e. the matrix with entries u_i * conj(v_k)."""
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("rank_one expects two vectors")
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}"
-        )
-    return np.outer(u, v.conj())
-
-
-def numerical_rank(M, rel_tol: float = 1e-10) -> int:
-    """Number of singular values above rel_tol times the largest."""
-    return rank_of_singular_values(singular_values(M), rel_tol)
-
-
 def rank_of_singular_values(s: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """:func:`numerical_rank` of a matrix with descending singular values ``s``."""
+    """Number of the descending singular values ``s`` above ``rel_tol`` times
+    the largest: the numerical rank of their matrix."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

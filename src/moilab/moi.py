@@ -25,11 +25,10 @@ inverse-gap kernel 1/(l1 - l2) of the divided difference touches only those
 two measures, so it multiplies the eigenbasis form of X1 - X2 entrywise,
 once per call.  Each of the two terms of the weight misses one of the two
 measures, which can then be summed out of its chain; the four-measure sum
-becomes four three-measure chains of the same engine.  Only the atom pairs
+becomes four three-measure chains of the same engine, stacked as four
+blocks of one product per atom of the last measure.  Only the atom pairs
 that are nearest neighbours from either side, where the difference
-cancels, keep the difference as their weight.  At d = 128 one call takes
-0.3 to 0.4 s and peaks under 9 MiB (``tracemalloc``), against 4.7 s and 68
-to 100 MiB for the full four-measure contraction.
+cancels, keep the difference as their weight.
 
 A symbol that returns NaN or infinity at some atom raises
 :class:`NonFiniteSymbolError` instead of spreading through the sum.
@@ -109,9 +108,11 @@ _CHUNK_ENTRIES = 2**18
 
 # The one-slot perturbation sizes its chunks so that all of its arrays that
 # grow with the chunk fit in _CHUNK_ENTRIES together: at most this many
-# dim x dim arrays per last atom (the two symbol tables, the three stacked
-# weighted operators and the temporaries that build them).
-_PERTURBATION_ARRAYS = 8
+# dim x dim arrays per last atom.  The two symbol tables, the two gathered
+# differences and the four blocks of the stacked product make 8; 2 more
+# leave room for the symbol's own temporaries and for the copies that
+# ``_expand`` makes when atoms repeat.
+_PERTURBATION_ARRAYS = 10
 
 
 def _check_chain_dims(
@@ -384,8 +385,17 @@ def argument_perturbation(
     reversed, so that the chunked measure is never a perturbed one: per
     chunk of its atoms h and l are evaluated once, l o pi and h o sigma are
     gathered from them, and every array that grows with the chunk stays
-    within ``_CHUNK_ENTRIES`` entries together.  A symbol that is not finite
-    at some atom raises :class:`NonFiniteSymbolError` naming a four-measure
+    within ``_CHUNK_ENTRIES`` entries together.
+
+    The four chains share the chunked measure and run as one: per chunk
+    their weights h, h - l o pi, l and h o sigma - l stack as four blocks
+    along the pair axis and multiply one stacked operator M, and one product
+    per last atom against R finishes all four.  With T0, T1, T2 the chain's
+    transformed operators: when the pair leads, M = [KT_F T1; KT_pi T1; T1;
+    T1] stacks by rows, R = T2, and the C2 blocks take -KT_F and KT_sigma
+    from the left afterwards; otherwise M = [T0, T0, -T0 KT_F, T0 KT_sigma]
+    and R = [KT_F T2; KT_pi T2; T2; T2].  A symbol that is not finite at
+    some atom raises :class:`NonFiniteSymbolError` naming a four-measure
     atom tuple.
     """
     if index not in (0, 1, 2):
@@ -448,52 +458,30 @@ def argument_perturbation(
     d = first.dim
     chunks = _chunks(len(last.eigenvalues), _PERTURBATION_ARRAYS * d * d)
 
+    # the four chains as blocks along the pair axis; C2(l; F) is subtracted
+    axis = 1 + q
     if q == 0:
-        # C1 chains over (first, other, last) with KT_X T1 in front; C2 chains
-        # over (second, other, last) with T1, prepended by KT_X afterwards;
-        # all end in T2, so their products stack by rows
-        A_far, A_pi = KT_far @ T1, KT_pi @ T1
-
-        def products_of(sl: slice) -> np.ndarray:
-            u, v = tables(sl)  # (chunk, first, other), (chunk, second, other)
-            G = np.empty((u.shape[0], 3 * d, other.dim), dtype=np.complex128)
-            np.multiply(_expand(u, first, other), A_far, out=G[:, :d])
-            t = v[:, pi]
-            np.subtract(u, t, out=t)
-            t = _expand(t, first, other)
-            t *= A_pi
-            G[:, :d] += t
-            np.multiply(_expand(v, second, other), T1, out=G[:, d : 2 * d])
-            t = u[:, sigma]
-            t -= v
-            np.multiply(_expand(t, second, other), T1, out=G[:, 2 * d :])
-            return G
-
-        out = _contract_last(products_of, T2, last, chunks, 3 * d)
-        acc = out[:d] - KT_far @ out[d : 2 * d] + KT_sigma @ out[2 * d :]
+        M = np.vstack([KT_far @ T1, KT_pi @ T1, T1, T1])
+        R = T2
     else:
-        # C1 chains over (other, first, last) end in KT_X T2, C2 chains over
-        # (other, second, last) start with T0 KT_X; all start at the same
-        # measure, so their products stack by columns against stacked ends
-        B = np.vstack([KT_far @ T2, KT_pi @ T2, T2])
-        C_far, C_sigma = -(T0 @ KT_far), T0 @ KT_sigma  # C2(l; F) is subtracted
+        M = np.hstack([T0, T0, -(T0 @ KT_far), T0 @ KT_sigma])
+        R = np.vstack([KT_far @ T2, KT_pi @ T2, T2, T2])
 
-        def products_of(sl: slice) -> np.ndarray:
-            u, v = tables(sl)  # (chunk, other, first), (chunk, other, second)
-            G = np.empty((u.shape[0], other.dim, 3 * d), dtype=np.complex128)
-            np.multiply(_expand(u, other, first), T0, out=G[..., :d])
-            t = v[..., pi]
-            np.subtract(u, t, out=t)
-            np.multiply(_expand(t, other, first), T0, out=G[..., d : 2 * d])
-            np.multiply(_expand(v, other, second), C_far, out=G[..., 2 * d :])
-            t = u[..., sigma]
-            t -= v
-            t = _expand(t, other, second)
-            t *= C_sigma
-            G[..., 2 * d :] += t
-            return G
+    def products_of(sl: slice) -> np.ndarray:
+        u, v = tables(sl)  # the pair measure on axis 1 + q, other on the remaining one
+        weights = (u, u - np.take(v, pi, axis=axis), v, np.take(u, sigma, axis=axis) - v)
+        blocks = [
+            _expand(w, *((E, other) if q == 0 else (other, E)))
+            for w, E in zip(weights, (first, first, second, second))
+        ]
+        G = np.concatenate(blocks, axis=axis)
+        G *= M
+        return G
 
-        acc = _contract_last(products_of, B, last, chunks, other.dim)
+    acc = _contract_last(products_of, R, last, chunks, M.shape[0])
+    if q == 0:
+        o0, o1, o2, o3 = np.split(acc, 4)
+        acc = o0 + o1 - KT_far @ o2 + KT_sigma @ o3
     if index == 2:
         acc = -acc.T
     return measures[0].frame @ acc @ measures[-1].frame.conj().T

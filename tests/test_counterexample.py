@@ -12,7 +12,6 @@ from moilab.counterexample import (
     PHI_SUP,
     ExperimentRecord,
     InvalidEpsilonError,
-    NotUnitaryError,
     RankCheckReport,
     RankTrial,
     build_instance,
@@ -21,7 +20,6 @@ from moilab.counterexample import (
     eta,
     growth_records,
     lipschitz_rank_bound_check,
-    orthonormal_realization,
     phi_grid_sup,
     phi_symbol,
     quarter_root_rule,
@@ -34,8 +32,8 @@ from moilab.linalg import (
     InvalidSpectrumError,
     hermitian_from_matrix,
     hermitian_from_spectrum,
-    numerical_rank,
     random_unitary,
+    rank_of_singular_values,
     schatten_norm,
     singular_values,
     spectral_measure,
@@ -77,24 +75,12 @@ def test_dft_unitary_rejects_nonpositive():
         dft_unitary(0)
 
 
-def test_orthonormal_realization_identity():
-    g, h = orthonormal_realization(np.eye(3))
-    assert np.allclose(g, np.eye(3))
-    assert np.allclose(h, np.eye(3))
-
-
-def test_orthonormal_realization_gram_matrix():
-    U = dft_unitary(8)
-    g, h = orthonormal_realization(U)
-    gram = np.einsum("ki,ji->jk", h, g.conj())
-    assert float(np.max(np.abs(gram - U))) <= 1e-12
-    assert float(np.max(np.abs(g @ g.conj().T - np.eye(8)))) <= 1e-12
-    assert float(np.max(np.abs(h @ h.conj().T - np.eye(8)))) <= 1e-12
-
-
-def test_orthonormal_realization_rejects_non_unitary():
-    with pytest.raises(NotUnitaryError):
-        orthonormal_realization(np.ones((3, 3)))
+def test_gram_deviation_reads_the_operators_frames():
+    # the Gram matrix (h_k, g_j) of the eigenvectors of A and B is U
+    assert build_instance(8).deviations()["gram"] <= 1e-12
+    # so an instance whose B is A, with the identity Gram matrix, fails it
+    inst = build_instance(4)
+    assert dataclasses.replace(inst, B=inst.A).deviations()["gram"] > 0.5
 
 
 def test_phi_symbol_lattice_values():
@@ -264,7 +250,7 @@ def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
     assert int(np.count_nonzero(E.eigenvalues)) == rank
     assert len(E.eigenvalues) == rank + (rank < 6)
     assert E.deviations(op)["reconstruction"] <= 1e-14
-    assert numerical_rank(op.matrix) == rank
+    assert rank_of_singular_values(singular_values(op.matrix)) == rank
 
 
 def test_growth_records_decompose_nothing(monkeypatch):

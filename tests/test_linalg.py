@@ -7,7 +7,6 @@ from conftest import SEED
 from moilab.counterexample import build_instance
 from moilab import linalg
 from moilab.linalg import (
-    DimensionMismatchError,
     HermitianOperator,
     InvalidSpectrumError,
     NotHermitianError,
@@ -18,16 +17,13 @@ from moilab.linalg import (
     hermitian_from_spectrum,
     hermitian_singular_values,
     norm_of_singular_values,
-    numerical_rank,
     random_hermitian,
     random_measure,
     random_unitary,
     rank_of_singular_values,
-    rank_one,
     schatten_norm,
     singular_values,
     spectral_measure,
-    spectral_measure_from_projections,
     unitary_from_gaussian,
     zero_operator,
 )
@@ -115,17 +111,14 @@ def test_spectral_measure_is_cached(rng, monkeypatch):
     assert spectral_measure(A) is first
 
 
-def test_spectral_measure_from_projections_roundtrip(rng):
-    A = random_hermitian(rng, 5)
-    E = spectral_measure(A)
-    rebuilt = spectral_measure_from_projections(
-        [(a.eigenvalue, a.projection) for a in E.atoms]
-    )
-    assert np.allclose(rebuilt.reconstruct(), A.matrix, atol=1e-10)
+def test_atom_view_is_the_frame_cut_into_blocks(rng):
+    E = spectral_measure(random_hermitian(rng, 5))
     drawn = random_measure(rng, 6, 3)
-    redrawn = spectral_measure_from_projections(zip(drawn.eigenvalues, drawn.projections()))
+    built = spectral_measure(
+        hermitian_from_spectrum(drawn.eigenvalues, drawn.frame, drawn.multiplicities)
+    )
     # every builder's per-atom view is its frame cut into column blocks
-    for measure in (E, rebuilt, drawn, redrawn):
+    for measure in (E, drawn, built):
         assert np.array_equal(np.hstack([a.basis for a in measure.atoms]), measure.frame)
         assert [a.eigenvalue for a in measure.atoms] == measure.eigenvalues.tolist()
         assert [a.multiplicity for a in measure.atoms] == measure.multiplicities.tolist()
@@ -256,7 +249,7 @@ def test_singular_values_rank_one(rng):
     v = complex_gaussian(rng, 4, 1).ravel()
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    s = singular_values(rank_one(u, v))
+    s = singular_values(np.outer(u, v.conj()))
     assert abs(s[0] - 1.0) < 1e-12
     assert np.all(s[1:] < 1e-12)
 
@@ -317,30 +310,12 @@ def test_schatten_norm_of_collapsed_product_dim4():
         assert schatten_norm(product, p) == pytest.approx(2.0, rel=1e-10)
 
 
-def test_rank_one_coordinate_projection():
-    e1 = np.array([1.0, 0.0])
-    assert np.array_equal(rank_one(e1, e1), [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_rank_one_unit_vector_is_projection(rng):
-    g = complex_gaussian(rng, 5, 1).ravel()
-    g /= np.linalg.norm(g)
-    P = rank_one(g, g)
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.allclose(P, P.conj().T, atol=1e-12)
-
-
 def test_rank_one_norm_factorizes(rng):
     u = complex_gaussian(rng, 6, 1).ravel()
     v = complex_gaussian(rng, 6, 1).ravel()
     expected = np.linalg.norm(u) * np.linalg.norm(v)
     for p in (1.0, 1.7, 2.0, math.inf):
-        assert schatten_norm(rank_one(u, v), p) == pytest.approx(expected, rel=1e-12)
-
-
-def test_rank_one_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        rank_one(np.ones(2), np.ones(3))
+        assert schatten_norm(np.outer(u, v.conj()), p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_resolution_property():
@@ -384,8 +359,8 @@ def test_finite_rank_chain_property():
 
 def test_numerical_rank(rng):
     M = complex_gaussian(rng, 8, 3) @ complex_gaussian(rng, 3, 8)
-    assert numerical_rank(M) == 3
-    assert numerical_rank(np.zeros((4, 4))) == 0
+    assert rank_of_singular_values(singular_values(M)) == 3
+    assert rank_of_singular_values(singular_values(np.zeros((4, 4)))) == 0
 
 
 def test_singular_value_helpers_match_matrix_functions(rng):
@@ -401,7 +376,7 @@ def test_singular_value_helpers_match_matrix_functions(rng):
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             assert norm_of_singular_values(s, p) == schatten_norm(M, p)
         for rel_tol in (1e-10, 0.5):
-            assert rank_of_singular_values(s, rel_tol) == numerical_rank(M, rel_tol)
+            assert rank_of_singular_values(s, rel_tol) == np.linalg.matrix_rank(M, tol=rel_tol * s[0])
 
 
 def test_operator_scaling():

@@ -16,7 +16,6 @@ from moilab.linalg import (
     random_hermitian,
     random_measure,
     random_unitary,
-    rank_one,
     spectral_measure,
     zero_operator,
 )
@@ -109,7 +108,8 @@ def test_apply_function_pair_collapses_to_rank_one():
     # phi paired with the lattice operators collapses onto the summed frames
     inst = build_instance(4)
     out = apply_function_pair(inst.phi, inst.A, inst.B)
-    expected = rank_one(inst.g_vectors.sum(axis=0), inst.h_vectors.sum(axis=0)) / 2.0
+    g_sum, h_sum = (spectral_measure(op).frame.sum(axis=1) for op in (inst.A, inst.B))
+    expected = np.outer(g_sum, h_sum.conj()) / 2.0
     assert np.max(np.abs(out - expected)) <= 1e-10
 
 
@@ -534,13 +534,13 @@ def _perturbation_peak(dim, index):
 
 @pytest.mark.parametrize("index", range(3))
 def test_argument_perturbation_memory_is_bounded(index):
-    # at d = 64 one chunk holds 8 arrays of 64^2 entries per last atom, 4 MiB
-    # in all; every slot peaks at 5.9 MiB
+    # at d = 64 one chunk holds 10 arrays of 64^2 entries per last atom, 4 MiB
+    # in all; every slot peaks at 5.6 MiB
     assert _perturbation_peak(64, index) <= 11 * 2**20
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_argument_perturbation_memory_is_bounded_at_128(index):
     # a weight over all four measures at d = 128 would take 4 GiB; the chunked
-    # three-measure chains peak at 8.6 MiB in every slot
+    # three-measure chains peak at 7.4 MiB in every slot
     assert _perturbation_peak(128, index) <= 16 * 2**20
