@@ -152,9 +152,14 @@ def _parse_bool(text: str, field: str) -> bool:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse a simple key=value file; '#' starts a comment."""
+    """Parse a simple key=value file; '#' starts a comment.  A file that
+    cannot be read as UTF-8 text is a :class:`ConfigError` of field 'config'."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,10 +3,7 @@
 Hermitian validation, spectral measures with eigenvalue grouping, singular
 values and Schatten norms.  Everything is built on numpy's LAPACK bindings;
 the contracts live in the grouping logic and in the tolerance conventions
-below.  The rank-one builder, the numerical rank of a matrix and the
-measure built from explicit projections are gone from the API: use
-``np.outer(u, v.conj())``, ``rank_of_singular_values(singular_values(M))``
-and :func:`hermitian_from_spectrum`.
+below.
 
 Operators come from one of two constructors.  :func:`hermitian_from_matrix`
 validates a matrix, whose spectral measure ``eigh`` finds on first use.

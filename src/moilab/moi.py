@@ -10,25 +10,21 @@ the atom grids are evaluated in one vectorized call, so ``lambda x, y:
 np.sin(x) * y`` is fine while ``math.sin`` is not.
 
 All sums are evaluated in the concatenated eigenbases of the measures by
-one engine for two and three measures.  The symbol is evaluated per chunk
-of the last measure's atoms, the chunk's weights multiply the first
-transformed operator, and one dense matrix product per atom of the last
-measure finishes the sum; no weight tensor over all atoms is built, so a
-generic triple at dimension d holds O(d^2 * chunk) weights.  The
-contraction order depends only on the dimensions and atom counts, which
-keeps outputs bit-stable between runs.  A literal atom-by-atom loop lives in
-:mod:`moilab.reference` for cross-checking.
+one engine for two and three measures.  Every symbol table is built the
+same way (:func:`_symbol_table`): one call of the symbol per chunk of one
+measure's atoms, that chunk on axis 0 and the other measures' atoms behind
+it, and :func:`_expand` repeats atoms to frame columns.  The table
+multiplies a transformed operator entrywise; in a chain of three measures
+the last one is chunked, and one dense matrix product per atom of the
+chunk finishes the sum.  No weight tensor over all atoms is built, so a
+generic triple at dimension d holds O(d^2 * chunk) weights.  The contraction order depends only on the
+dimensions and atom counts, which keeps outputs bit-stable between runs.
+A literal atom-by-atom loop lives in :mod:`moilab.reference` for
+cross-checking.
 
-The one-slot perturbation of a triple is a sum over four measures, with
-weights f(.., l1, ..) - f(.., l2, ..) on the two perturbed ones.  The
-inverse-gap kernel 1/(l1 - l2) of the divided difference touches only those
-two measures, so it multiplies the eigenbasis form of X1 - X2 entrywise,
-once per call.  Each of the two terms of the weight misses one of the two
-measures, which can then be summed out of its chain; the four-measure sum
-becomes four three-measure chains of the same engine, stacked as four
-blocks of one product per atom of the last measure.  Only the atom pairs
-that are nearest neighbours from either side, where the difference
-cancels, keep the difference as their weight.
+The one-slot perturbation of a triple is a sum over four measures; it runs
+as four three-measure chains of the same engine, stacked into one product
+per atom of the chunked measure (see :func:`argument_perturbation`).
 
 A symbol that returns NaN or infinity at some atom raises
 :class:`NonFiniteSymbolError` instead of spreading through the sum.
@@ -171,59 +167,74 @@ def _contract_last(
 
 
 def _expand(w: np.ndarray, *measures: SpectralMeasure) -> np.ndarray:
-    """Weights with a leading chunk axis and one atom axis per measure,
-    repeated to the measures' frame columns (no copy when every atom is simple)."""
+    """Weights whose trailing axes, one atom axis per measure, are repeated
+    to the measures' frame columns (no copy when every atom is simple)."""
     if all(E.dim == len(E.eigenvalues) for E in measures):
         return w
-    return w[(slice(None), *np.ix_(*(E.column_atom_index for E in measures)))]
+    return w[(..., *np.ix_(*(E.column_atom_index for E in measures)))]
+
+
+def _symbol_table(
+    f: Callable, measures: Sequence[SpectralMeasure], axes: Sequence[int], sl: slice
+) -> np.ndarray:
+    """f over the atoms of ``measures`` (its arguments), measure k along axis
+    ``axes[k]``; the chunked measure, on axis 0, takes only its atoms ``sl``.
+    ``table.transpose(axes)`` puts the axes back in argument order."""
+    m = len(measures)
+    shape = [0] * m
+    grids = []
+    for E, axis in zip(measures, axes):
+        atoms = E.eigenvalues[sl] if axis == 0 else E.eigenvalues
+        shape[axis] = len(atoms)
+        grid = [1] * m
+        grid[axis] = -1
+        grids.append(atoms.reshape(grid))
+    return np.broadcast_to(np.asarray(f(*grids), dtype=np.complex128), shape)
 
 
 def _chain_integral(
-    weights_of: Callable[[slice], np.ndarray],
+    f: Callable,
     measures: Sequence[SpectralMeasure],
     operators: Sequence[np.ndarray | None],
 ) -> np.ndarray:
-    """Sum of w[i1..im] * P1_{i1} T1 P2_{i2} ... T_{m-1} Pm_{im}, for m = 2 or 3.
+    """Sum of f(a1..am) * P1_{a1} T1 P2_{a2} ... T_{m-1} Pm_{am}, for m = 2 or 3.
 
-    An operator given as ``None`` is the identity.  ``weights_of(sl)``
-    returns the symbol weights w over every atom of the first m - 1 measures
-    and the atoms ``sl`` of the last one (anything broadcastable to that
-    shape).  A non-finite weight raises :class:`NonFiniteSymbolError`.
+    An operator given as ``None`` is the identity.  A symbol that is not
+    finite at some atom raises :class:`NonFiniteSymbolError`.
 
     Works in the concatenated eigenbases: every interleaved operator is
-    transformed once.  For m = 2 the weights act entrywise, as one Schur
-    product.  For m = 3 the last measure's atoms are taken in chunks whose
-    weights, expanded to the column space of the first two measures, hold at
-    most ``_CHUNK_ENTRIES`` entries (at least one atom per chunk).  Per chunk
-    the symbol is called once, one einsum multiplies the weights into the
-    first operator, G[j] = w[:, :, j] * T1 for every last atom j of the chunk,
-    and :func:`_contract_last` finishes the sum against T2.
+    transformed once, and :func:`_expand` repeats the symbol table's atoms
+    to frame columns.  For m = 2 the table is in chain order, all atoms of
+    the first measure forming the one chunk on axis 0, and it acts
+    entrywise, as one Schur product.  For m = 3 the last measure's atoms,
+    on axis 0, are taken in chunks whose weights, expanded to the column
+    space of the first two measures, hold at most ``_CHUNK_ENTRIES``
+    entries (at least one atom per chunk).  Per chunk the symbol is called
+    once, ``np.einsum("zab,ab->zab", w, T1)`` forms G[j] = w[j] * T1 for
+    every last atom j of the chunk (C-contiguous when the first two
+    measures have simple atoms; the ufunc ``*`` would round the complex
+    products differently in the last bits), and :func:`_contract_last`
+    finishes the sum against T2.
     """
     _check_chain_dims(measures, operators)
-    counts = tuple(len(E.eigenvalues) for E in measures)
     transformed = _transforms(measures, operators)
+    axes = (0, 1) if len(measures) == 2 else (1, 2, 0)
 
-    def chunk_weights(sl: slice) -> np.ndarray:
-        w = np.asarray(weights_of(sl), dtype=np.complex128)
-        w = np.broadcast_to(w, (*counts[:-1], sl.stop - sl.start))
-        _require_finite(w, measures, sl.start)
+    def weights(sl: slice) -> np.ndarray:
+        w = _symbol_table(f, measures, axes, sl)
+        _require_finite(w.transpose(axes), measures, sl.start)
         return w
 
     if len(measures) == 2:
         first, last = measures
-        w = chunk_weights(slice(0, counts[-1]))
-        acc = w[np.ix_(first.column_atom_index, last.column_atom_index)] * transformed[0]
+        acc = _expand(weights(slice(0, len(first.eigenvalues))), first, last) * transformed[0]
     else:
         first, middle, last = measures
-        repeated = first.dim > counts[0] or middle.dim > counts[1]
 
         def products_of(sl: slice) -> np.ndarray:
-            w = chunk_weights(sl)
-            if repeated:
-                w = w[np.ix_(first.column_atom_index, middle.column_atom_index, np.arange(w.shape[-1]))]
-            return np.einsum("abz,ab->zab", w, transformed[0])
+            return np.einsum("zab,ab->zab", _expand(weights(sl), first, middle), transformed[0])
 
-        chunks = _chunks(counts[-1], first.dim * middle.dim)
+        chunks = _chunks(len(last.eigenvalues), first.dim * middle.dim)
         acc = _contract_last(products_of, transformed[1], last, chunks, first.dim)
     return measures[0].frame @ acc @ measures[-1].frame.conj().T
 
@@ -234,25 +245,9 @@ def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
     Raises :class:`NonFiniteSymbolError` if f is NaN or infinite at an atom.
     """
     V = E.frame
-    values = np.asarray(f(E.eigenvalues), dtype=np.complex128)
-    values = np.broadcast_to(values, E.eigenvalues.shape)
+    values = _symbol_table(f, (E,), (0,), slice(0, len(E.eigenvalues)))
     _require_finite(values, (E,))
     return (V * values[E.column_atom_index]) @ V.conj().T
-
-
-def _atom_grids(measures: Sequence[SpectralMeasure]) -> list[np.ndarray]:
-    """Each measure's eigenvalues along its own axis of the weight tensor."""
-    m = len(measures)
-    return [
-        E.eigenvalues.reshape([-1 if axis == k else 1 for axis in range(m)])
-        for k, E in enumerate(measures)
-    ]
-
-
-def _symbol_weights(phi: Callable, measures: Sequence[SpectralMeasure]) -> Callable:
-    """The ``weights_of`` of :func:`_chain_integral` for phi on the atom grid."""
-    *head, last = _atom_grids(measures)
-    return lambda sl: phi(*head, last[..., sl])
 
 
 def double_operator_integral(
@@ -262,8 +257,7 @@ def double_operator_integral(
     E2: SpectralMeasure,
 ) -> np.ndarray:
     """Sum over atom pairs of phi(a_j, b_k) * P_j T Q_k."""
-    measures = (E1, E2)
-    return _chain_integral(_symbol_weights(phi, measures), measures, (as_complex_matrix(T),))
+    return _chain_integral(phi, (E1, E2), (as_complex_matrix(T),))
 
 
 def triple_operator_integral(
@@ -275,9 +269,8 @@ def triple_operator_integral(
     E3: SpectralMeasure,
 ) -> np.ndarray:
     """Sum over atom triples of phi(a_j, b_k, c_l) * P_j T1 Q_k T2 R_l."""
-    measures = (E1, E2, E3)
     operators = (as_complex_matrix(T1), as_complex_matrix(T2))
-    return _chain_integral(_symbol_weights(phi, measures), measures, operators)
+    return _chain_integral(phi, (E1, E2, E3), operators)
 
 
 def _same_dim(*ops: HermitianOperator) -> None:
@@ -290,7 +283,7 @@ def _apply_function(f: Callable, *ops: HermitianOperator) -> np.ndarray:
     """f(ops) as a chain over the operators' measures with identities between them."""
     _same_dim(*ops)
     measures = [spectral_measure(op) for op in ops]
-    return _chain_integral(_symbol_weights(f, measures), measures, [None] * (len(ops) - 1))
+    return _chain_integral(f, measures, [None] * (len(ops) - 1))
 
 
 def apply_function_pair(f: Callable, A: HermitianOperator, B: HermitianOperator) -> np.ndarray:
@@ -416,26 +409,16 @@ def argument_perturbation(
     # measure, Z, or Y in the last slot
     slot_axes = (0, 2, 1) if index == 2 else (1, 2, 0)
 
-    def table(E: SpectralMeasure, missing: int, sl: slice) -> np.ndarray:
-        """f with E in the perturbed slot, over the chunk ``sl`` on axis 0;
-        ``missing`` is the chain position of the pair measure it skips."""
+    def table(E: SpectralMeasure, sl: slice) -> np.ndarray:
+        """f with E in the perturbed slot, over the chunk ``sl`` on axis 0."""
         operands = [EY, EZ]
         operands.insert(index, E)
-        grids = []
-        for F, axis in zip(operands, slot_axes):
-            shape = [1, 1, 1]
-            shape[axis] = -1
-            grids.append((F.eigenvalues if axis else F.eigenvalues[sl]).reshape(shape))
-        values = np.asarray(f(*grids), dtype=np.complex128)
-        values = np.broadcast_to(values, np.broadcast_shapes(*(g.shape for g in grids)))
+        values = _symbol_table(f, operands, slot_axes, sl)
+        # the chain position of the pair measure that E's table skips
+        missing = index + 1 if E is E1 else index
         chain_order = np.expand_dims(values.transpose(slot_axes), missing)
         _require_finite(chain_order, measures, sl.start, axis=0 if index == 2 else -1)
         return values
-
-    def tables(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        """u and v, f with the first and the second pair measure in the slot."""
-        h, l = table(E1, index + 1, sl), table(E2, index, sl)
-        return (l, h) if index == 2 else (h, l)
 
     # The last slot runs transposed: the chain Y, Z, X1, X2 read backwards is
     # X2, X1, Z, Y, and its weights are l - h = -(h - l).  In either
@@ -468,7 +451,7 @@ def argument_perturbation(
         R = np.vstack([KT_far @ T2, KT_pi @ T2, T2, T2])
 
     def products_of(sl: slice) -> np.ndarray:
-        u, v = tables(sl)  # the pair measure on axis 1 + q, other on the remaining one
+        u, v = table(first, sl), table(second, sl)  # the pair measure on axis 1 + q
         weights = (u, u - np.take(v, pi, axis=axis), v, np.take(u, sigma, axis=axis) - v)
         blocks = [
             _expand(w, *((E, other) if q == 0 else (other, E)))

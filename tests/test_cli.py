@@ -292,6 +292,18 @@ def test_config_file_parse_errors(tmp_path):
         load_config_file(str(cfg))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_two_and_names_config(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+    code = run_cli(["growth", "--config", str(cfg), "--N", "1", "--p", "1"])
+    assert code == 2
+    assert "field 'config'" in capsys.readouterr().err
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MOILAB_OUTPUT_DIR", str(tmp_path))
     code = run_cli(["growth", "--N", "1", "--p", "1", "--out", "nested/run.csv"])

@@ -332,6 +332,32 @@ def test_chunked_argument_perturbation_matches_triple_difference(
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_generic_triple_products_are_c_contiguous(rng, chunks):
+    # simple atoms in the first two measures: every chunk's stacked product
+    # G, one dim x dim matrix per last atom, is one C-contiguous array
+    dim = 6
+    A, B, C = (random_hermitian(rng, dim) for _ in range(3))
+    assert all(len(spectral_measure(op).eigenvalues) == dim for op in (A, B))
+    contract = moi._contract_last
+    flags = []
+
+    def checked(products_of, *args):
+        def recorded(sl):
+            G = products_of(sl)
+            flags.append(G.flags.c_contiguous)
+            return G
+
+        return contract(recorded, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_contract_last", checked)
+        mp.setattr(moi, "_CHUNK_ENTRIES", -(-dim // chunks) * dim * dim)
+        out = apply_function_triple(lambda x, y, z: x * y * z, A, B, C)
+    assert flags == [True] * chunks
+    assert np.max(np.abs(out - A.matrix @ B.matrix @ C.matrix)) <= 1e-10
+
+
 def test_generic_triple_memory_is_bounded(rng):
     # a full weight tensor at d = 256 alone would take 256 MiB
     A, B, C = (random_hermitian(rng, 256) for _ in range(3))
@@ -514,6 +540,21 @@ def test_non_finite_perturbation_names_its_atom_in_chain_order(rng, index, slots
         mp.setattr(moi, "_CHUNK_ENTRIES", moi._PERTURBATION_ARRAYS * 4**2)
         with pytest.raises(NonFiniteSymbolError, match=re.escape(f"atom {atom}")):
             argument_perturbation(f, index, *ops.values())
+
+
+@pytest.mark.parametrize("atom", [(0, 1, 1), (1, 2, 3), (2, 0, 4)])
+def test_non_finite_chain_names_its_atom_past_the_first_chunk(rng, atom):
+    # the first measure repeats an atom; one last atom per chunk, so the
+    # chunk offset must be added on the last measure's axis
+    dim = 5
+    A = hermitian_from_spectrum([-1.0, 0.5, 2.0], random_unitary(rng, dim), [2, 2, 1])
+    B, C = (random_hermitian(rng, dim) for _ in range(2))
+    at = [spectral_measure(op).eigenvalues[i] for op, i in zip((A, B, C), atom)]
+    f = lambda x, y, z: np.where((x == at[0]) & (y == at[1]) & (z == at[2]), np.nan, 1.0) + x * y * z
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", dim**2)
+        with pytest.raises(NonFiniteSymbolError, match=re.escape(f"atom {atom}")):
+            apply_function_triple(f, A, B, C)
 
 
 def _perturbation_peak(dim, index):
