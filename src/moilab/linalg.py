@@ -174,8 +174,12 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     dim x dim unitary whose consecutive column blocks of those widths span
     the eigenspaces.  The matrix is (V diag(lambda)) V*, symmetrized, formed
     from the columns whose eigenvalue is not zero only, so a rank-r operator
-    costs a rank-r product and the zero operator none.  The measure is stored
-    on the operator, so :func:`spectral_measure` never runs ``eigh`` on it.
+    costs a rank-r product.  A frame that equals the identity exactly (an
+    O(dim^2) test) is unitary without a check, and its matrix is
+    diag(lambda), the same bits the product gives, so no dim^3 product
+    runs; a frame merely close to the identity takes the unitary check and
+    the product.  The measure is stored on the operator, so
+    :func:`spectral_measure` never runs ``eigh`` on it.
 
     Raises
     ------
@@ -200,19 +204,38 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
             f"multiplicities {counts.tolist()} must be >= 1, one per eigenvalue, "
             f"and sum to {dim}"
         )
-    deviation = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
-    if deviation > projection_tolerance(dim):
-        raise InvalidSpectrumError(
-            f"frame is not unitary: |V*V - I|_max = {deviation:.3e}"
-        )
+    identity = _identity_or_unitary(V)
     measure = SpectralMeasure(values, V, counts)
     weights = values[measure.column_atom_index]
-    nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
-    W = V[:, nonzero]
-    M = (W * weights[nonzero]) @ W.conj().T
-    A = HermitianOperator((M + M.conj().T) / 2.0)
+    if identity:
+        matrix = np.diag(weights).astype(np.complex128)
+    else:
+        nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
+        W = V[:, nonzero]
+        M = (W * weights[nonzero]) @ W.conj().T
+        matrix = (M + M.conj().T) / 2.0
+    A = HermitianOperator(matrix)
     _seed_measure(A, measure)
     return A
+
+
+def _identity_or_unitary(V: np.ndarray) -> bool:
+    """True if the square frame ``V`` is exactly the identity, an O(dim^2)
+    test; otherwise False once max|V*V - I| is within
+    :func:`projection_tolerance`.
+
+    Raises
+    ------
+    InvalidSpectrumError
+        If ``V`` is neither.
+    """
+    eye = np.eye(V.shape[0])
+    if (V == eye).all():
+        return True
+    deviation = float(np.max(np.abs(V.conj().T @ V - eye)))
+    if deviation > projection_tolerance(V.shape[0]):
+        raise InvalidSpectrumError(f"frame is not unitary: |V*V - I|_max = {deviation:.3e}")
+    return False
 
 
 def zero_operator(dim: int) -> HermitianOperator:

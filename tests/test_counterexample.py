@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
-from moilab import counterexample, linalg
+from moilab import counterexample, linalg, moi
 from moilab.besov import psi_band_majorant, psi_reference_grid, window_w
 from moilab.counterexample import (
     PHI_SUP,
@@ -32,6 +32,7 @@ from moilab.linalg import (
     InvalidSpectrumError,
     hermitian_from_matrix,
     hermitian_from_spectrum,
+    norm_of_singular_values,
     random_unitary,
     rank_of_singular_values,
     schatten_norm,
@@ -75,6 +76,14 @@ def test_dft_unitary_rejects_nonpositive():
         dft_unitary(0)
 
 
+@pytest.mark.parametrize("size", [101, 256])
+def test_dft_unitary_equals_the_exponential_of_every_phase_bit_for_bit(size):
+    idx = np.arange(1, size + 1, dtype=np.int64)
+    phase = (idx[:, None] * idx[None, :]) % size
+    direct = np.exp((2j * math.pi / size) * phase) / math.sqrt(size)
+    assert dft_unitary(size).tobytes() == direct.tobytes()
+
+
 def test_gram_deviation_reads_the_operators_frames():
     # the Gram matrix (h_k, g_j) of the eigenvectors of A and B is U
     assert build_instance(8).deviations()["gram"] <= 1e-12
@@ -108,6 +117,49 @@ def test_phi_symbol_broadcasting_shapes():
     assert pointwise.shape == (5,)
     scalar = phi(1.0, 2.0)
     assert np.asarray(scalar).shape == ()
+
+
+def test_phi_symbol_reuse_equals_a_fresh_closure_bit_for_bit():
+    N = 6
+    theta = math.sqrt(N) * dft_unitary(N).conj()
+    phi = phi_symbol(theta, N)
+    atoms = 2.0 * math.pi * np.arange(1, N + 1)
+    atom_grid = (atoms.reshape(1, -1, 1), atoms.reshape(1, 1, -1))
+    scan = (np.linspace(0.0, 45.0, 7)[:, None], np.linspace(0.0, 45.0, 11)[None, :])
+
+    def same_as_fresh(x, y):
+        return phi(x, y).tobytes() == phi_symbol(theta, N)(x, y).tobytes()
+
+    for x, y in (atom_grid, scan, atom_grid):
+        assert same_as_fresh(x, y)
+
+    # the closure must hold copies: a caller that edits its input in place,
+    # or edits a returned array, changes no later result
+    x = atoms + 0.5
+    phi(x[:, None], atoms[None, :])
+    x[0] += 1.0
+    assert same_as_fresh(x[:, None], atoms[None, :])
+    returned = phi(x[:, None], atoms[None, :])
+    returned[...] = 0.0
+    assert same_as_fresh(x[:, None], atoms[None, :])
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_growth_instance_builds_one_phi_table(chunks, monkeypatch):
+    N = 8
+    tables = []
+
+    def counted_eta(x):
+        tables.append(np.shape(x))
+        return eta(x)
+
+    # f(A, B, C), f(A, B, 0) and phi(A, B) all read phi on the A x B atom grid,
+    # the triples once per chunk of C's two atoms; eta runs twice per table
+    monkeypatch.setattr(counterexample, "eta", counted_eta)
+    monkeypatch.setattr(moi, "_CHUNK_ENTRIES", (2 // chunks) * N * N)
+    record = growth_records(N, [2.0])[0]
+    assert record.ratio == pytest.approx(math.sqrt(N), rel=1e-12)
+    assert tables == [(N, N), (N, N)]
 
 
 def test_build_instance_size_one_closed_forms():
@@ -251,6 +303,18 @@ def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
     assert len(E.eigenvalues) == rank + (rank < 6)
     assert E.deviations(op)["reconstruction"] <= 1e-14
     assert rank_of_singular_values(singular_values(op.matrix)) == rank
+
+
+@pytest.mark.parametrize("N", [48, 100, 128])
+def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
+    # growth_records takes the singular values of D^T; they must be D's
+    p_list = [1.0, 2.0, math.inf]
+    inst = build_instance(N)
+    diff = counterexample._growth_difference(inst, inst.C)[0]
+    values = np.linalg.svd(diff, compute_uv=False)
+    for record, p in zip(growth_records(N, p_list), p_list):
+        expected = norm_of_singular_values(values, p)
+        assert abs(record.lhs - expected) <= 1e-13 * expected
 
 
 def test_growth_records_decompose_nothing(monkeypatch):

@@ -203,6 +203,40 @@ def test_hermitian_from_spectrum_rejects_a_non_unitary_frame(rng):
         hermitian_from_spectrum([0.0], Q[:, :3], [3])
 
 
+@pytest.mark.parametrize(
+    "values, counts",
+    [([0.0], [1]), ([-1.5, 0.0, 2.0], [1, 2, 2]), (np.arange(-20.0, 44.0), np.ones(64, int))],
+    ids=["d1", "d5", "d64"],
+)
+def test_identity_frame_matrix_equals_the_product_bit_for_bit(values, counts):
+    d = int(np.sum(counts))
+    V = np.eye(d, dtype=np.complex128)
+    M = (V * np.repeat(values, counts)) @ V.conj().T
+    expected = (M + M.conj().T) / 2.0
+    assert hermitian_from_spectrum(values, V, counts).matrix.tobytes() == expected.tobytes()
+
+
+def test_zero_operator_is_exactly_zero():
+    for d in (1, 5, 64):
+        Z = zero_operator(d).matrix
+        assert Z.shape == (d, d) and Z.dtype == np.complex128
+        assert not Z.any()
+
+
+def test_frames_other_than_the_identity_take_the_unitary_check():
+    bad = np.eye(4, dtype=np.complex128)
+    bad[2, 2] = 2.0
+    with pytest.raises(InvalidSpectrumError, match="unitary"):
+        hermitian_from_spectrum([0.0, 1.0], bad, [3, 1])
+    # within tolerance of I but not equal to it: accepted, through the product
+    near = np.eye(4, dtype=np.complex128)
+    near[0, 1] = 1e-12
+    weights = np.array([0.0, 1.0, 1.0, 1.0])
+    M = (near * weights) @ near.conj().T
+    A = hermitian_from_spectrum([0.0, 1.0], near, [1, 3])
+    assert A.matrix.tobytes() == ((M + M.conj().T) / 2.0).tobytes()
+
+
 def test_scaled_by_a_positive_factor_is_never_decomposed(rng, monkeypatch):
     A = hermitian_from_spectrum([-2.0, 0.0, 3.0], random_unitary(rng, 4), [1, 2, 1])
     calls = _count_decompositions(monkeypatch)
