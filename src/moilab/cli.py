@@ -114,7 +114,7 @@ def _parse_p_list(text: str) -> tuple[float, ...]:
 
 def _parse_int_list(text: str, field: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(field, f"cannot parse {text!r} as integers") from exc
 

@@ -42,7 +42,6 @@ from .linalg import (
     spectral_measure,
     unitary_from_gaussian,
     validate_schatten_index,
-    zero_operator,
 )
 from .moi import apply_function_pair, apply_function_triple
 
@@ -261,6 +260,8 @@ class ExperimentRecord:
     perturbation: float
     besov_surrogate: float
     ratio: float
+    base_peak: float  # peak entry of f(A, B, 0), which vanishes since psi(0) = 0
+    factor_dev: float  # max-entry deviation of D from phi(A, B) (eps C)
     eps: float = 1.0
 
     @property
@@ -297,19 +298,6 @@ def phi_grid_sup(phi: Callable, N: int, points_per_period: int = 32) -> float:
     return best
 
 
-def _growth_difference(
-    inst: CounterexampleInstance, c: HermitianOperator
-) -> tuple[np.ndarray, float, float]:
-    """D = f(A, B, c) - f(A, B, 0) with the residuals of its two identities:
-    the peak entry of f(A, B, 0), which vanishes because psi(0) = 0, and the
-    max-entry deviation of D from phi(A, B) c."""
-    upper = apply_function_triple(inst.f, inst.A, inst.B, c)
-    base = apply_function_triple(inst.f, inst.A, inst.B, zero_operator(inst.N))
-    diff = upper - base
-    factored = apply_function_pair(inst.phi, inst.A, inst.B) @ c.matrix
-    return diff, float(np.max(np.abs(base))), float(np.max(np.abs(diff - factored)))
-
-
 def growth_records(
     N: int,
     p_list: Sequence[float],
@@ -322,7 +310,16 @@ def growth_records(
     calculus and reports ||D||_{S_p} / ||eps*C||_{S_p} per index.  Two
     construction identities are verified on the way (the base term
     vanishes because psi(0) = 0, and D equals phi(A, B) (eps C)); a failure
-    there means an implementation bug, not an experimental outcome.
+    there means an implementation bug, not an experimental outcome.  Their
+    residuals are kept on every record as ``base_peak`` and ``factor_dev``.
+
+    Both terms are computed on the instance's own A, B and C by a change
+    of variable in the symbol: for every real e, f(A, B, e*C) =
+    f_e(A, B, C) with f_e(x, y, z) = f(x, y, e*z), e = 0 included, so
+    neither eps*C nor a zero operator is formed.  The bytes are those of
+    forming them: e*z is the float the eigenvalue of eps*C would be, and
+    every weight of f_0 is exactly 0, as it is on the zero operator.  The
+    singular values of eps*C are those of C times eps.
 
     The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
     psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
@@ -339,8 +336,15 @@ def growth_records(
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
     p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
-    scaled_c = inst.C.scaled(eps)
-    diff, base_peak, factor_dev = _growth_difference(inst, scaled_c)
+    A, B, C = inst.A, inst.B, inst.C
+    base, upper = (
+        apply_function_triple(lambda x, y, z: inst.f(x, y, e * z), A, B, C) for e in (0.0, eps)
+    )
+    base_peak = float(np.max(np.abs(base)))
+    diff = upper - base
+    del base, upper  # freed before phi(A, B) is formed, which lowers the peak
+    factored = apply_function_pair(inst.phi, A, B) @ (eps * C.matrix)
+    factor_dev = float(np.max(np.abs(diff - factored)))
 
     # written as not(<=) so a NaN from a broken symbol fails loudly
     if not base_peak <= 1e-12 * math.sqrt(N):
@@ -357,7 +361,7 @@ def growth_records(
     surrogate = tensor_bound_kappa(PHI_SUP, psi_grid)
 
     diff_values = singular_values(diff.T)  # a view, not a copy
-    c_values = hermitian_singular_values(scaled_c)
+    c_values = hermitian_singular_values(C) * eps
     records = []
     for p in p_list:
         lhs = norm_of_singular_values(diff_values, p)
@@ -370,6 +374,8 @@ def growth_records(
                 perturbation=perturbation,
                 besov_surrogate=surrogate,
                 ratio=lhs / perturbation,
+                base_peak=base_peak,
+                factor_dev=factor_dev,
                 eps=eps,
             )
         )

@@ -109,36 +109,6 @@ class HermitianOperator:
     def _measure(self) -> "SpectralMeasure":
         return _decompose(self)
 
-    def scaled(self, factor: float) -> "HermitianOperator":
-        """The operator multiplied by a real scalar (still Hermitian).
-
-        A positive factor keeps the order of the atoms, so when this
-        operator's measure is known the result carries ``factor *
-        eigenvalues`` on the same frame and is never decomposed, unless the
-        scaling brings two atoms within the grouping tolerance.  A zero or
-        negative factor merges or reverses the atoms, and the result is
-        decomposed on first use.
-        """
-        factor = float(factor)
-        out = HermitianOperator(self.matrix * factor)
-        E = self.__dict__.get("_measure")  # the measure, if known; never computed here
-        if factor > 0.0 and E is not None:
-            values = E.eigenvalues * factor
-            if _separated(values):
-                _seed_measure(out, SpectralMeasure(values, E.frame, E.multiplicities))
-        return out
-
-
-def _seed_measure(A: HermitianOperator, measure: "SpectralMeasure") -> None:
-    """Fill the cached measure of ``A``, so it is never decomposed."""
-    A.__dict__["_measure"] = measure
-
-
-def _separated(values: np.ndarray) -> bool:
-    """True when the values are finite and each exceeds the one before it by
-    more than the grouping tolerance, so ``eigh`` would keep them as atoms."""
-    return bool(np.isfinite(values).all() and (np.diff(values) > _GROUP_TOL).all())
-
 
 def hermitian_from_matrix(entries) -> HermitianOperator:
     """Validate Hermitian symmetry and return the symmetrized operator.
@@ -195,7 +165,7 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     dim = V.shape[0]
     if V.shape != (dim, dim):
         raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
-    if not _separated(values):
+    if not (np.isfinite(values).all() and (np.diff(values) > _GROUP_TOL).all()):
         raise InvalidSpectrumError(
             f"eigenvalues must be finite and increase by more than {_GROUP_TOL:g}"
         )
@@ -215,7 +185,7 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
         M = (W * weights[nonzero]) @ W.conj().T
         matrix = (M + M.conj().T) / 2.0
     A = HermitianOperator(matrix)
-    _seed_measure(A, measure)
+    A.__dict__["_measure"] = measure  # fill the cache, so A is never decomposed
     return A
 
 

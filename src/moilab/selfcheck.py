@@ -148,7 +148,7 @@ def _measure_distance(E: linalg.SpectralMeasure, F: linalg.SpectralMeasure) -> f
 
 def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> CheckResult:
     """Every measure built by hand, never by ``eigh``, against ``eigh`` of its
-    own matrix: the growth family's A, B, C, eps C and zero operator at each
+    own matrix: the growth family's A, B, C and the zero operator at each
     size, and seeded rank-limited draws.  The atom counts must agree, the
     eigenvalues and projections to 1e-10, and the measure must reconstruct
     its matrix to 1e-12 times the dimension."""
@@ -157,7 +157,6 @@ def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> 
         for N in N_list:
             inst = ce.build_instance(N)
             yield from (inst.A, inst.B, inst.C, linalg.zero_operator(N))
-            yield inst.C.scaled(ce.quarter_root_rule(N))
         rng = np.random.default_rng(seed)
         for _ in range(draws):
             dim = int(rng.integers(2, 13))
@@ -369,26 +368,15 @@ def check_surrogate_refinement(grid_half_width: float, grid_log2_size: int) -> C
 # -------------------------------------------------------- counterexample
 
 
-def check_exact_blowup(
-    N_list: Sequence[int],
-    p_list: Sequence[float],
-    grid_half_width: float,
-    grid_log2_size: int,
-) -> CheckResult:
-    psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
-    errors = (
-        record.ratio_error
-        for N in N_list
-        for record in ce.growth_records(N, p_list, psi_grid=psi_grid)
-    )
+def check_exact_blowup(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
+    errors = (record.ratio_error for record in records)
     return _worst_within(
         "counterexample.exact_blowup", "max relative ratio error", errors, ce.RATIO_REL_TOL
     )
 
 
-def check_factorization_identity(N_list: Sequence[int]) -> CheckResult:
-    instances = (ce.build_instance(N) for N in N_list)
-    deviations = (ce._growth_difference(inst, inst.C)[2] for inst in instances)
+def check_factorization_identity(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
+    deviations = (record.factor_dev for record in records)
     return _worst_within("counterexample.factorization_identity", "max dev", deviations, 1e-10)
 
 
@@ -425,18 +413,12 @@ def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
 
 
 def check_bounded_surrogate(
-    N_list: Sequence[int],
-    p_list: Sequence[float],
-    grid_half_width: float,
-    grid_log2_size: int,
+    records: Sequence[ce.ExperimentRecord], N_list: Sequence[int], psi_grid: besov.GridFunction
 ) -> CheckResult:
-    psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
+    """The records' surrogates, from a sweep over ``N_list`` on ``psi_grid``,
+    against the tensor bound on that grid."""
     bound = besov.tensor_bound_kappa(ce.PHI_SUP, psi_grid)
-    values = {
-        record.besov_surrogate
-        for N in N_list
-        for record in ce.growth_records(N, p_list, psi_grid=psi_grid)
-    }
+    values = {record.besov_surrogate for record in records}
     return _result(
         "counterexample.bounded_surrogate",
         values == {bound},
@@ -485,8 +467,13 @@ def run_selfcheck(
     grid_log2_size: int = besov.DEFAULT_LOG2_SAMPLES,
     trials: int = DEFAULT_TRIALS,
 ) -> list[CheckResult]:
-    """Run every invariant check and return the results in a fixed order."""
+    """Run every invariant check and return the results in a fixed order.
+
+    The growth sweep over ``N_list`` and ``p_list`` runs once; the blowup,
+    factorization and surrogate checks read its records."""
     small_N = tuple(n for n in N_list if n <= 16) or tuple(N_list[:1])
+    psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
+    sweep = [record for N in N_list for record in ce.growth_records(N, p_list, psi_grid=psi_grid)]
     return [
         check_spectral_resolution(seed, 20),
         check_projection_algebra(seed + 1, 10),
@@ -505,12 +492,12 @@ def run_selfcheck(
         check_band_support(grid_half_width, grid_log2_size),
         check_summability_tail(grid_half_width, grid_log2_size),
         check_surrogate_refinement(grid_half_width, grid_log2_size),
-        check_exact_blowup(N_list, p_list, grid_half_width, grid_log2_size),
-        check_factorization_identity(small_N),
+        check_exact_blowup(sweep),
+        check_factorization_identity([record for record in sweep if record.N in small_N]),
         check_rank_one_collapse(small_N),
         check_gram_fidelity(small_N),
         check_bounded_symbol((4, 8, 16, 32, 64)),
-        check_bounded_surrogate(N_list, p_list, grid_half_width, grid_log2_size),
+        check_bounded_surrogate(sweep, N_list, psi_grid),
         check_lipschitz_bound(trials, seed),
         check_pairs_chain(trials, seed),
         check_constructed_spectrum(tuple(n for n in N_list if n <= 64), seed + 12, 20),

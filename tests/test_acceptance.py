@@ -9,10 +9,13 @@ from :mod:`moilab.selfcheck`, at the criterion's own seed, count and sizes.
 import math
 import time
 
-from moilab.besov import DEFAULT_HALF_WIDTH, DEFAULT_LOG2_SAMPLES
+import pytest
+
+from moilab.besov import DEFAULT_HALF_WIDTH, DEFAULT_LOG2_SAMPLES, psi_reference_grid
 from moilab.counterexample import (
     _worse,
     epsilon_scaling_run,
+    growth_records,
     lipschitz_rank_bound_check,
     quarter_root_rule,
 )
@@ -45,10 +48,19 @@ def report_checks(number: int, description: str, *results) -> None:
     report(number, all(r.passed for r in results), f"{description}; {details}")
 
 
-def test_criterion_1_exact_blowup():
+@pytest.fixture(scope="module")
+def sweep():
+    """The growth records over SWEEP_N x SWEEP_P, computed once for criteria
+    1 and 2, with the sweep's wall time in seconds."""
+    psi_grid = psi_reference_grid(*GRID)
     start = time.perf_counter()
-    blowup = check_exact_blowup(SWEEP_N, SWEEP_P, *GRID)
-    elapsed = time.perf_counter() - start
+    records = [r for N in SWEEP_N for r in growth_records(N, SWEEP_P, psi_grid=psi_grid)]
+    return records, time.perf_counter() - start
+
+
+def test_criterion_1_exact_blowup(sweep):
+    records, elapsed = sweep
+    blowup = check_exact_blowup(records)
     report(
         1,
         blowup.passed and elapsed < 60.0,
@@ -57,14 +69,15 @@ def test_criterion_1_exact_blowup():
     )
 
 
-def test_criterion_2_bounded_data_unbounded_ratio():
+def test_criterion_2_bounded_data_unbounded_ratio(sweep):
+    records, _ = sweep
     report_checks(
         2,
         f"sup|phi| and the surrogate stay bounded over N in {SWEEP_N} "
         "while the ratio column equals sqrt(N)",
         check_bounded_symbol(SWEEP_N),
-        check_bounded_surrogate(SWEEP_N, SWEEP_P, *GRID),
-        check_exact_blowup(SWEEP_N, SWEEP_P, *GRID),
+        check_bounded_surrogate(records, SWEEP_N, psi_reference_grid(*GRID)),
+        check_exact_blowup(records),
     )
 
 

@@ -68,7 +68,8 @@ def test_growth_gate_on_perturbation_is_relative(tmp_path, capsys, monkeypatch):
         return [
             ExperimentRecord(
                 N=N, p=p, lhs=16.0 * eps_rule(N), perturbation=eps_rule(N) * (1.0 + 2e-8),
-                besov_surrogate=1.0, ratio=16.0, eps=eps_rule(N),
+                besov_surrogate=1.0, ratio=16.0, base_peak=0.0, factor_dev=0.0,
+                eps=eps_rule(N),
             )
             for N in N_list
             for p in p_list
@@ -125,6 +126,21 @@ def test_malformed_p_exits_two_and_names_field(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'p'" in err
+
+
+@pytest.mark.parametrize("text", ["1,", "1,,4", ",2", ""])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_empty_size_token_exits_two_and_names_field(tmp_path, capsys, source, text):
+    # like --p 2, an empty entry in the size list is an error, not a skipped size
+    if source == "flag":
+        args = ["growth", "--N", text, "--p", "2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"N={text}\n")
+        args = ["growth", "--config", str(cfg), "--p", "2"]
+    assert run_cli([*args, "--out", str(tmp_path / "g.csv")]) == 2
+    assert "field 'N'" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_malformed_eps_rule_exits_two(capsys):

@@ -307,14 +307,39 @@ def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
 
 @pytest.mark.parametrize("N", [48, 100, 128])
 def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
-    # growth_records takes the singular values of D^T; they must be D's
+    # growth_records scales the third slot inside the symbol; its lhs must be
+    # the norms of D = f(A, B, eps C) - f(A, B, 0) formed on eps C and the zero
+    # operator, bit for bit, and those of D, not only of the D^T it takes
     p_list = [1.0, 2.0, math.inf]
     inst = build_instance(N)
-    diff = counterexample._growth_difference(inst, inst.C)[0]
-    values = np.linalg.svd(diff, compute_uv=False)
-    for record, p in zip(growth_records(N, p_list), p_list):
-        expected = norm_of_singular_values(values, p)
-        assert abs(record.lhs - expected) <= 1e-13 * expected
+    for eps in (1.0, 0.3):
+        scaled_c = hermitian_from_spectrum([0.0, eps], inst.U, [N - 1, 1])
+        upper, base = (
+            apply_function_triple(inst.f, inst.A, inst.B, c) for c in (scaled_c, zero_operator(N))
+        )
+        diff = upper - base
+        transposed = singular_values(diff.T)
+        values = np.linalg.svd(diff, compute_uv=False)
+        for record, p in zip(growth_records(N, p_list, eps=eps), p_list):
+            assert record.lhs == norm_of_singular_values(transposed, p)
+            expected = norm_of_singular_values(values, p)
+            assert abs(record.lhs - expected) <= 1e-13 * expected
+
+
+def test_growth_builds_only_a_b_and_c(monkeypatch):
+    # f(A, B, 0) is f_0(A, B, C), so no zero operator (and no eps C) is built
+    calls = []
+    real = linalg.hermitian_from_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "hermitian_from_spectrum", counted)
+    monkeypatch.setattr(counterexample, "hermitian_from_spectrum", counted)
+    record = growth_records(8, [2.0], eps=0.5)[0]
+    assert record.ratio == pytest.approx(math.sqrt(8), rel=1e-12)
+    assert len(calls) == 3
 
 
 def test_growth_records_decompose_nothing(monkeypatch):
@@ -338,9 +363,6 @@ def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):
         return dataclasses.replace(inst, **again)
 
     monkeypatch.setattr(counterexample, "build_instance", decomposed)
-    monkeypatch.setattr(
-        counterexample, "zero_operator", lambda N: hermitian_from_matrix(np.zeros((N, N)))
-    )
     eigh = [r.ratio for N in sizes for r in growth_records(N, p_list)]
     assert np.allclose(built, eigh, rtol=1e-12, atol=0.0)
 
@@ -619,18 +641,16 @@ def test_fault_injection_unguarded_eta_is_caught(monkeypatch):
         ce.growth_records(2, [2.0])
 
 
-def test_nan_ratio_fails_exact_blowup(monkeypatch):
+def test_nan_ratio_fails_exact_blowup():
     # the selfcheck's worst-deviation fold must keep a NaN, not drop it
-    def nan_records(N, p_list, **kwargs):
-        return [
-            ExperimentRecord(
-                N=N, p=p, lhs=math.nan, perturbation=1.0, besov_surrogate=1.0, ratio=math.nan
-            )
-            for p in p_list
-        ]
-
-    monkeypatch.setattr(counterexample, "growth_records", nan_records)
-    result = check_exact_blowup((4,), (2.0,), 64.0, 12)
+    records = [
+        ExperimentRecord(
+            N=4, p=p, lhs=lhs, perturbation=1.0, besov_surrogate=1.0, ratio=lhs,
+            base_peak=0.0, factor_dev=0.0,
+        )
+        for p, lhs in ((1.0, 2.0), (2.0, math.nan))
+    ]
+    result = check_exact_blowup(records)
     assert not result.passed
     assert "nan" in result.detail
 
@@ -641,3 +661,6 @@ def test_growth_record_fields_are_finite():
     assert record.p == 1.5
     for value in (record.lhs, record.perturbation, record.besov_surrogate, record.ratio):
         assert np.isfinite(value) and value >= 0.0
+    # the residuals of the two construction identities ride on the record
+    assert record.base_peak == 0.0  # every weight of f(A, B, 0) is psi(0) = 0
+    assert 0.0 <= record.factor_dev <= 1e-10

@@ -6,7 +6,7 @@
 
 import pytest
 
-from moilab import selfcheck
+from moilab import counterexample, selfcheck
 
 NAMES = (
     "linalg.spectral_resolution",
@@ -39,8 +39,28 @@ NAMES = (
 
 
 @pytest.fixture(scope="module")
-def results():
-    return selfcheck.run_selfcheck()
+def selfcheck_run():
+    """One default selfcheck run, with the size of every growth_records call it made."""
+    sizes = []
+    real = counterexample.growth_records
+
+    def counted(N, *args, **kwargs):
+        sizes.append(N)
+        return real(N, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counterexample, "growth_records", counted)
+        results = selfcheck.run_selfcheck()
+    return results, sizes
+
+
+@pytest.fixture(scope="module")
+def results(selfcheck_run):
+    return selfcheck_run[0]
+
+
+def test_selfcheck_sweeps_growth_once_per_size(selfcheck_run):
+    assert selfcheck_run[1] == list(selfcheck.DEFAULT_BLOWUP_N)
 
 
 def test_names_and_order(results):

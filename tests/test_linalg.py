@@ -237,34 +237,6 @@ def test_frames_other_than_the_identity_take_the_unitary_check():
     assert A.matrix.tobytes() == ((M + M.conj().T) / 2.0).tobytes()
 
 
-def test_scaled_by_a_positive_factor_is_never_decomposed(rng, monkeypatch):
-    A = hermitian_from_spectrum([-2.0, 0.0, 3.0], random_unitary(rng, 4), [1, 2, 1])
-    calls = _count_decompositions(monkeypatch)
-    for factor in (0.25, 1.0, 3.0):
-        E = spectral_measure(A.scaled(factor))
-        assert np.array_equal(E.eigenvalues, factor * spectral_measure(A).eigenvalues)
-        assert E.frame is spectral_measure(A).frame
-        assert E.deviations(A.scaled(factor))["reconstruction"] <= 1e-14
-    assert calls == []
-
-
-@pytest.mark.parametrize("factor", [0.0, -2.0])
-def test_scaled_by_zero_or_a_negative_factor_matches_eigh(rng, factor):
-    A = hermitian_from_spectrum([-2.0, 0.0, 3.0], random_unitary(rng, 4), [1, 2, 1])
-    E = spectral_measure(A.scaled(factor))
-    expected = linalg._decompose(hermitian_from_matrix(A.matrix * factor))
-    assert np.array_equal(E.eigenvalues, expected.eigenvalues)
-    assert np.array_equal(E.multiplicities, expected.multiplicities)
-    assert np.array_equal(E.frame, expected.frame)
-
-
-def test_scaled_falls_back_to_eigh_when_atoms_merge(monkeypatch):
-    A = hermitian_from_spectrum([0.0, 1.0], np.eye(2), [1, 1])
-    calls = _count_decompositions(monkeypatch)
-    assert spectral_measure(A.scaled(1e-9)).multiplicities.tolist() == [2]
-    assert len(calls) == 1
-
-
 def test_hermitian_singular_values_match_the_svd(rng):
     A = hermitian_from_spectrum([-3.0, 0.0, 0.5], random_unitary(rng, 5), [2, 2, 1])
     s = hermitian_singular_values(A)
@@ -411,11 +383,6 @@ def test_singular_value_helpers_match_matrix_functions(rng):
             assert norm_of_singular_values(s, p) == schatten_norm(M, p)
         for rel_tol in (1e-10, 0.5):
             assert rank_of_singular_values(s, rel_tol) == np.linalg.matrix_rank(M, tol=rel_tol * s[0])
-
-
-def test_operator_scaling():
-    op = hermitian_from_matrix(np.diag([1.0, -2.0]))
-    assert np.allclose(op.scaled(0.5).matrix, np.diag([0.5, -1.0]))
 
 
 def test_hermitian_operator_is_plain_container():
