@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .besov import (
@@ -28,13 +29,14 @@ from .besov import (
 )
 from .counterexample import (
     DEFAULT_SEED,
-    RATIO_REL_TOL,
+    GROWTH_GATES,
     epsilon_scaling_run,
     lipschitz_rank_bound_check,
     quarter_root_rule,
     rank_estimate_check_pairs,
 )
 from .linalg import validate_schatten_index
+from .moi import NonFiniteSymbolError
 from .selfcheck import DEFAULT_BLOWUP_N, DEFAULT_BLOWUP_P, DEFAULT_TRIALS, run_selfcheck
 
 GROWTH_COLUMNS = ("N", "p", "lhs", "perturbation", "ratio", "sqrt_N", "besov_surrogate")
@@ -49,6 +51,53 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _checked(kind: type, accepts, rule: str):
+    """A parser of ``kind(text)`` that returns only values ``accepts`` holds
+    for; any other text raises ``ValueError``, which :func:`build_config`
+    turns into a :class:`ConfigError` naming the field."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"cannot parse {text!r} as {kind.__name__}") from None
+        if not accepts(value):
+            raise ValueError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _listed(parse):
+    """A parser of comma-separated entries, each read by ``parse``; an empty
+    entry is parsed like any other, so it is rejected, not skipped."""
+    return lambda text: tuple(parse(token) for token in text.split(","))
+
+
+def _parse_eps_rule(text: str) -> Callable[[int], float]:
+    """The third-slot scaling N -> eps: 'quarter-root' is N^(-1/4), 'one'
+    and a float in (0, 1] are constant."""
+    if text == "quarter-root":
+        return quarter_root_rule
+    expected = f"expected 'one', 'quarter-root' or a float in (0, 1], got {text!r}"
+    try:
+        eps = 1.0 if text == "one" else float(text)
+    except ValueError:
+        raise ValueError(expected) from None
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(expected)
+    return lambda N: eps
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse {text!r} as a boolean")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     N_list: tuple[int, ...] = DEFAULT_BLOWUP_N
@@ -59,96 +108,8 @@ class RunConfig:
     output_format: str = "csv"
     output_path: str = "-"
     trials: int = DEFAULT_TRIALS
-    eps_rule: str = "one"
+    eps_rule: Callable[[int], float] = _parse_eps_rule("one")
     strict: bool = True
-
-    def validate(self) -> "RunConfig":
-        if not self.N_list:
-            raise ConfigError("N", "list must be nonempty")
-        for n in self.N_list:
-            if n < 1:
-                raise ConfigError("N", f"sizes must be positive integers, got {n}")
-        if not self.p_list:
-            raise ConfigError("p", "list must be nonempty")
-        for p in self.p_list:
-            try:
-                validate_schatten_index(p)
-            except ValueError as exc:
-                raise ConfigError("p", str(exc)) from exc
-        if not (10 <= self.grid_log2_size <= 22):
-            raise ConfigError("grid_m", f"must lie in [10, 22], got {self.grid_log2_size}")
-        if not (0.0 < self.grid_half_width < math.inf):
-            raise ConfigError("grid_L", f"must be positive and finite, got {self.grid_half_width}")
-        spacing = 2.0 * self.grid_half_width / 2**self.grid_log2_size
-        if not (0.0 < spacing < math.inf):
-            raise ConfigError(
-                "grid_L", f"grid spacing 2L/2^m = {spacing} must be positive and finite"
-            )
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError("format", f"must be csv or json, got {self.output_format}")
-        if self.trials < 0:
-            raise ConfigError("trials", "must be nonnegative")
-        _parse_eps_rule(self.eps_rule)
-        return self
-
-
-def _parse_p(token: str) -> float:
-    token = token.strip()
-    if token.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise ConfigError("p", f"cannot parse {token!r} as a Schatten index") from exc
-    try:
-        return validate_schatten_index(value)
-    except ValueError as exc:
-        raise ConfigError("p", str(exc)) from exc
-
-
-def _parse_p_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_p(tok) for tok in text.split(","))
-
-
-def _parse_int_list(text: str, field: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(field, f"cannot parse {text!r} as integers") from exc
-
-
-def _parse_number(text: str, field: str, kind: type):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(field, f"cannot parse {text!r} as {kind.__name__}") from exc
-
-
-def _parse_eps_rule(rule: str):
-    if rule == "one":
-        return lambda N: 1.0
-    if rule == "quarter-root":
-        return quarter_root_rule
-    try:
-        eps = float(rule)
-    except ValueError as exc:
-        raise ConfigError(
-            "eps_rule", f"expected 'one', 'quarter-root' or a float in (0, 1], got {rule!r}"
-        ) from exc
-    if not 0.0 < eps <= 1.0:
-        raise ConfigError("eps_rule", f"constant scaling must lie in (0, 1], got {eps}")
-    return lambda N: eps
-
-
-def _parse_bool(text: str, field: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(field, f"cannot parse {text!r} as a boolean")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -173,24 +134,32 @@ def load_config_file(path: str) -> dict[str, str]:
 # config-file key, also the argparse dest of its flag -> (RunConfig field, parser
 # of the value text)
 _CONFIG_FIELDS = {
-    "N": ("N_list", lambda text: _parse_int_list(text, "N")),
-    "p": ("p_list", _parse_p_list),
-    "seed": ("seed", lambda text: _parse_number(text, "seed", int)),
-    "grid_L": ("grid_half_width", lambda text: _parse_number(text, "grid_L", float)),
-    "grid_m": ("grid_log2_size", lambda text: _parse_number(text, "grid_m", int)),
-    "format": ("output_format", str),
+    "N": ("N_list", _listed(_checked(int, lambda n: n >= 1, "positive integers"))),
+    "p": ("p_list", _listed(lambda token: validate_schatten_index(float(token)))),
+    "seed": ("seed", _checked(int, lambda n: n >= 0, "nonnegative")),
+    "grid_L": (
+        "grid_half_width", _checked(float, lambda L: 0.0 < L < math.inf, "positive and finite")
+    ),
+    "grid_m": ("grid_log2_size", _checked(int, lambda m: 10 <= m <= 22, "in [10, 22]")),
+    "format": ("output_format", _checked(str, lambda f: f in ("csv", "json"), "csv or json")),
     "out": ("output_path", str),
-    "trials": ("trials", lambda text: _parse_number(text, "trials", int)),
-    "eps_rule": ("eps_rule", str),
-    "strict": ("strict", lambda text: _parse_bool(text, "strict")),
+    "trials": ("trials", _checked(int, lambda n: n >= 0, "nonnegative")),
+    "eps_rule": ("eps_rule", _parse_eps_rule),
+    "strict": ("strict", _parse_bool),
 }
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the flags; each value is parsed
-    by its ``_CONFIG_FIELDS`` entry, so file and flag errors name the same
-    field.  The file is parsed in full even where a flag overrides it, and
-    a file key whose flag the command lacks is an error, like the flag."""
+    """Defaults, then the config file, then the flags.  Each value is parsed
+    by its ``_CONFIG_FIELDS`` entry, which returns only values its field
+    accepts, so file and flag errors name the same field.  The file is
+    parsed in full even where a flag overrides it, and a file key whose flag
+    the command lacks is an error, like the flag.
+
+    The one rule across fields is the psi grid's: its spacing 2L/2^m must be
+    positive and finite, and ``growth`` and ``selfcheck`` need band 0 below
+    its Nyquist frequency (a spacing of at most about pi/2).  ``bounds``
+    builds no grid, so it checks only the spacing."""
     entries = load_config_file(args.config) if args.config else {}
     unknown = set(entries) - set(_CONFIG_FIELDS)
     if unknown:
@@ -202,8 +171,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for source in (entries, vars(args)):
         for key, (field, parse) in _CONFIG_FIELDS.items():
             if source.get(key) is not None:
-                updates[field] = parse(source[key])
-    return replace(RunConfig(), **updates).validate()
+                try:
+                    updates[field] = parse(source[key])
+                except ValueError as exc:
+                    raise ConfigError(key, str(exc)) from exc
+    config = replace(RunConfig(), **updates)
+    spacing = 2.0 * config.grid_half_width / 2**config.grid_log2_size
+    if not 0.0 < spacing < math.inf:
+        raise ConfigError("grid_L", f"grid spacing 2L/2^m = {spacing} must be positive and finite")
+    if args.command != "bounds":
+        grid = psi_reference_grid(config.grid_half_width, config.grid_log2_size)
+        if max_resolvable_band(grid) < 0:
+            raise ConfigError("grid_L", f"grid spacing 2L/2^m = {spacing} cannot resolve band 0")
+    return config
 
 
 def format_p(p: float) -> str:
@@ -215,15 +195,7 @@ def format_p(p: float) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> None:
@@ -249,40 +221,37 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> 
 
 
 def cmd_growth(config: RunConfig) -> int:
+    """Write the growth rows, then name every record residual that fails its
+    :data:`GROWTH_GATES` entry on stderr (exit 1)."""
     records = epsilon_scaling_run(
         sorted(config.N_list),
-        _parse_eps_rule(config.eps_rule),
+        config.eps_rule,
         tuple(sorted(config.p_list)),
         psi_grid=psi_reference_grid(config.grid_half_width, config.grid_log2_size),
     )
-    rows = []
-    failures = []
-    for record in records:
-        rows.append(
-            {
-                "N": record.N,
-                "p": format_p(record.p),
-                "lhs": record.lhs,
-                "perturbation": record.perturbation,
-                "ratio": record.ratio,
-                "sqrt_N": math.sqrt(record.N),
-                "besov_surrogate": record.besov_surrogate,
-            }
-        )
-        # "not <=" so that a NaN fails the gate
-        if not record.ratio_error <= RATIO_REL_TOL:
-            failures.append((record.N, record.p, record.ratio))
-        if not record.perturbation_error <= RATIO_REL_TOL:
-            failures.append((record.N, record.p, record.perturbation))
+    rows = [
+        {
+            "N": record.N,
+            "p": format_p(record.p),
+            "lhs": record.lhs,
+            "perturbation": record.perturbation,
+            "ratio": record.ratio,
+            "sqrt_N": math.sqrt(record.N),
+            "besov_surrogate": record.besov_surrogate,
+        }
+        for record in records
+    ]
     emit_rows(rows, GROWTH_COLUMNS, config)
-    if failures:
-        for N, p, value in failures:
-            print(
-                f"growth mismatch at N={N}, p={format_p(p)}: {value!r}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    failures = [
+        f"growth mismatch at N={record.N}, p={format_p(record.p)}: {getattr(record, field)!r}"
+        f" ({residual} {getattr(record, residual):.3e}, tol {tol:g})"
+        for record in records
+        for residual, (field, tol) in GROWTH_GATES.items()
+        if not getattr(record, residual) <= tol  # "not <=" so that a NaN fails the gate
+    ]
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_bounds(config: RunConfig) -> int:
@@ -397,30 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_band_zero(config: RunConfig) -> None:
-    """growth and selfcheck need band 0 of the psi grid below its Nyquist
-    frequency, i.e. a grid spacing 2L/2^m of at most about pi/2."""
-    grid = psi_reference_grid(config.grid_half_width, config.grid_log2_size)
-    if max_resolvable_band(grid) < 0:
-        raise ConfigError(
-            "grid_L", f"grid spacing 2L/2^m = {grid.spacing} is too coarse to resolve band 0"
-        )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
-        if args.command != "bounds":
-            _require_band_zero(config)
     except ConfigError as exc:
         print(f"moilab: configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "growth":
-        return cmd_growth(config)
-    if args.command == "bounds":
-        return cmd_bounds(config)
-    return cmd_selfcheck(config)
+    command = {"growth": cmd_growth, "bounds": cmd_bounds, "selfcheck": cmd_selfcheck}
+    try:
+        return command[args.command](config)
+    except NonFiniteSymbolError as exc:  # a symbol gave NaN or inf: an identity failed
+        print(f"moilab: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -53,9 +53,21 @@ class InvalidEpsilonError(ValueError):
 DEFAULT_SEED = 20240501
 
 RATIO_REL_TOL = 1e-8
-"""Gate on :attr:`ExperimentRecord.ratio_error` for the growth family,
-shared by ``moilab growth`` and the exact-blowup selfcheck; ``moilab
-growth`` also gates :attr:`ExperimentRecord.perturbation_error` with it."""
+"""Tolerance of the two ratio residuals in :data:`GROWTH_GATES`,
+:attr:`ExperimentRecord.ratio_error` and
+:attr:`ExperimentRecord.perturbation_error`."""
+
+GROWTH_GATES = {
+    # residual on ExperimentRecord: (the record value a failure quotes, tolerance)
+    "ratio_error": ("ratio", RATIO_REL_TOL),
+    "perturbation_error": ("perturbation", RATIO_REL_TOL),
+    "zero_slot_error": ("base_peak", 1e-12),
+    "factor_dev": ("factor_dev", 1e-10),
+}
+"""The one definition of every gate on a growth record: a record passes
+iff each residual is at most its tolerance, so a NaN fails.  ``moilab
+growth`` reports every failed gate, and the selfcheck's blowup,
+factorization and zero-slot checks read their tolerances here."""
 
 PHI_SUP = 1.0
 """Exact value of sup|phi_N| over the plane, the same for every N.
@@ -274,6 +286,11 @@ class ExperimentRecord:
         """|perturbation - eps| / eps: ||eps C||_{S_p} = eps, since C is a rank-one projection."""
         return abs(self.perturbation - self.eps) / self.eps
 
+    @property
+    def zero_slot_error(self) -> float:
+        """base_peak / sqrt(N): f(A, B, 0) vanishes, since psi(0) = 0."""
+        return self.base_peak / math.sqrt(self.N)
+
 
 _SUP_CHUNK_ROWS = 512
 
@@ -307,11 +324,13 @@ def growth_records(
     """Growth experiment rows for one size and several Schatten indices.
 
     Computes D = f(A, B, eps*C) - f(A, B, 0) once through the triple
-    calculus and reports ||D||_{S_p} / ||eps*C||_{S_p} per index.  Two
-    construction identities are verified on the way (the base term
-    vanishes because psi(0) = 0, and D equals phi(A, B) (eps C)); a failure
-    there means an implementation bug, not an experimental outcome.  Their
-    residuals are kept on every record as ``base_peak`` and ``factor_dev``.
+    calculus and reports ||D||_{S_p} / ||eps*C||_{S_p} per index.  The
+    residuals of two construction identities ride on every record: the
+    base term vanishes because psi(0) = 0 (``base_peak``), and D equals
+    phi(A, B) (eps C) (``factor_dev``).  A failure there means an
+    implementation bug, not an experimental outcome; this function raises
+    on none of them, and :data:`GROWTH_GATES` gates them with the ratio
+    residuals, so a caller can report every failed gate.
 
     Both terms are computed on the instance's own A, B and C by a change
     of variable in the symbol: for every real e, f(A, B, e*C) =
@@ -345,16 +364,6 @@ def growth_records(
     del base, upper  # freed before phi(A, B) is formed, which lowers the peak
     factored = apply_function_pair(inst.phi, A, B) @ (eps * C.matrix)
     factor_dev = float(np.max(np.abs(diff - factored)))
-
-    # written as not(<=) so a NaN from a broken symbol fails loudly
-    if not base_peak <= 1e-12 * math.sqrt(N):
-        raise RuntimeError(
-            f"zero-slot term should vanish, got |f(A,B,0)|_max = {base_peak:.3e}"
-        )
-    if not factor_dev <= 1e-10:
-        raise RuntimeError(
-            f"difference does not match phi(A,B) C: deviation {factor_dev:.3e}"
-        )
 
     if psi_grid is None:
         psi_grid = psi_reference_grid()

@@ -368,16 +368,27 @@ def check_surrogate_refinement(grid_half_width: float, grid_log2_size: int) -> C
 # -------------------------------------------------------- counterexample
 
 
+def _growth_gate(name, label, records, residual):
+    """:func:`_worst_within` on one residual of the growth ``records``, at
+    its :data:`counterexample.GROWTH_GATES` tolerance."""
+    _, tol = ce.GROWTH_GATES[residual]
+    return _worst_within(name, label, (getattr(record, residual) for record in records), tol)
+
+
 def check_exact_blowup(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
-    errors = (record.ratio_error for record in records)
-    return _worst_within(
-        "counterexample.exact_blowup", "max relative ratio error", errors, ce.RATIO_REL_TOL
+    return _growth_gate(
+        "counterexample.exact_blowup", "max relative ratio error", records, "ratio_error"
     )
 
 
 def check_factorization_identity(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
-    deviations = (record.factor_dev for record in records)
-    return _worst_within("counterexample.factorization_identity", "max dev", deviations, 1e-10)
+    return _growth_gate("counterexample.factorization_identity", "max dev", records, "factor_dev")
+
+
+def check_zero_slot(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
+    return _growth_gate(
+        "counterexample.zero_slot", "max |f(A,B,0)|/sqrt(N)", records, "zero_slot_error"
+    )
 
 
 def check_rank_one_collapse(N_list: Sequence[int]) -> CheckResult:
@@ -470,7 +481,9 @@ def run_selfcheck(
     """Run every invariant check and return the results in a fixed order.
 
     The growth sweep over ``N_list`` and ``p_list`` runs once; the blowup,
-    factorization and surrogate checks read its records."""
+    factorization, surrogate and zero-slot checks read all of its records.
+    A symbol that is not finite at some atom raises
+    :class:`moilab.moi.NonFiniteSymbolError` from the sweep."""
     small_N = tuple(n for n in N_list if n <= 16) or tuple(N_list[:1])
     psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
     sweep = [record for N in N_list for record in ce.growth_records(N, p_list, psi_grid=psi_grid)]
@@ -493,7 +506,7 @@ def run_selfcheck(
         check_summability_tail(grid_half_width, grid_log2_size),
         check_surrogate_refinement(grid_half_width, grid_log2_size),
         check_exact_blowup(sweep),
-        check_factorization_identity([record for record in sweep if record.N in small_N]),
+        check_factorization_identity(sweep),
         check_rank_one_collapse(small_N),
         check_gram_fidelity(small_N),
         check_bounded_symbol((4, 8, 16, 32, 64)),
@@ -501,4 +514,5 @@ def run_selfcheck(
         check_lipschitz_bound(trials, seed),
         check_pairs_chain(trials, seed),
         check_constructed_spectrum(tuple(n for n in N_list if n <= 64), seed + 12, 20),
+        check_zero_slot(sweep),
     ]

@@ -2,8 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from moilab import counterexample
 from moilab.cli import (
     ConfigError,
     RunConfig,
@@ -81,6 +83,58 @@ def test_growth_gate_on_perturbation_is_relative(tmp_path, capsys, monkeypatch):
     args = ["growth", "--N", "256", "--p", "2", "--eps-rule", "quarter-root", "--out", str(out)]
     assert run_cli(args) == 1
     assert "growth mismatch at N=256, p=2: 0.250000005" in capsys.readouterr().err
+
+
+# a broken psi in the growth symbol, and the selfcheck items and growth
+# residuals that must catch it: 1.5 t scales D by 1.5, and t + 1/2 makes
+# f(A, B, 0) = phi(A, B) / 2 while leaving D alone
+PSI_FAULTS = {
+    "scaled": (
+        lambda t: 1.5 * np.asarray(t, dtype=float),
+        {"counterexample.exact_blowup", "counterexample.factorization_identity"},
+        {"ratio_error", "factor_dev"},
+    ),
+    "shifted": (
+        lambda t: np.asarray(t, dtype=float) + 0.5,
+        {"counterexample.zero_slot"},
+        {"zero_slot_error"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PSI_FAULTS)
+def test_broken_psi_fails_selfcheck_and_growth_gates(tmp_path, capsys, monkeypatch, fault):
+    psi, failed_checks, failed_residuals = PSI_FAULTS[fault]
+    monkeypatch.setattr(counterexample, "psi_reference", lambda: psi)
+    assert run_cli(["selfcheck", "--N", "2,4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")} == failed_checks
+
+    out = tmp_path / "growth.csv"
+    assert run_cli(["growth", "--N", "2,4", "--p", "2", "--out", str(out)]) == 1
+    assert len(out.read_text().splitlines()) == 3  # the rows are written all the same
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * len(failed_residuals)
+    assert all(line.startswith("growth mismatch at N=") for line in err)
+    assert {line.split("(")[1].split()[0] for line in err} == failed_residuals
+
+
+@pytest.mark.parametrize(
+    "command", [["growth", "--N", "2,4", "--p", "2"], ["selfcheck", "--N", "2,4"]],
+    ids=["growth", "selfcheck"],
+)
+def test_non_finite_symbol_exits_one_naming_the_atom(tmp_path, capsys, monkeypatch, command):
+    # without its small-argument series eta is 0/0 on the lattice
+    def unguarded(x):
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return 2.0 * (1.0 - np.cos(arr)) / (arr * arr)
+
+    monkeypatch.setattr(counterexample, "eta", unguarded)
+    assert run_cli(command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("moilab: symbol is not finite at atom (")
 
 
 def test_growth_output_is_deterministic(tmp_path):
@@ -239,7 +293,7 @@ def test_selfcheck_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 26
+    assert len(lines) == 27
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -338,7 +392,9 @@ def test_default_config_matches_documented_sweep():
     assert config.N_list == (1, 2, 4, 8, 16, 32, 64)
     assert config.p_list == (1.0, 1.5, 2.0, 3.0, math.inf)
     assert config.seed == 20240501
-    assert config.validate() is config
+    # the defaults pass every parser's rule and the grid rule
+    for command in ("growth", "bounds", "selfcheck"):
+        assert build_config(build_parser().parse_args([command])) == config
 
 
 @pytest.mark.parametrize(
@@ -380,6 +436,27 @@ def test_bad_configuration_exits_two_and_names_field(
     code = run_cli(["bounds", "--config", str(cfg), "--N", "2", "--trials", "1", *flags])
     assert code == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_bounds_builds_no_psi_grid(tmp_path, monkeypatch):
+    # band 0 is unresolvable at this spacing, which only the grid's users refuse
+    def no_grid(*args):
+        raise AssertionError("bounds must not build the psi grid")
+
+    monkeypatch.setattr("moilab.cli.psi_reference_grid", no_grid)
+    monkeypatch.setattr("moilab.besov.psi_reference_grid", no_grid)
+    args = ["bounds", "--N", "2", "--p", "2", "--trials", "1", "--grid-L", "1e5"]
+    assert run_cli([*args, "--out", str(tmp_path / "b.csv")]) == 0
+
+
+def test_out_of_range_file_value_is_rejected_under_a_flag(tmp_path, capsys):
+    # each parser returns only values its field accepts, so a file value the
+    # flag overrides is refused for its range as well as for its spelling
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    args = ["bounds", "--config", str(cfg), "--seed", "3", "--N", "2", "--trials", "1"]
+    assert run_cli([*args, "--out", str(tmp_path / "b.csv")]) == 2
+    assert "field 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, expected", [("growth", 2), ("selfcheck", 2), ("bounds", 0)])

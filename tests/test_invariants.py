@@ -35,6 +35,7 @@ NAMES = (
     "counterexample.lipschitz_bound",
     "counterexample.pairs_chain",
     "linalg.constructed_spectrum",
+    "counterexample.zero_slot",
 )
 
 
