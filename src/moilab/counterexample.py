@@ -29,8 +29,9 @@ import numpy as np
 from .besov import GridFunction, psi_reference, psi_reference_grid, tensor_bound_kappa, window_w
 from .linalg import (
     HermitianOperator,
-    InvalidSpectrumError,
+    _hermitians_from_spectra,
     as_complex_matrix,
+    atoms_separated,
     complex_gaussian,
     hermitian_from_matrix,
     hermitian_from_spectrum,
@@ -426,23 +427,47 @@ def random_rank_limited_hermitians(
     """``count`` operators Q Lambda Q*, each with its own unitary Q and
     ``rank`` uniform(-1, 1) eigenvalues.
 
-    Per operator the generator gives the real and then the imaginary part
-    of a complex Gaussian, then the ``rank`` values.  One stacked QR turns
-    the Gaussians into the unitaries, so ``count`` operators cost one numpy
-    QR call and equal, bit for bit, the same draws taken one at a time.
-
-    The first ``rank`` columns of Q carry the drawn values and the rest the
-    zero atom.  Each operator is built from that spectrum, with the atoms
-    sorted, and is never decomposed.  In the rare draw that puts two atoms
-    within the grouping tolerance it is built from Q Lambda Q* instead, so
-    ``eigh`` merges them.
+    The draws (:func:`_draw_rank_limited`) and the build
+    (:func:`_build_rank_limited`) are separate steps, so a caller can take
+    the draws of several calls in generator order and build them all at
+    once; the operators equal, bit for bit, the same draws built one at a
+    time.
     """
+    return _build_rank_limited([_draw_rank_limited(rng, dim, rank, count)])
+
+
+def _draw_rank_limited(
+    rng: np.random.Generator, dim: int, rank: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's part of :func:`random_rank_limited_hermitians`: per
+    operator the real and then the imaginary part of a dim x dim complex
+    Gaussian, then its ``rank`` values.  Returns the Gaussians (count, dim,
+    dim) and the values (count, rank)."""
     gaussians = np.empty((count, dim, dim), dtype=np.complex128)
     drawn = np.empty((count, rank))
     for k in range(count):
         gaussians[k] = complex_gaussian(rng, dim, dim)
         drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
-    frames = unitary_from_gaussian(gaussians)
+    return gaussians, drawn
+
+
+def _build_rank_limited(
+    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[HermitianOperator, ...]:
+    """The operators of several :func:`_draw_rank_limited` results of one
+    dim and rank, in order.
+
+    One stacked QR turns every Gaussian into its unitary Q.  The first
+    ``rank`` columns of Q carry the drawn values and the rest the zero
+    atom.  Each operator whose atoms, sorted, are separated
+    (:func:`~moilab.linalg.atoms_separated`) is built from that spectrum
+    by one stacked constructor call and is never decomposed.  The rare
+    draw that puts two atoms within the grouping tolerance is built from
+    Q Lambda Q* instead, so ``eigh`` merges them.
+    """
+    frames = unitary_from_gaussian(np.concatenate([g for g, _ in draws]))
+    drawn = np.concatenate([d for _, d in draws])
+    dim, rank = frames.shape[-1], drawn.shape[1]
     # column j < rank carries drawn value j and the rest the zero atom; the
     # stable sort keeps the zero atom's columns together and in order
     weights = np.pad(drawn, ((0, 0), (0, dim - rank)))
@@ -452,14 +477,16 @@ def random_rank_limited_hermitians(
     orders = np.argsort(keys, axis=1, kind="stable")
     atoms = np.take_along_axis(keys, orders, axis=1)
     multiplicities = np.where(orders == rank, dim - rank, 1)
-    operators = []
-    for Q, w, frame, values, counts in zip(frames, weights, sorted_frames, atoms, multiplicities):
-        try:
-            op = hermitian_from_spectrum(values, frame, counts)
-        except InvalidSpectrumError:
-            op = hermitian_from_matrix((Q * w) @ Q.conj().T)
-        operators.append(op)
-    return tuple(operators)
+    separated = atoms_separated(atoms)
+    built = iter(
+        _hermitians_from_spectra(
+            atoms[separated], sorted_frames[separated], multiplicities[separated]
+        )
+    )
+    return tuple(
+        next(built) if ok else hermitian_from_matrix((Q * w) @ Q.conj().T)
+        for ok, Q, w in zip(separated, frames, weights)
+    )
 
 
 _TRIG_MAX_DEGREE = 3
@@ -565,18 +592,66 @@ class RankCheckReport:
         return reduce(_worse, (t.ratio for t in self.trials), 0.0)
 
 
+# Largest number of complex entries (128 KiB) the stacked operator matrices
+# of one block of rank-check trials may hold; a block has at least one trial.
+_BLOCK_ENTRIES = 2**13
+
+
 def _rank_check(
-    N: int, p_list: Sequence[float], trials: int, seed: int, trial: Callable
+    N: int,
+    p_list: Sequence[float],
+    trials: int,
+    seed: int,
+    count: int,
+    draw_function: Callable,
+    differences: Callable,
+    verdicts: Callable,
 ) -> list[RankCheckReport]:
-    """The loop both rank checks share: ``trial(rng)`` draws once from the
-    seeded generator and yields one ``(ratio, ok)`` per entry of ``p_list``."""
+    """The loop both rank checks share, run over blocks of trials.
+
+    A trial takes ``count`` rank-N operators of dimension 2N and a test
+    function ``draw_function(rng) -> (f, weight)``.  Each block, of as many
+    trials as keep its operator matrices within ``_BLOCK_ENTRIES`` entries,
+
+    1. draws every trial in generator order: its operators, then its test
+       function;
+    2. builds all of the block's operators in one
+       :func:`_build_rank_limited` call;
+    3. runs each trial's ``differences(operators, f)``, a list of matrices;
+    4. takes one :func:`~moilab.linalg.singular_values` call over the
+       block's matrices;
+    5. reads ``verdicts(values, weight)``, one ``(ratio, ok)`` per entry of
+       ``p_list`` from a trial's singular values.
+
+    The generator is drawn in the order of one trial at a time, and the
+    stacked calls give each matrix its own bits, so the reports do not
+    depend on the block size.
+    """
     if not p_list:
         return []
     rng = np.random.default_rng(seed)
+    dim = 2 * N
+    per_block = max(1, _BLOCK_ENTRIES // (count * dim * dim))
     rows = [[] for _ in p_list]
-    for t in range(trials):
-        for p_rows, (ratio, ok) in zip(rows, trial(rng)):
-            p_rows.append(RankTrial(trial=t, ratio=ratio, ok=ok))
+    for start in range(0, trials, per_block):
+        block = range(start, min(start + per_block, trials))
+        draws, functions = [], []
+        for _ in block:
+            draws.append(_draw_rank_limited(rng, dim, N, count))
+            functions.append(draw_function(rng))
+        operators = _build_rank_limited(draws)
+        matrices = [
+            M
+            for i, (f, _) in enumerate(functions)
+            for M in differences(operators[i * count : (i + 1) * count], f)
+        ]
+        values = singular_values(np.stack(matrices))
+        width = len(matrices) // len(block)
+        for i, (t, (_, weight)) in enumerate(zip(block, functions)):
+            trial_values = values[i * width : (i + 1) * width]
+            for p_rows, (ratio, ok) in zip(rows, verdicts(trial_values, weight)):
+                p_rows.append(RankTrial(trial=t, ratio=ratio, ok=ok))
+        del operators, matrices  # freed before the next block is built
     return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
@@ -592,26 +667,25 @@ def rank_estimate_check_pairs(
     and reports the ratio of ||Df||_{S_p} to
     N^(1/2 - 1/p) * surrogate * max perturbation.
 
-    Each trial draws its four operators in one stacked draw and its
-    polynomial once, and takes one stacked SVD of its three differences,
-    which serves every index; so the draws, and each report, do not depend
-    on the other entries of ``p_list``.
+    A trial draws four operators and then its polynomial, and has three
+    differences: Df, A1 - A2 and B1 - B2.  :func:`_rank_check` builds and
+    takes the SVDs of a block of trials at once, and one SVD serves every
+    index; so the draws, and each report, do not depend on the other
+    entries of ``p_list``.
 
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
     p_list = [validate_schatten_index(p) for p in p_list]
     if any(p < 2.0 for p in p_list):
         raise ValueError("rank_estimate_check_pairs requires p >= 2")
-    dim = 2 * N
 
-    def trial(rng):
-        A1, B1, A2, B2 = random_rank_limited_hermitians(rng, dim, N, 4)
-        f, surrogate = random_trig_polynomial(rng)
-
+    def differences(operators, f):
+        A1, B1, A2, B2 = operators
         diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
-        diff_values, *x_values = singular_values(
-            np.stack((diff, A1.matrix - A2.matrix, B1.matrix - B2.matrix))
-        )
+        return [diff, A1.matrix - A2.matrix, B1.matrix - B2.matrix]
+
+    def verdicts(values, surrogate):
+        diff_values, *x_values = values
         norm_2 = norm_of_singular_values(diff_values, 2.0)
         # per perturbation X: singular values, rank and ||X||_{S_2}
         perturbations = [
@@ -630,7 +704,7 @@ def rank_estimate_check_pairs(
             denom = N ** (0.5 - inv_p) * surrogate * max_perturbation
             yield norm_p / denom if denom > 0 else 0.0, ok
 
-    return _rank_check(N, p_list, trials, seed, trial)
+    return _rank_check(N, p_list, trials, seed, 4, random_trig_polynomial, differences, verdicts)
 
 
 def lipschitz_rank_bound_check(
@@ -646,29 +720,27 @@ def lipschitz_rank_bound_check(
 
     together with the three telescoping one-slot steps it is assembled
     from.  A violation indicates an implementation bug, since the bound is
-    a proven estimate.  Each trial draws its six operators in one stacked
-    draw, evaluates the four corners once and takes one stacked SVD of its
-    seven differences for every index, so the draws do not depend on
+    a proven estimate.  A trial draws six operators and then its kink
+    function, evaluates the four corners once and has seven differences.
+    :func:`_rank_check` builds and takes the SVDs of a block of trials at
+    once, and one SVD serves every index, so the draws do not depend on
     ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
-    dim = 2 * N
     slack = 1e-9
 
-    def trial(rng):
-        operators = random_rank_limited_hermitians(rng, dim, N, 6)
+    def differences(operators, f):
         first, second = operators[:3], operators[3:]
-        f, seminorm = random_kink_function(rng)
-        scale = N**4 * seminorm
-
         # corner k takes its first k slots from the second triple
         corners = [apply_function_triple(f, *second[:k], *first[k:]) for k in range(4)]
-        differences = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
-        differences += [corners[i] - corners[i + 1] for i in range(3)]
-        differences.append(corners[0] - corners[3])
-        values = singular_values(np.stack(differences))
-        d_values, step_values, total_values = values[:3], values[3:6], values[6]
+        out = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
+        out += [corners[i] - corners[i + 1] for i in range(3)]
+        out.append(corners[0] - corners[3])
+        return out
 
+    def verdicts(values, seminorm):
+        scale = N**4 * seminorm
+        d_values, step_values, total_values = values[:3], values[3:6], values[6]
         for p in p_list:
             d_norms = [norm_of_singular_values(s, p) for s in d_values]
             steps_ok = all(
@@ -679,4 +751,4 @@ def lipschitz_rank_bound_check(
             bound = scale * sum(d_norms)
             yield lhs / bound if bound > 0 else 0.0, lhs <= bound + slack and steps_ok
 
-    return _rank_check(N, p_list, trials, seed, trial)
+    return _rank_check(N, p_list, trials, seed, 6, random_kink_function, differences, verdicts)

@@ -500,7 +500,8 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
         counts.append(count)
         return (X, X, zero, Y, Y, zero)
 
-    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", planted)
+    monkeypatch.setattr(counterexample, "_draw_rank_limited", planted)
+    monkeypatch.setattr(counterexample, "_build_rank_limited", _drawn_operators)
     monkeypatch.setattr(
         counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
     )
@@ -509,6 +510,11 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
     assert [len(report.trials) for report in reports] == [3, 3, 3]
     assert not any(t.ok for report in reports for t in report.trials)
     assert all(t.ratio == 0.0 for report in reports for t in report.trials)
+
+
+def _drawn_operators(draws):
+    """A build step for draw steps that return operators: them, in order."""
+    return tuple(op for draw in draws for op in draw)
 
 
 def _reference_draw(rng, dim, rank):
@@ -558,12 +564,17 @@ def test_rank_limited_draws_fall_back_to_eigh_per_operator(monkeypatch):
         assert np.array_equal(op.matrix, ref.matrix)
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_rank_checks_equal_a_per_operator_reference(N, monkeypatch):
-    stacked = [
-        lipschitz_rank_bound_check(N, [1.0, 2.0, math.inf], trials=4, seed=SEED),
-        rank_estimate_check_pairs(N, [2.0, math.inf], trials=4, seed=SEED),
+def _both_rank_checks(N, trials):
+    return [
+        lipschitz_rank_bound_check(N, [1.0, 2.0, math.inf], trials=trials, seed=SEED),
+        rank_estimate_check_pairs(N, [2.0, math.inf], trials=trials, seed=SEED),
     ]
+
+
+def _per_operator_reference(monkeypatch, N, trials):
+    """:func:`_both_rank_checks` with each operator drawn and built alone,
+    one SVD per matrix and the per-band polynomial; returns the reports and
+    the number of operators, SVDs and polynomials."""
     calls = {"draws": 0, "svds": 0, "polynomials": 0}
 
     def one_at_a_time(rng, dim, rank, count):
@@ -578,15 +589,56 @@ def test_rank_checks_equal_a_per_operator_reference(N, monkeypatch):
         calls["polynomials"] += 1
         return _reference_trig_polynomial(rng)
 
-    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", one_at_a_time)
+    monkeypatch.setattr(counterexample, "_draw_rank_limited", one_at_a_time)
+    monkeypatch.setattr(counterexample, "_build_rank_limited", _drawn_operators)
     monkeypatch.setattr(counterexample, "singular_values", svd_each)
     monkeypatch.setattr(counterexample, "random_trig_polynomial", polynomial)
-    reference = [
-        lipschitz_rank_bound_check(N, [1.0, 2.0, math.inf], trials=4, seed=SEED),
-        rank_estimate_check_pairs(N, [2.0, math.inf], trials=4, seed=SEED),
-    ]
+    return _both_rank_checks(N, trials), calls
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_rank_checks_equal_a_per_operator_reference(N, monkeypatch):
+    blocked = _both_rank_checks(N, trials=4)
+    reference, calls = _per_operator_reference(monkeypatch, N, trials=4)
     assert calls == {"draws": 4 * (6 + 4), "svds": 4 * (7 + 3), "polynomials": 4}
-    assert reference == stacked
+    assert reference == blocked
+
+
+def _logged(events, name, fn, size):
+    """``fn``, which first appends ``(name, size(first argument))`` to ``events``."""
+
+    def call(first, *rest):
+        events.append((name, size(first)))
+        return fn(first, *rest)
+
+    return call
+
+
+def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
+    N, trials = 6, 20
+    events = []  # every draw, build and SVD, in call order
+    for name in ("_draw_rank_limited", "random_kink_function", "random_trig_polynomial"):
+        real = getattr(counterexample, name)
+        monkeypatch.setattr(counterexample, name, _logged(events, name, real, lambda first: None))
+    for name in ("_build_rank_limited", "singular_values"):
+        real = getattr(counterexample, name)
+        monkeypatch.setattr(counterexample, name, _logged(events, name, real, len))
+    blocked = _both_rank_checks(N, trials)
+    # per block: each trial's operators and then its function, one build, one SVD
+    expected = []
+    # (operators, test function, differences) per trial of the Lipschitz and the pairs check
+    shapes = [(6, "random_kink_function", 7), (4, "random_trig_polynomial", 3)]
+    for count, function, width in shapes:
+        per_block = counterexample._BLOCK_ENTRIES // (count * (2 * N) ** 2)
+        assert 1 < per_block < trials and trials % per_block  # several blocks, the last partial
+        for start in range(0, trials, per_block):
+            n = min(per_block, trials - start)
+            expected += [("_draw_rank_limited", None), (function, None)] * n
+            expected += [("_build_rank_limited", n), ("singular_values", width * n)]
+    assert events == expected
+    reference, calls = _per_operator_reference(monkeypatch, N, trials)
+    assert calls == {"draws": trials * (6 + 4), "svds": trials * (7 + 3), "polynomials": trials}
+    assert reference == blocked
 
 
 def test_phi_grid_sup_keeps_nan():
@@ -637,7 +689,7 @@ def test_fault_injection_unguarded_eta_is_caught(monkeypatch):
             return 2.0 * (1.0 - np.cos(arr)) / (arr * arr)
 
     monkeypatch.setattr(ce, "eta", unguarded)
-    with pytest.raises((RuntimeError, ValueError)):
+    with pytest.raises(moi.NonFiniteSymbolError):
         ce.growth_records(2, [2.0])
 
 
