@@ -190,7 +190,6 @@ class CounterexampleInstance:
 
     N: int
     U: np.ndarray
-    theta: np.ndarray
     A: HermitianOperator
     B: HermitianOperator
     C: HermitianOperator
@@ -233,7 +232,6 @@ def build_instance(N: int) -> CounterexampleInstance:
       single atom 1.
     """
     U = dft_unitary(N)
-    theta = math.sqrt(N) * U.conj()
 
     weights = 2.0 * math.pi * np.arange(1, N + 1)
     simple = np.ones(N, dtype=np.int64)
@@ -245,7 +243,7 @@ def build_instance(N: int) -> CounterexampleInstance:
         else hermitian_from_spectrum([1.0], U, [1])
     )
 
-    phi = phi_symbol(theta, N)
+    phi = phi_symbol(math.sqrt(N) * U.conj(), N)
     psi = psi_reference()
 
     def f(x, y, z):
@@ -254,7 +252,6 @@ def build_instance(N: int) -> CounterexampleInstance:
     return CounterexampleInstance(
         N=N,
         U=U,
-        theta=theta,
         A=A,
         B=B,
         C=C,
@@ -427,47 +424,24 @@ def random_rank_limited_hermitians(
     """``count`` operators Q Lambda Q*, each with its own unitary Q and
     ``rank`` uniform(-1, 1) eigenvalues.
 
-    The draws (:func:`_draw_rank_limited`) and the build
-    (:func:`_build_rank_limited`) are separate steps, so a caller can take
-    the draws of several calls in generator order and build them all at
-    once; the operators equal, bit for bit, the same draws built one at a
-    time.
-    """
-    return _build_rank_limited([_draw_rank_limited(rng, dim, rank, count)])
+    Per operator the generator gives the real and then the imaginary part
+    of a complex Gaussian, then the ``rank`` values.  One stacked QR turns
+    every Gaussian into its unitary Q, so the operators equal, bit for bit,
+    the same draws taken one at a time.
 
-
-def _draw_rank_limited(
-    rng: np.random.Generator, dim: int, rank: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The generator's part of :func:`random_rank_limited_hermitians`: per
-    operator the real and then the imaginary part of a dim x dim complex
-    Gaussian, then its ``rank`` values.  Returns the Gaussians (count, dim,
-    dim) and the values (count, rank)."""
-    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
-    drawn = np.empty((count, rank))
-    for k in range(count):
-        gaussians[k] = complex_gaussian(rng, dim, dim)
-        drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
-    return gaussians, drawn
-
-
-def _build_rank_limited(
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[HermitianOperator, ...]:
-    """The operators of several :func:`_draw_rank_limited` results of one
-    dim and rank, in order.
-
-    One stacked QR turns every Gaussian into its unitary Q.  The first
-    ``rank`` columns of Q carry the drawn values and the rest the zero
-    atom.  Each operator whose atoms, sorted, are separated
+    The first ``rank`` columns of Q carry the drawn values and the rest the
+    zero atom.  Each operator whose atoms, sorted, are separated
     (:func:`~moilab.linalg.atoms_separated`) is built from that spectrum
     by one stacked constructor call and is never decomposed.  The rare
     draw that puts two atoms within the grouping tolerance is built from
     Q Lambda Q* instead, so ``eigh`` merges them.
     """
-    frames = unitary_from_gaussian(np.concatenate([g for g, _ in draws]))
-    drawn = np.concatenate([d for _, d in draws])
-    dim, rank = frames.shape[-1], drawn.shape[1]
+    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
+    drawn = np.empty((count, rank))
+    for k in range(count):
+        gaussians[k] = complex_gaussian(rng, dim, dim)
+        drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
+    frames = unitary_from_gaussian(gaussians)
     # column j < rank carries drawn value j and the rest the zero atom; the
     # stable sort keeps the zero atom's columns together and in order
     weights = np.pad(drawn, ((0, 0), (0, dim - rank)))
@@ -610,36 +584,34 @@ def _rank_check(
     """The loop both rank checks share, run over blocks of trials.
 
     A trial takes ``count`` rank-N operators of dimension 2N and a test
-    function ``draw_function(rng) -> (f, weight)``.  Each block, of as many
-    trials as keep its operator matrices within ``_BLOCK_ENTRIES`` entries,
+    function ``draw_function(rng) -> (f, weight)``.  Two generators spawned
+    from ``seed`` feed them: one gives every operator and the other every
+    test function.  Each block, of as many trials as keep its operator
+    matrices within ``_BLOCK_ENTRIES`` entries,
 
-    1. draws every trial in generator order: its operators, then its test
+    1. draws all of its operators in one
+       :func:`random_rank_limited_hermitians` call, then each trial's test
        function;
-    2. builds all of the block's operators in one
-       :func:`_build_rank_limited` call;
-    3. runs each trial's ``differences(operators, f)``, a list of matrices;
-    4. takes one :func:`~moilab.linalg.singular_values` call over the
+    2. runs each trial's ``differences(operators, f)``, a list of matrices;
+    3. takes one :func:`~moilab.linalg.singular_values` call over the
        block's matrices;
-    5. reads ``verdicts(values, weight)``, one ``(ratio, ok)`` per entry of
+    4. reads ``verdicts(values, weight)``, one ``(ratio, ok)`` per entry of
        ``p_list`` from a trial's singular values.
 
-    The generator is drawn in the order of one trial at a time, and the
+    Each stream is drawn in trial order whatever the block size, and the
     stacked calls give each matrix its own bits, so the reports do not
     depend on the block size.
     """
     if not p_list:
         return []
-    rng = np.random.default_rng(seed)
+    operator_rng, function_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     dim = 2 * N
     per_block = max(1, _BLOCK_ENTRIES // (count * dim * dim))
     rows = [[] for _ in p_list]
     for start in range(0, trials, per_block):
         block = range(start, min(start + per_block, trials))
-        draws, functions = [], []
-        for _ in block:
-            draws.append(_draw_rank_limited(rng, dim, N, count))
-            functions.append(draw_function(rng))
-        operators = _build_rank_limited(draws)
+        operators = random_rank_limited_hermitians(operator_rng, dim, N, count * len(block))
+        functions = [draw_function(function_rng) for _ in block]
         matrices = [
             M
             for i, (f, _) in enumerate(functions)
@@ -667,11 +639,11 @@ def rank_estimate_check_pairs(
     and reports the ratio of ||Df||_{S_p} to
     N^(1/2 - 1/p) * surrogate * max perturbation.
 
-    A trial draws four operators and then its polynomial, and has three
-    differences: Df, A1 - A2 and B1 - B2.  :func:`_rank_check` builds and
-    takes the SVDs of a block of trials at once, and one SVD serves every
-    index; so the draws, and each report, do not depend on the other
-    entries of ``p_list``.
+    A trial takes four operators from the operator stream and its
+    polynomial from the function stream, and has three differences: Df,
+    A1 - A2 and B1 - B2.  :func:`_rank_check` draws and takes the SVDs of a
+    block of trials at once, and one SVD serves every index; so the draws,
+    and each report, do not depend on the other entries of ``p_list``.
 
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
@@ -720,11 +692,11 @@ def lipschitz_rank_bound_check(
 
     together with the three telescoping one-slot steps it is assembled
     from.  A violation indicates an implementation bug, since the bound is
-    a proven estimate.  A trial draws six operators and then its kink
-    function, evaluates the four corners once and has seven differences.
-    :func:`_rank_check` builds and takes the SVDs of a block of trials at
-    once, and one SVD serves every index, so the draws do not depend on
-    ``p_list``.
+    a proven estimate.  A trial takes six operators from the operator
+    stream and its kink function from the function stream, evaluates the
+    four corners once and has seven differences.  :func:`_rank_check` draws
+    and takes the SVDs of a block of trials at once, and one SVD serves
+    every index, so the draws do not depend on ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
     slack = 1e-9

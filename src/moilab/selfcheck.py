@@ -334,7 +334,7 @@ def check_summability_tail(grid_half_width: float, grid_log2_size: int) -> Check
     ]
     tail = sum(weighted[top_coarse + 1 :])
     total = besov.psi_band_majorant(fine)
-    fraction = tail / total
+    fraction = tail / total if total else math.nan  # a zero majorant fails
     decaying = all(
         weighted[i + 1] <= weighted[i] or weighted[i + 1] < 1e-12
         for i in range(3, len(weighted) - 1)
@@ -355,7 +355,7 @@ def check_surrogate_refinement(grid_half_width: float, grid_log2_size: int) -> C
     fine = besov.psi_band_majorant(
         besov.psi_reference_grid(grid_half_width, grid_log2_size + 1)
     )
-    rel = abs(fine - coarse) / coarse
+    rel = abs(fine - coarse) / coarse if coarse else math.nan  # a zero majorant fails
     tol = 0.02
     return _result(
         "besov.surrogate_refinement",
@@ -411,7 +411,7 @@ def check_gram_fidelity(N_list: Sequence[int]) -> CheckResult:
 
 def check_bounded_symbol(N_list: Sequence[int]) -> CheckResult:
     sups = [ce.phi_grid_sup(ce.build_instance(N).phi, N) for N in N_list]
-    spread = max(sups) / min(sups) - 1.0
+    spread = max(sups) / min(sups) - 1.0 if min(sups) else math.nan  # a zero sup fails
     # the grid holds the lattice where the proved bound PHI_SUP is attained
     dev = reduce(_worse, (abs(s - ce.PHI_SUP) for s in sups))
     spread_tol, dev_tol = 0.1, 1e-12

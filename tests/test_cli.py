@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moilab import counterexample
+from moilab import besov, counterexample
 from moilab.cli import (
     ConfigError,
     RunConfig,
@@ -135,6 +135,40 @@ def test_non_finite_symbol_exits_one_naming_the_atom(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("moilab: symbol is not finite at atom (")
+
+
+# a zero eta makes every phi_N sup 0, and a zero psi grid makes its band
+# majorant 0: the checks that divide by them fail instead of raising, and
+# selfcheck prints every line
+ZERO_DENOMINATOR_FAULTS = {
+    "eta": (
+        counterexample, "eta", lambda x: np.zeros_like(x, dtype=float),
+        {
+            "counterexample.exact_blowup",
+            "counterexample.rank_one_collapse",
+            "counterexample.bounded_symbol",
+        },
+    ),
+    "psi_grid": (
+        besov, "psi_reference", lambda: lambda t: 0.0 * np.asarray(t, dtype=float),
+        {"besov.summability_tail", "besov.surrogate_refinement"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ZERO_DENOMINATOR_FAULTS)
+def test_zero_denominator_fails_its_selfcheck_item(capsys, monkeypatch, fault):
+    module, name, zero, failed_checks = ZERO_DENOMINATOR_FAULTS[fault]
+    monkeypatch.setattr(module, name, zero)
+    besov.psi_reference_grid.cache_clear()
+    try:
+        code = run_cli(["selfcheck", "--N", "2,4"])
+    finally:
+        besov.psi_reference_grid.cache_clear()
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 27
+    assert {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")} == failed_checks
 
 
 def test_growth_output_is_deterministic(tmp_path):

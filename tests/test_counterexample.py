@@ -498,23 +498,17 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
 
     def planted(rng, dim, rank, count):
         counts.append(count)
-        return (X, X, zero, Y, Y, zero)
+        return (X, X, zero, Y, Y, zero) * (count // 6)
 
-    monkeypatch.setattr(counterexample, "_draw_rank_limited", planted)
-    monkeypatch.setattr(counterexample, "_build_rank_limited", _drawn_operators)
+    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", planted)
     monkeypatch.setattr(
         counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
     )
     reports = lipschitz_rank_bound_check(2, [1.0, 2.0, math.inf], trials=3, seed=1)
-    assert counts == [6, 6, 6]  # every trial took the planted triples
+    assert counts == [18]  # one block of three trials, each took the planted triples
     assert [len(report.trials) for report in reports] == [3, 3, 3]
     assert not any(t.ok for report in reports for t in report.trials)
     assert all(t.ratio == 0.0 for report in reports for t in report.trials)
-
-
-def _drawn_operators(draws):
-    """A build step for draw steps that return operators: them, in order."""
-    return tuple(op for draw in draws for op in draw)
 
 
 def _reference_draw(rng, dim, rank):
@@ -589,8 +583,7 @@ def _per_operator_reference(monkeypatch, N, trials):
         calls["polynomials"] += 1
         return _reference_trig_polynomial(rng)
 
-    monkeypatch.setattr(counterexample, "_draw_rank_limited", one_at_a_time)
-    monkeypatch.setattr(counterexample, "_build_rank_limited", _drawn_operators)
+    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", one_at_a_time)
     monkeypatch.setattr(counterexample, "singular_values", svd_each)
     monkeypatch.setattr(counterexample, "random_trig_polynomial", polynomial)
     return _both_rank_checks(N, trials), calls
@@ -605,26 +598,29 @@ def test_rank_checks_equal_a_per_operator_reference(N, monkeypatch):
 
 
 def _logged(events, name, fn, size):
-    """``fn``, which first appends ``(name, size(first argument))`` to ``events``."""
+    """``fn``, which first appends ``(name, size(*arguments))`` to ``events``."""
 
-    def call(first, *rest):
-        events.append((name, size(first)))
-        return fn(first, *rest)
+    def call(*args):
+        events.append((name, size(*args)))
+        return fn(*args)
 
     return call
 
 
 def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
     N, trials = 6, 20
-    events = []  # every draw, build and SVD, in call order
-    for name in ("_draw_rank_limited", "random_kink_function", "random_trig_polynomial"):
+    events = []  # every operator draw, function draw and SVD, in call order
+    sizes = {
+        "random_rank_limited_hermitians": lambda rng, dim, rank, count: count,
+        "random_kink_function": lambda rng: None,
+        "random_trig_polynomial": lambda rng: None,
+        "singular_values": len,
+    }
+    for name, size in sizes.items():
         real = getattr(counterexample, name)
-        monkeypatch.setattr(counterexample, name, _logged(events, name, real, lambda first: None))
-    for name in ("_build_rank_limited", "singular_values"):
-        real = getattr(counterexample, name)
-        monkeypatch.setattr(counterexample, name, _logged(events, name, real, len))
+        monkeypatch.setattr(counterexample, name, _logged(events, name, real, size))
     blocked = _both_rank_checks(N, trials)
-    # per block: each trial's operators and then its function, one build, one SVD
+    # per block: one draw of all its operators, each trial's function, one SVD
     expected = []
     # (operators, test function, differences) per trial of the Lipschitz and the pairs check
     shapes = [(6, "random_kink_function", 7), (4, "random_trig_polynomial", 3)]
@@ -633,12 +629,22 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
         assert 1 < per_block < trials and trials % per_block  # several blocks, the last partial
         for start in range(0, trials, per_block):
             n = min(per_block, trials - start)
-            expected += [("_draw_rank_limited", None), (function, None)] * n
-            expected += [("_build_rank_limited", n), ("singular_values", width * n)]
+            expected.append(("random_rank_limited_hermitians", count * n))
+            expected += [(function, None)] * n
+            expected.append(("singular_values", width * n))
     assert events == expected
     reference, calls = _per_operator_reference(monkeypatch, N, trials)
     assert calls == {"draws": trials * (6 + 4), "svds": trials * (7 + 3), "polynomials": trials}
     assert reference == blocked
+
+
+def test_rank_checks_do_not_depend_on_the_block_size(monkeypatch):
+    # one entry makes every block a single trial
+    N, trials = 6, 20
+    assert counterexample._BLOCK_ENTRIES // (6 * (2 * N) ** 2) > 1  # several trials by default
+    blocked = _both_rank_checks(N, trials)
+    monkeypatch.setattr(counterexample, "_BLOCK_ENTRIES", 1)
+    assert _both_rank_checks(N, trials) == blocked
 
 
 def test_phi_grid_sup_keeps_nan():
