@@ -56,6 +56,7 @@ from .moi import (
     NonFiniteSymbolError,
     apply_function_pair,
     apply_function_single,
+    apply_function_stack,
     apply_function_triple,
     argument_perturbation,
     double_operator_integral,
@@ -83,6 +84,7 @@ __all__ = [
     "SvdError",
     "apply_function_pair",
     "apply_function_single",
+    "apply_function_stack",
     "apply_function_triple",
     "argument_perturbation",
     "band_piece",

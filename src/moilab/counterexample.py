@@ -37,6 +37,7 @@ from .linalg import (
     hermitian_from_spectrum,
     hermitian_singular_values,
     norm_of_singular_values,
+    norms_of_singular_values,
     rank_of_singular_values,
     schatten_norm,
     singular_values,
@@ -44,7 +45,7 @@ from .linalg import (
     unitary_from_gaussian,
     validate_schatten_index,
 )
-from .moi import apply_function_pair, apply_function_triple
+from .moi import apply_function_pair, apply_function_stack, apply_function_triple
 
 
 class InvalidEpsilonError(ValueError):
@@ -481,13 +482,12 @@ def random_trig_polynomial(rng: np.random.Generator) -> tuple[Callable, float]:
         (span.size, span.size)
     )
 
-    m, l = span[:, None], span[None, :]
-
     def f(x, y):
-        # the (m, l) frequency grid rides on two trailing axes
-        xa = np.asarray(x, dtype=float)[..., None, None]
-        ya = np.asarray(y, dtype=float)[..., None, None]
-        return np.sum(coeffs * np.exp(1j * (m * xa + l * ya)), axis=(-2, -1))
+        # e^{i(mx + ly)} = e^{imx} e^{ily}: one exponential per frequency and
+        # argument value, the m sum as one product, the l sum over a trailing axis
+        ex = np.exp(1j * span * np.asarray(x, dtype=float)[..., None])
+        ey = np.exp(1j * span * np.asarray(y, dtype=float)[..., None])
+        return np.sum((ex @ coeffs) * ey, axis=-1)
 
     magnitudes = np.abs(coeffs)
     bound = 0.0
@@ -592,15 +592,19 @@ def _rank_check(
     1. draws all of its operators in one
        :func:`random_rank_limited_hermitians` call, then each trial's test
        function;
-    2. runs each trial's ``differences(operators, f)``, a list of matrices;
+    2. runs each trial's ``differences(operators, f)``, a stack of matrices
+       from one stacked calculus call (:func:`~moilab.moi.apply_function_stack`);
     3. takes one :func:`~moilab.linalg.singular_values` call over the
        block's matrices;
-    4. reads ``verdicts(values, weight)``, one ``(ratio, ok)`` per entry of
-       ``p_list`` from a trial's singular values.
+    4. reads every verdict of the block at once: ``verdicts(values,
+       weights)`` gets the singular values as (trials, matrices per trial,
+       2N) and the weights as (trials,), and gives one ``(ratios, oks)``
+       pair of (trials,) arrays per entry of ``p_list``.
 
-    Each stream is drawn in trial order whatever the block size, and the
-    stacked calls give each matrix its own bits, so the reports do not
-    depend on the block size.
+    Each stream is drawn in trial order whatever the block size, each
+    trial's calculus is its own call, and the stacked SVD and norms give
+    each matrix the bits it has alone, so the reports do not depend on the
+    block size.
     """
     if not p_list:
         return []
@@ -612,19 +616,24 @@ def _rank_check(
         block = range(start, min(start + per_block, trials))
         operators = random_rank_limited_hermitians(operator_rng, dim, N, count * len(block))
         functions = [draw_function(function_rng) for _ in block]
-        matrices = [
-            M
-            for i, (f, _) in enumerate(functions)
-            for M in differences(operators[i * count : (i + 1) * count], f)
-        ]
-        values = singular_values(np.stack(matrices))
-        width = len(matrices) // len(block)
-        for i, (t, (_, weight)) in enumerate(zip(block, functions)):
-            trial_values = values[i * width : (i + 1) * width]
-            for p_rows, (ratio, ok) in zip(rows, verdicts(trial_values, weight)):
-                p_rows.append(RankTrial(trial=t, ratio=ratio, ok=ok))
+        matrices = np.concatenate(
+            [
+                differences(operators[i * count : (i + 1) * count], f)
+                for i, (f, _) in enumerate(functions)
+            ]
+        )
+        values = singular_values(matrices).reshape(len(block), -1, dim)
+        weights = np.array([weight for _, weight in functions])
+        for p_rows, (ratios, oks) in zip(rows, verdicts(values, weights)):
+            p_rows.extend(map(RankTrial, block, ratios.tolist(), oks.tolist()))
         del operators, matrices  # freed before the next block is built
     return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
+
+
+def _ratios(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """numerator / denominator where the denominator is positive, else 0."""
+    positive = denominators > 0
+    return np.where(positive, numerators, 0.0) / np.where(positive, denominators, 1.0)
 
 
 def rank_estimate_check_pairs(
@@ -641,9 +650,11 @@ def rank_estimate_check_pairs(
 
     A trial takes four operators from the operator stream and its
     polynomial from the function stream, and has three differences: Df,
-    A1 - A2 and B1 - B2.  :func:`_rank_check` draws and takes the SVDs of a
-    block of trials at once, and one SVD serves every index; so the draws,
-    and each report, do not depend on the other entries of ``p_list``.
+    A1 - A2 and B1 - B2.  Its two terms f(A1, B1) and f(A2, B2) are one
+    stack of two, from one symbol call.  :func:`_rank_check` draws, takes
+    the SVDs and reads the verdicts of a block of trials at once, and one
+    SVD serves every index; so the draws, and each report, do not depend on
+    the other entries of ``p_list``.
 
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
@@ -653,28 +664,22 @@ def rank_estimate_check_pairs(
 
     def differences(operators, f):
         A1, B1, A2, B2 = operators
-        diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
-        return [diff, A1.matrix - A2.matrix, B1.matrix - B2.matrix]
+        terms = apply_function_stack(f, [(A1, B1), (A2, B2)])
+        return np.stack([terms[0] - terms[1], A1.matrix - A2.matrix, B1.matrix - B2.matrix])
 
-    def verdicts(values, surrogate):
-        diff_values, *x_values = values
-        norm_2 = norm_of_singular_values(diff_values, 2.0)
-        # per perturbation X: singular values, rank and ||X||_{S_2}
-        perturbations = [
-            (s, rank_of_singular_values(s), norm_of_singular_values(s, 2.0)) for s in x_values
-        ]
-
+    def verdicts(values, surrogates):
+        # per trial: Df's singular values, then those of the two perturbations X
+        x_values = values[:, 1:]
+        norms_2 = norms_of_singular_values(values, 2.0)
+        ranks = rank_of_singular_values(x_values)
         for p in p_list:
             inv_p = 0.0 if math.isinf(p) else 1.0 / p
-            norm_p = norm_of_singular_values(diff_values, p)
-            ok = norm_p <= norm_2 + 1e-12
-            max_perturbation = 0.0
-            for s, rank, x_2 in perturbations:
-                x_p = norm_of_singular_values(s, p)
-                ok = ok and x_2 <= rank ** (0.5 - inv_p) * x_p + 1e-12
-                max_perturbation = max(max_perturbation, x_p)
-            denom = N ** (0.5 - inv_p) * surrogate * max_perturbation
-            yield norm_p / denom if denom > 0 else 0.0, ok
+            norms_p = norms_of_singular_values(values, p)
+            x_p = norms_p[:, 1:]
+            chain = norms_2[:, 1:] <= ranks ** (0.5 - inv_p) * x_p + 1e-12
+            oks = (norms_p[:, 0] <= norms_2[:, 0] + 1e-12) & chain.all(axis=1)
+            denominators = N ** (0.5 - inv_p) * surrogates * x_p.max(axis=1, initial=0.0)
+            yield _ratios(norms_p[:, 0], denominators), oks
 
     return _rank_check(N, p_list, trials, seed, 4, random_trig_polynomial, differences, verdicts)
 
@@ -694,8 +699,9 @@ def lipschitz_rank_bound_check(
     from.  A violation indicates an implementation bug, since the bound is
     a proven estimate.  A trial takes six operators from the operator
     stream and its kink function from the function stream, evaluates the
-    four corners once and has seven differences.  :func:`_rank_check` draws
-    and takes the SVDs of a block of trials at once, and one SVD serves
+    four corners as one stack of four, from one symbol call per chunk, and
+    has seven differences.  :func:`_rank_check` draws, takes the SVDs and
+    reads the verdicts of a block of trials at once, and one SVD serves
     every index, so the draws do not depend on ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
@@ -704,23 +710,18 @@ def lipschitz_rank_bound_check(
     def differences(operators, f):
         first, second = operators[:3], operators[3:]
         # corner k takes its first k slots from the second triple
-        corners = [apply_function_triple(f, *second[:k], *first[k:]) for k in range(4)]
-        out = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
-        out += [corners[i] - corners[i + 1] for i in range(3)]
-        out.append(corners[0] - corners[3])
-        return out
+        corners = apply_function_stack(f, [(*second[:k], *first[k:]) for k in range(4)])
+        steps = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
+        return np.concatenate([steps, corners[:-1] - corners[1:], corners[:1] - corners[3:]])
 
-    def verdicts(values, seminorm):
-        scale = N**4 * seminorm
-        d_values, step_values, total_values = values[:3], values[3:6], values[6]
+    def verdicts(values, seminorms):
+        # per trial: the three slot differences, the three steps, the total
+        scales = N**4 * seminorms
         for p in p_list:
-            d_norms = [norm_of_singular_values(s, p) for s in d_values]
-            steps_ok = all(
-                norm_of_singular_values(s, p) <= scale * d + slack
-                for s, d in zip(step_values, d_norms)
-            )
-            lhs = norm_of_singular_values(total_values, p)
-            bound = scale * sum(d_norms)
-            yield lhs / bound if bound > 0 else 0.0, lhs <= bound + slack and steps_ok
+            norms = norms_of_singular_values(values, p)
+            d_norms, step_norms, lhs = norms[:, :3], norms[:, 3:6], norms[:, 6]
+            steps_ok = (step_norms <= scales[:, None] * d_norms + slack).all(axis=1)
+            bounds = scales * (d_norms[:, 0] + d_norms[:, 1] + d_norms[:, 2])
+            yield _ratios(lhs, bounds), (lhs <= bounds + slack) & steps_ok
 
     return _rank_check(N, p_list, trials, seed, 6, random_kink_function, differences, verdicts)

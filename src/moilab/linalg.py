@@ -292,7 +292,10 @@ class SpectralMeasure:
     unitary whose consecutive column blocks, of those widths, are the
     eigenspace bases, so the atoms' projections resolve the identity.  The
     operator-integral contractions read the frame directly; :attr:`atoms`
-    is a per-atom view derived from it.
+    is a per-atom view derived from it.  The engine's column form
+    (:func:`moilab.moi.apply_function_stack`) stacks the measures of several
+    operators in one: ``eigenvalues`` and ``frame`` then carry a leading
+    stack axis, and each column is its own atom.
     """
 
     eigenvalues: np.ndarray
@@ -301,7 +304,7 @@ class SpectralMeasure:
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[0]
+        return self.frame.shape[-1]
 
     @cached_property
     def atoms(self) -> tuple[SpectralAtom, ...]:
@@ -437,26 +440,38 @@ def schatten_norm(M, p: float) -> float:
 
 
 def norm_of_singular_values(s: np.ndarray, p: float) -> float:
-    """:func:`schatten_norm` of a matrix with singular values ``s``.
+    """:func:`schatten_norm` of a matrix with singular values ``s``:
+    :func:`norms_of_singular_values` on a stack of one."""
+    return float(norms_of_singular_values(s, p))
 
-    ``s`` is in descending order, as :func:`singular_values` returns it, and
-    ``p`` has passed :func:`validate_schatten_index`.  One SVD then serves
-    every index.
+
+def norms_of_singular_values(s: np.ndarray, p: float) -> np.ndarray:
+    """:func:`schatten_norm` of every matrix of a stack, from its singular
+    values ``s`` (..., n).
+
+    ``s`` is descending on its last axis, as :func:`singular_values` returns
+    it, and ``p`` has passed :func:`validate_schatten_index`.  One SVD then
+    serves every index, and one call every matrix.  Each matrix's norm is
+    formed from its own values only, so it has the same bits in any stack;
+    the root is taken by Python's ``pow``, which numpy's vector loops do not
+    match in the last bit.
     """
-    top = float(s[0]) if s.size else 0.0
-    if math.isinf(p) or top == 0.0:
-        return top
-    kept = s[s > _SINGULAR_VALUE_FLOOR * top]
-    # the method skips np.sum's dispatch, which dominates on short vectors
-    return top * float(((kept / top) ** p).sum()) ** (1.0 / p)
+    s = np.asarray(s, dtype=float)
+    top = s[..., :1] if s.shape[-1] else np.zeros((*s.shape[:-1], 1))
+    if math.isinf(p):
+        return top[..., 0]
+    # a zero matrix divides by 1: its values are all 0 and none is kept
+    scaled = np.where(s > _SINGULAR_VALUE_FLOOR * top, s, 0.0) / (top + (top == 0.0))
+    sums = (scaled ** p).sum(axis=-1)
+    roots = np.array([total ** (1.0 / p) for total in sums.ravel().tolist()])
+    return top[..., 0] * roots.reshape(sums.shape)
 
 
-def rank_of_singular_values(s: np.ndarray, rel_tol: float = 1e-10) -> int:
+def rank_of_singular_values(s: np.ndarray, rel_tol: float = 1e-10) -> int | np.ndarray:
     """Number of the descending singular values ``s`` above ``rel_tol`` times
-    the largest: the numerical rank of their matrix."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    the largest: the numerical rank of their matrix.  A stack (..., n) of
+    them gives one rank per matrix."""
+    return np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

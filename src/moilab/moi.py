@@ -16,11 +16,19 @@ measure's atoms, that chunk on axis 0 and the other measures' atoms behind
 it, and :func:`_expand` repeats atoms to frame columns.  The table
 multiplies a transformed operator entrywise; in a chain of three measures
 the last one is chunked, and one dense matrix product per atom of the
-chunk finishes the sum.  No weight tensor over all atoms is built, so a
-generic triple at dimension d holds O(d^2 * chunk) weights.  The contraction order depends only on the
-dimensions and atom counts, which keeps outputs bit-stable between runs.
-A literal atom-by-atom loop lives in :mod:`moilab.reference` for
-cross-checking.
+chunk finishes the sum, or one stacked product when the chunk's atoms are
+all simple.  No weight tensor over all atoms is built, so a generic triple
+at dimension d holds O(d^2 * chunk) weights.  The contraction order depends
+only on the dimensions and atom counts, which keeps outputs bit-stable
+between runs.  A literal atom-by-atom loop lives in :mod:`moilab.reference`
+for cross-checking.
+
+The engine takes a leading stack axis: :func:`apply_function_stack`
+evaluates one symbol over several operator tuples of one dimension in one
+call.  The members differ in atom structure, so each slot is taken in
+column form (:func:`_column_measures`), every frame column its own atom;
+every array gains the stack axis in front, and a chunk counts the weights
+of all members.
 
 The one-slot perturbation of a triple is a sum over four measures; it runs
 as four three-measure chains of the same engine, stacked into one product
@@ -32,6 +40,7 @@ A symbol that returns NaN or infinity at some atom raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,15 +65,19 @@ def _require_finite(
     """Raise :class:`NonFiniteSymbolError` naming one atom where ``values`` is not finite.
 
     ``values`` has one axis per measure, indexed by its atoms (length 1 for
-    a measure the values do not depend on); axis ``axis`` starts at atom
-    ``start`` (the first atom of a chunk).
+    a measure the values do not depend on), behind the stack axis when the
+    measures have one; axis ``axis`` starts at atom ``start`` (the first
+    atom of a chunk).  A stacked call names the stack member too.
     """
     if np.isfinite(values).all():
         return
-    atom = np.argwhere(~np.isfinite(values))[0].tolist()
+    index = np.argwhere(~np.isfinite(values))[0].tolist()
+    member = index[: values.ndim - len(measures)]
+    atom = index[len(member) :]
     atom[axis] += start
-    at = ", ".join(repr(float(E.eigenvalues[i])) for E, i in zip(measures, atom))
-    raise NonFiniteSymbolError(f"symbol is not finite at atom {tuple(atom)} (eigenvalues {at})")
+    at = ", ".join(repr(float(E.eigenvalues[(*member, i)])) for E, i in zip(measures, atom))
+    where = f"atom {tuple(atom)}" + (f" of stack member {member[0]}" if member else "")
+    raise NonFiniteSymbolError(f"symbol is not finite at {where} (eigenvalues {at})")
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,12 @@ def _transforms(
     """Each operator in the eigenbases around it, V_t* T_t V_{t+1}.
 
     ``None`` is the identity, whose transform is the frame product
-    V_t* V_{t+1}, with no product by an identity matrix.
+    V_t* V_{t+1}, with no product by an identity matrix.  Stacked frames
+    give one stack of transforms.
     """
     out = []
     for t, T in enumerate(operators):
-        left = measures[t].frame.conj().T
+        left = measures[t].frame.conj().swapaxes(-1, -2)
         out.append((left if T is None else left @ T) @ measures[t + 1].frame)
     return out
 
@@ -157,19 +171,28 @@ def _contract_last(
     ``products_of(sl)`` returns G, one ``rows``-row matrix per atom of the
     chunk ``sl``; atom j fills only its own column block, so a repeated last
     atom costs one matrix product rather than one outer product per column.
+    A chunk whose atoms are all simple takes one stacked product instead,
+    matrix j against column j, with the bits of the per-atom loop.  G and
+    B may carry the stack axis in front.
     """
-    acc = np.empty((rows, last.dim), dtype=np.complex128)
+    acc = np.empty((*B.shape[:-2], rows, last.dim), dtype=np.complex128)
     for sl in chunks:
         G = products_of(sl)
-        for j, block in enumerate(last.column_slices[sl]):
-            acc[:, block] = G[j] @ B[:, block]
+        blocks = last.column_slices[sl]
+        columns = slice(blocks[0].start, blocks[-1].stop)
+        if columns.stop - columns.start == len(blocks):
+            vectors = B[..., columns].swapaxes(-1, -2)[..., None]
+            acc[..., columns] = (G @ vectors)[..., 0].swapaxes(-1, -2)
+            continue
+        for j, block in enumerate(blocks):
+            acc[..., block] = G[..., j, :, :] @ B[..., block]
     return acc
 
 
 def _expand(w: np.ndarray, *measures: SpectralMeasure) -> np.ndarray:
     """Weights whose trailing axes, one atom axis per measure, are repeated
     to the measures' frame columns (no copy when every atom is simple)."""
-    if all(E.dim == len(E.eigenvalues) for E in measures):
+    if all(E.dim == E.eigenvalues.shape[-1] for E in measures):
         return w
     return w[(..., *np.ix_(*(E.column_atom_index for E in measures)))]
 
@@ -179,17 +202,20 @@ def _symbol_table(
 ) -> np.ndarray:
     """f over the atoms of ``measures`` (its arguments), measure k along axis
     ``axes[k]``; the chunked measure, on axis 0, takes only its atoms ``sl``.
-    ``table.transpose(axes)`` puts the axes back in argument order."""
+    ``table.transpose(axes)`` puts the axes back in argument order.  Stacked
+    measures keep their stack axis in front of those, in one call of f."""
     m = len(measures)
+    lead = measures[0].eigenvalues.shape[:-1]
     shape = [0] * m
     grids = []
     for E, axis in zip(measures, axes):
-        atoms = E.eigenvalues[sl] if axis == 0 else E.eigenvalues
-        shape[axis] = len(atoms)
+        atoms = E.eigenvalues[..., sl] if axis == 0 else E.eigenvalues
+        shape[axis] = atoms.shape[-1]
         grid = [1] * m
         grid[axis] = -1
-        grids.append(atoms.reshape(grid))
-    return np.broadcast_to(np.asarray(f(*grids), dtype=np.complex128), shape)
+        grids.append(atoms.reshape(*lead, *grid))
+    table = np.asarray(f(*grids), dtype=np.complex128)
+    return table if table.shape == (*lead, *shape) else np.broadcast_to(table, (*lead, *shape))
 
 
 def _chain_integral(
@@ -210,33 +236,60 @@ def _chain_integral(
     on axis 0, are taken in chunks whose weights, expanded to the column
     space of the first two measures, hold at most ``_CHUNK_ENTRIES``
     entries (at least one atom per chunk).  Per chunk the symbol is called
-    once, ``np.einsum("zab,ab->zab", w, T1)`` forms G[j] = w[j] * T1 for
-    every last atom j of the chunk (C-contiguous when the first two
+    once, ``np.einsum("...zab,...ab->...zab", w, T1)`` forms G[j] = w[j] * T1
+    for every last atom j of the chunk (C-contiguous when the first two
     measures have simple atoms; the ufunc ``*`` would round the complex
     products differently in the last bits), and :func:`_contract_last`
     finishes the sum against T2.
+
+    Measures in column form (:func:`_column_measures`) carry the stack
+    axis in front, and the sum runs for every member at once.
     """
     _check_chain_dims(measures, operators)
     transformed = _transforms(measures, operators)
+    lead = measures[0].eigenvalues.shape[:-1]
     axes = (0, 1) if len(measures) == 2 else (1, 2, 0)
+    order = (*range(len(lead)), *(len(lead) + axis for axis in axes))
 
     def weights(sl: slice) -> np.ndarray:
         w = _symbol_table(f, measures, axes, sl)
-        _require_finite(w.transpose(axes), measures, sl.start)
+        _require_finite(w.transpose(order), measures, sl.start)
         return w
 
     if len(measures) == 2:
         first, last = measures
-        acc = _expand(weights(slice(0, len(first.eigenvalues))), first, last) * transformed[0]
+        acc = _expand(weights(slice(0, first.eigenvalues.shape[-1])), first, last) * transformed[0]
     else:
         first, middle, last = measures
 
         def products_of(sl: slice) -> np.ndarray:
-            return np.einsum("zab,ab->zab", _expand(weights(sl), first, middle), transformed[0])
+            w = _expand(weights(sl), first, middle)
+            return np.einsum("...zab,...ab->...zab", w, transformed[0])
 
-        chunks = _chunks(len(last.eigenvalues), first.dim * middle.dim)
+        entries_per_atom = math.prod(lead) * first.dim * middle.dim
+        chunks = _chunks(last.eigenvalues.shape[-1], entries_per_atom)
         acc = _contract_last(products_of, transformed[1], last, chunks, first.dim)
-    return measures[0].frame @ acc @ measures[-1].frame.conj().T
+    return measures[0].frame @ acc @ measures[-1].frame.conj().swapaxes(-1, -2)
+
+
+def _column_measures(members: Sequence[Sequence[SpectralMeasure]]) -> list[SpectralMeasure]:
+    """Every slot of a stack of tuples as one measure in column form;
+    ``members[k][t]`` is member k's measure in slot t, all of dimension d.
+
+    Each frame column is its own atom with its atom's eigenvalue, so members
+    of different atom structure share one layout: eigenvalues (members, d),
+    frames (members, d, d), every multiplicity 1.  The column projections
+    of an atom add up to its projection, so the sums do not change.
+    """
+    slots = list(zip(*members))
+    shape = (len(slots), len(members), slots[0][0].dim)
+    values = np.array([E.eigenvalues[E.column_atom_index] for slot in slots for E in slot])
+    frames = np.array([E.frame for slot in slots for E in slot])
+    ones = np.ones(shape[-1], dtype=np.intp)
+    return [
+        SpectralMeasure(v, V, ones)
+        for v, V in zip(values.reshape(shape), frames.reshape(*shape, shape[-1]))
+    ]
 
 
 def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
@@ -284,6 +337,25 @@ def _apply_function(f: Callable, *ops: HermitianOperator) -> np.ndarray:
     _same_dim(*ops)
     measures = [spectral_measure(op) for op in ops]
     return _chain_integral(f, measures, [None] * (len(ops) - 1))
+
+
+def apply_function_stack(
+    f: Callable, tuples: Sequence[Sequence[HermitianOperator]]
+) -> np.ndarray:
+    """f(*ops) for every pair or triple ``ops`` of ``tuples`` (one dimension
+    for all), stacked on axis 0.
+
+    One engine call, with one symbol call per chunk, serves the whole stack,
+    each slot in column form (:func:`_column_measures`).  Each member equals
+    :func:`apply_function_pair` or :func:`apply_function_triple` on its own
+    tuple to rounding, not bit for bit.  A non-finite symbol raises
+    :class:`NonFiniteSymbolError` naming the member.
+    """
+    if len({len(ops) for ops in tuples}) != 1 or len(tuples[0]) not in (2, 3):
+        raise ValueError("tuples must all be pairs or all be triples")
+    _same_dim(*(op for ops in tuples for op in ops))
+    measures = _column_measures([[spectral_measure(op) for op in ops] for ops in tuples])
+    return _chain_integral(f, measures, [None] * (len(measures) - 1))
 
 
 def apply_function_pair(f: Callable, A: HermitianOperator, B: HermitianOperator) -> np.ndarray:

@@ -137,6 +137,21 @@ def test_non_finite_symbol_exits_one_naming_the_atom(tmp_path, capsys, monkeypat
     assert err[0].startswith("moilab: symbol is not finite at atom (")
 
 
+def test_non_finite_kink_function_exits_one_naming_the_member(tmp_path, capsys, monkeypatch):
+    draw = counterexample.random_kink_function
+
+    def nan_kinks(rng):
+        f, seminorm = draw(rng)
+        return (lambda x, y, z: f(x, y, z) * np.nan), seminorm
+
+    monkeypatch.setattr(counterexample, "random_kink_function", nan_kinks)
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", "--N", "2", "--p", "1", "--trials", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("moilab: symbol is not finite at atom (0, 0, 0) of stack member 0 (")
+
+
 # a zero eta makes every phi_N sup 0, and a zero psi grid makes its band
 # majorant 0: the checks that divide by them fail instead of raising, and
 # selfcheck prints every line

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -527,22 +528,44 @@ def _reference_draw(rng, dim, rank):
         return hermitian_from_matrix((Q * values) @ Q.conj().T)
 
 
+def _direct_trig_sum(coeffs, x, y):
+    """sum over |m|, |l| <= 3 of coeffs[m, l] e^{i(mx + ly)}, term by term."""
+    m, l = np.arange(-3, 4)[:, None], np.arange(-3, 4)[None, :]
+    xa = np.asarray(x, dtype=float)[..., None, None]
+    ya = np.asarray(y, dtype=float)[..., None, None]
+    return np.sum(coeffs * np.exp(1j * (m * xa + l * ya)), axis=(-2, -1))
+
+
 def _reference_trig_polynomial(rng):
-    """The trigonometric polynomial draw with w(radius / 2^n) computed per band."""
+    """The trigonometric polynomial draw with w(radius / 2^n) computed per
+    band; its polynomial is evaluated in the factored form e^{imx} e^{ily}."""
     span = np.arange(-3, 4)
     coeffs = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     m, l = span[:, None], span[None, :]
 
     def f(x, y):
-        xa = np.asarray(x, dtype=float)[..., None, None]
-        ya = np.asarray(y, dtype=float)[..., None, None]
-        return np.sum(coeffs * np.exp(1j * (m * xa + l * ya)), axis=(-2, -1))
+        ex = np.exp(1j * span * np.asarray(x, dtype=float)[..., None])
+        ey = np.exp(1j * span * np.asarray(y, dtype=float)[..., None])
+        return np.sum((ex @ coeffs) * ey, axis=-1)
 
     radii = np.hypot(m, l)
     bound = 0.0
     for n in range(5):  # radii reach 3 sqrt(2), so bands 0..4 can meet them
         bound += (2.0**n) * float(np.sum(np.abs(coeffs) * window_w(radii / 2.0**n)))
     return f, bound
+
+
+def test_trig_polynomial_factored_form_equals_the_double_sum():
+    # the closure multiplies e^{imx} by e^{ily}; the direct sum takes e^{i(mx + ly)}
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        replay = copy.deepcopy(rng)  # the draw's coefficients come first
+        f, _ = random_trig_polynomial(rng)
+        coeffs = replay.standard_normal((7, 7)) + 1j * replay.standard_normal((7, 7))
+        x = rng.uniform(-4.0, 4.0, size=(3, 5, 1))
+        y = rng.uniform(-4.0, 4.0, size=(3, 1, 5))
+        direct = _direct_trig_sum(coeffs, x, y)
+        assert np.max(np.abs(f(x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_rank_limited_draws_fall_back_to_eigh_per_operator(monkeypatch):
@@ -577,7 +600,7 @@ def _per_operator_reference(monkeypatch, N, trials):
 
     def svd_each(stack):
         calls["svds"] += len(stack)
-        return [singular_values(M) for M in stack]
+        return np.stack([singular_values(M) for M in stack])
 
     def polynomial(rng):
         calls["polynomials"] += 1
@@ -636,6 +659,28 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
     reference, calls = _per_operator_reference(monkeypatch, N, trials)
     assert calls == {"draws": trials * (6 + 4), "svds": trials * (7 + 3), "polynomials": trials}
     assert reference == blocked
+
+
+def test_stacked_corners_keep_each_symbol_table_within_a_chunk(monkeypatch):
+    # at d = 48 the four corners need 4 * 48^3 weights, 442k entries in all
+    sizes = []
+    draw = counterexample.random_kink_function
+
+    def recorded(rng):
+        f, seminorm = draw(rng)
+
+        def g(x, y, z):
+            values = f(x, y, z)
+            sizes.append(np.size(values))
+            return values
+
+        return g, seminorm
+
+    monkeypatch.setattr(counterexample, "random_kink_function", recorded)
+    (report,) = lipschitz_rank_bound_check(24, [2.0], trials=1)
+    assert report.all_passed
+    assert sum(sizes) == 4 * 48**3
+    assert max(sizes) <= moi._CHUNK_ENTRIES
 
 
 def test_rank_checks_do_not_depend_on_the_block_size(monkeypatch):

@@ -17,6 +17,7 @@ from moilab.linalg import (
     hermitian_from_spectrum,
     hermitian_singular_values,
     norm_of_singular_values,
+    norms_of_singular_values,
     random_hermitian,
     random_measure,
     random_unitary,
@@ -429,6 +430,21 @@ def test_singular_value_helpers_match_matrix_functions(rng):
             assert norm_of_singular_values(s, p) == schatten_norm(M, p)
         for rel_tol in (1e-10, 0.5):
             assert rank_of_singular_values(s, rel_tol) == np.linalg.matrix_rank(M, tol=rel_tol * s[0])
+    # a stack, with a zero matrix and ranks 4, 2 and 1: each entry is its matrix's own norm
+    stack = np.stack(
+        [
+            complex_gaussian(rng, 4, 4),
+            np.zeros((4, 4)),
+            complex_gaussian(rng, 4, 2) @ complex_gaussian(rng, 2, 4),
+            np.outer(np.arange(1.0, 5.0), np.ones(4)),
+        ]
+    )
+    values = singular_values(stack)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        norms = norms_of_singular_values(values, p)
+        assert norms.tolist() == [schatten_norm(M, p) for M in stack]
+        assert norms_of_singular_values(values.reshape(2, 2, 4), p).ravel().tolist() == norms.tolist()
+    assert rank_of_singular_values(values).tolist() == [4, 0, 2, 1]
 
 
 def test_hermitian_operator_is_plain_container():

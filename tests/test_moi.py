@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SEED
-from moilab import moi
-from moilab.counterexample import build_instance
+from moilab import linalg, moi
+from moilab.counterexample import (
+    build_instance,
+    random_kink_function,
+    random_rank_limited_hermitians,
+    random_trig_polynomial,
+)
 from moilab.linalg import (
     DimensionMismatchError,
     complex_gaussian,
@@ -24,6 +29,7 @@ from moilab.moi import (
     NonFiniteSymbolError,
     apply_function_pair,
     apply_function_single,
+    apply_function_stack,
     apply_function_triple,
     argument_perturbation,
     double_operator_integral,
@@ -585,3 +591,61 @@ def test_argument_perturbation_memory_is_bounded_at_128(index):
     # a weight over all four measures at d = 128 would take 4 GiB; the chunked
     # three-measure chains peak at 7.4 MiB in every slot
     assert _perturbation_peak(128, index) <= 16 * 2**20
+
+
+def _stack_deviation(f, tuples):
+    """Largest entry of the stacked calculus minus the per-tuple one, over the
+    largest entry of the per-tuple results."""
+    single = apply_function_triple if len(tuples[0]) == 3 else apply_function_pair
+    expected = np.stack([single(f, *ops) for ops in tuples])
+    return np.max(np.abs(apply_function_stack(f, tuples) - expected)) / np.max(np.abs(expected))
+
+
+def _corners_and_pairs(ops):
+    """The rank checks' stacks: four corners of two triples, and two pairs."""
+    first, second = ops[:3], ops[3:6]
+    return [(*second[:k], *first[k:]) for k in range(4)], [ops[0:2], ops[2:4]]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_stacked_calculus_matches_the_per_tuple_calculus(N):
+    rng = np.random.default_rng(SEED + N)
+    for _ in range(3):
+        corners, pairs = _corners_and_pairs(random_rank_limited_hermitians(rng, 2 * N, N, 6))
+        assert _stack_deviation(random_kink_function(rng)[0], corners) <= 1e-13
+        assert _stack_deviation(random_trig_polynomial(rng)[0], pairs) <= 1e-13
+
+
+def test_stacked_calculus_mixes_atom_counts_and_eigh_fallbacks(monkeypatch):
+    # a wide grouping tolerance makes some draws fall back to eigh, which
+    # merges their close atoms, so the members differ in atom structure
+    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.15)
+    rng = np.random.default_rng(SEED)
+    ops = random_rank_limited_hermitians(rng, 6, 3, 6)
+    carried = ["_measure" in op.__dict__ for op in ops]
+    assert any(carried) and not all(carried)
+    assert len({len(spectral_measure(op).eigenvalues) for op in ops}) > 1
+    corners, pairs = _corners_and_pairs(ops)
+    assert _stack_deviation(random_kink_function(rng)[0], corners) <= 1e-13
+    assert _stack_deviation(random_trig_polynomial(rng)[0], pairs) <= 1e-13
+    assert _stack_deviation(lambda x, y: x * y + 1j * x, [ops[0:2], ops[1:3], ops[3:5]]) <= 1e-13
+
+
+def test_stacked_calculus_names_the_member_of_a_non_finite_symbol(rng):
+    A, B, C = (random_hermitian(rng, 4) for _ in range(3))
+    # the first slot holds A, B and then C: only member 2 meets C's top eigenvalue
+    top = float(spectral_measure(C).eigenvalues[-1])
+    f = lambda x, y, z: np.where(x == top, np.nan, 1.0) + x * y * z
+    with pytest.raises(
+        NonFiniteSymbolError,
+        match=re.escape(f"atom (3, 0, 0) of stack member 2 (eigenvalues {top!r}, "),
+    ):
+        apply_function_stack(f, [(A, B, C), (B, C, A), (C, A, B)])
+
+
+def test_stacked_calculus_rejects_mixed_tuples(rng):
+    A, B = (random_hermitian(rng, 3) for _ in range(2))
+    with pytest.raises(ValueError):
+        apply_function_stack(lambda x, y: x, [(A, B), (A, B, A)])
+    with pytest.raises(DimensionMismatchError):
+        apply_function_stack(lambda x, y: x, [(A, B), (A, random_hermitian(rng, 4))])
