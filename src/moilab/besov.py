@@ -113,8 +113,8 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half_width must be positive and finite")
         data = np.asarray(self.samples, dtype=np.complex128)
         n = data.shape[0]
         if data.ndim != 1 or n < 2 or n & (n - 1):

@@ -29,9 +29,9 @@ import numpy as np
 from .besov import GridFunction, psi_reference, psi_reference_grid, tensor_bound_kappa, window_w
 from .linalg import (
     HermitianOperator,
-    _hermitians_from_spectra,
+    InvalidSpectrumError,
+    SpectralMeasure,
     as_complex_matrix,
-    atoms_separated,
     complex_gaussian,
     hermitian_from_matrix,
     hermitian_from_spectrum,
@@ -419,49 +419,66 @@ def epsilon_scaling_run(
     return records
 
 
-def random_rank_limited_hermitians(
+def _rank_limited_draw(
     rng: np.random.Generator, dim: int, rank: int, count: int
-) -> tuple[HermitianOperator, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` operators Q Lambda Q*, each with its own unitary Q and
-    ``rank`` uniform(-1, 1) eigenvalues.
+    ``rank`` uniform(-1, 1) eigenvalues, in column form: the eigenvalue of
+    every frame column (count, dim), the frames (count, dim, dim) and the
+    matrices (count, dim, dim).
 
     Per operator the generator gives the real and then the imaginary part
     of a complex Gaussian, then the ``rank`` values.  One stacked QR turns
-    every Gaussian into its unitary Q, so the operators equal, bit for bit,
-    the same draws taken one at a time.
-
-    The first ``rank`` columns of Q carry the drawn values and the rest the
-    zero atom.  Each operator whose atoms, sorted, are separated
-    (:func:`~moilab.linalg.atoms_separated`) is built from that spectrum
-    by one stacked constructor call and is never decomposed.  The rare
-    draw that puts two atoms within the grouping tolerance is built from
-    Q Lambda Q* instead, so ``eigh`` merges them.
+    every Gaussian into its unitary Q, so the draws equal, bit for bit, the
+    same draws taken one at a time.  Column j < rank of Q carries drawn
+    value j and the rest the value 0; a stable sort by value orders the
+    columns.  The matrices are (W diag(w)) W* over the ``rank`` drawn
+    columns W in that order, one stacked product, symmetrized.
     """
     gaussians = np.empty((count, dim, dim), dtype=np.complex128)
     drawn = np.empty((count, rank))
     for k in range(count):
         gaussians[k] = complex_gaussian(rng, dim, dim)
         drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
-    frames = unitary_from_gaussian(gaussians)
-    # column j < rank carries drawn value j and the rest the zero atom; the
-    # stable sort keeps the zero atom's columns together and in order
     weights = np.pad(drawn, ((0, 0), (0, dim - rank)))
     columns = np.argsort(weights, axis=1, kind="stable")
-    sorted_frames = np.take_along_axis(frames, columns[:, None, :], axis=2)
-    keys = weights[:, : rank + 1]  # the drawn values, then the zero atom if rank < dim
-    orders = np.argsort(keys, axis=1, kind="stable")
-    atoms = np.take_along_axis(keys, orders, axis=1)
-    multiplicities = np.where(orders == rank, dim - rank, 1)
-    separated = atoms_separated(atoms)
-    built = iter(
-        _hermitians_from_spectra(
-            atoms[separated], sorted_frames[separated], multiplicities[separated]
-        )
-    )
-    return tuple(
-        next(built) if ok else hermitian_from_matrix((Q * w) @ Q.conj().T)
-        for ok, Q, w in zip(separated, frames, weights)
-    )
+    values = np.take_along_axis(weights, columns, axis=1)
+    frames = np.take_along_axis(unitary_from_gaussian(gaussians), columns[:, None, :], axis=2)
+    kept = np.nonzero(columns < rank)[1].reshape(count, rank)  # the drawn columns, in order
+    W = np.take_along_axis(frames, kept[:, None, :], axis=2)
+    M = (W * np.take_along_axis(values, kept, axis=1)[:, None, :]) @ W.conj().swapaxes(1, 2)
+    return values, frames, (M + M.conj().swapaxes(1, 2)) / 2.0
+
+
+def random_rank_limited_hermitians(
+    rng: np.random.Generator, dim: int, rank: int, count: int
+) -> tuple[HermitianOperator, ...]:
+    """The operators of :func:`_rank_limited_draw`, each built from its
+    spectrum, its equal columns grouped into atoms, and never decomposed.
+
+    The rare draw that puts two atoms within the grouping tolerance, which
+    :func:`~moilab.linalg.hermitian_from_spectrum` rejects, is built from
+    its matrix instead, so ``eigh`` merges them.
+    """
+    operators = []
+    for v, V, M in zip(*_rank_limited_draw(rng, dim, rank, count)):
+        atoms, multiplicities = np.unique(v, return_counts=True)
+        try:
+            A = hermitian_from_spectrum(atoms, V, multiplicities)
+        except InvalidSpectrumError:
+            A = hermitian_from_matrix(M)
+        operators.append(A)
+    return tuple(operators)
+
+
+def _column_slots(
+    values: np.ndarray, frames: np.ndarray, members: Sequence[Sequence[int]]
+) -> list[SpectralMeasure]:
+    """The slots of a stack of tuples in column form, the input of
+    :func:`~moilab.moi.apply_function_stack`: member k holds in slot t the
+    operator ``members[k][t]`` of ``values`` and ``frames``."""
+    ones = np.ones(values.shape[-1], dtype=np.intp)
+    return [SpectralMeasure(values[slot], frames[slot], ones) for slot in np.transpose(members)]
 
 
 _TRIG_MAX_DEGREE = 3
@@ -589,11 +606,11 @@ def _rank_check(
     test function.  Each block, of as many trials as keep its operator
     matrices within ``_BLOCK_ENTRIES`` entries,
 
-    1. draws all of its operators in one
-       :func:`random_rank_limited_hermitians` call, then each trial's test
-       function;
-    2. runs each trial's ``differences(operators, f)``, a stack of matrices
-       from one stacked calculus call (:func:`~moilab.moi.apply_function_stack`);
+    1. draws all of its operators in column form in one
+       :func:`_rank_limited_draw` call, then each trial's test function;
+    2. runs each trial's ``differences(values, frames, matrices, f)`` on its
+       operators, a stack of matrices from one stacked calculus call
+       (:func:`~moilab.moi.apply_function_stack`);
     3. takes one :func:`~moilab.linalg.singular_values` call over the
        block's matrices;
     4. reads every verdict of the block at once: ``verdicts(values,
@@ -614,11 +631,11 @@ def _rank_check(
     rows = [[] for _ in p_list]
     for start in range(0, trials, per_block):
         block = range(start, min(start + per_block, trials))
-        operators = random_rank_limited_hermitians(operator_rng, dim, N, count * len(block))
+        drawn = _rank_limited_draw(operator_rng, dim, N, count * len(block))
         functions = [draw_function(function_rng) for _ in block]
         matrices = np.concatenate(
             [
-                differences(operators[i * count : (i + 1) * count], f)
+                differences(*(a[i * count : (i + 1) * count] for a in drawn), f)
                 for i, (f, _) in enumerate(functions)
             ]
         )
@@ -626,7 +643,7 @@ def _rank_check(
         weights = np.array([weight for _, weight in functions])
         for p_rows, (ratios, oks) in zip(rows, verdicts(values, weights)):
             p_rows.extend(map(RankTrial, block, ratios.tolist(), oks.tolist()))
-        del operators, matrices  # freed before the next block is built
+        del drawn, matrices  # freed before the next block is built
     return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
@@ -662,10 +679,10 @@ def rank_estimate_check_pairs(
     if any(p < 2.0 for p in p_list):
         raise ValueError("rank_estimate_check_pairs requires p >= 2")
 
-    def differences(operators, f):
-        A1, B1, A2, B2 = operators
-        terms = apply_function_stack(f, [(A1, B1), (A2, B2)])
-        return np.stack([terms[0] - terms[1], A1.matrix - A2.matrix, B1.matrix - B2.matrix])
+    def differences(values, frames, matrices, f):
+        # the operators are A1, B1, A2, B2
+        terms = apply_function_stack(f, _column_slots(values, frames, [(0, 1), (2, 3)]))
+        return np.stack([terms[0] - terms[1], matrices[0] - matrices[2], matrices[1] - matrices[3]])
 
     def verdicts(values, surrogates):
         # per trial: Df's singular values, then those of the two perturbations X
@@ -707,11 +724,11 @@ def lipschitz_rank_bound_check(
     p_list = [validate_schatten_index(p) for p in p_list]
     slack = 1e-9
 
-    def differences(operators, f):
-        first, second = operators[:3], operators[3:]
-        # corner k takes its first k slots from the second triple
-        corners = apply_function_stack(f, [(*second[:k], *first[k:]) for k in range(4)])
-        steps = [X1.matrix - X2.matrix for X1, X2 in zip(first, second)]
+    def differences(values, frames, matrices, f):
+        # corner k takes its first k slots from the second triple (operators 3 to 5)
+        slots = _column_slots(values, frames, [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)])
+        corners = apply_function_stack(f, slots)
+        steps = matrices[:3] - matrices[3:]
         return np.concatenate([steps, corners[:-1] - corners[1:], corners[:1] - corners[3:]])
 
     def verdicts(values, seminorms):

@@ -149,8 +149,7 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     diag(lambda), the same bits the product gives, so no dim^3 product
     runs; a frame merely close to the identity takes the unitary check and
     the product.  The measure is stored on the operator, so
-    :func:`spectral_measure` never runs ``eigh`` on it.  This is the stacked
-    constructor ``_hermitians_from_spectra`` on a stack of one.
+    :func:`spectral_measure` never runs ``eigh`` on it.
 
     Raises
     ------
@@ -161,101 +160,50 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
         max|V*V - I| exceeds :func:`projection_tolerance`.
     """
     values = np.array(eigenvalues, dtype=float, ndmin=1)
+    V = as_complex_matrix(frame)
     counts = np.array(multiplicities, dtype=np.int64, ndmin=1)
-    frames = np.asarray(frame, dtype=np.complex128)[None]  # checked as a stack of one
-    (A,) = _hermitians_from_spectra(values[None], frames, counts[None])
-    return A
-
-
-def _hermitians_from_spectra(eigenvalues, frames, multiplicities) -> list[HermitianOperator]:
-    """:func:`hermitian_from_spectrum` for k spectra at once.
-
-    ``eigenvalues`` (k, a), ``frames`` (k, dim, dim) and
-    ``multiplicities`` (k, a) hold k spectra; operator i equals, bit for
-    bit, the one :func:`hermitian_from_spectrum` builds from member i
-    alone.  Every member is validated as there, and a bad one raises the
-    same :class:`InvalidSpectrumError`.  A frame that is exactly the
-    identity skips the unitary check and the product
-    (:func:`_identity_or_unitary`); one stacked product forms the matrices
-    of each group of the other members with the same number of nonzero
-    eigenvalue columns.
-    """
-    values = np.array(eigenvalues, dtype=float)
-    V = _complex_matrices(frames, stack=True)
-    counts = np.array(multiplicities, dtype=np.int64)
-    k, dim = V.shape[0], V.shape[-1]
-    if V.shape != (k, dim, dim):
-        raise InvalidSpectrumError(f"frame must be square, got shape {V.shape[1:]}")
-    if values.ndim != 2 or len(values) != k or not atoms_separated(values).all():
+    dim = V.shape[0]
+    if V.shape != (dim, dim):
+        raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
+    if values.ndim != 1 or not (np.isfinite(values).all() and (np.diff(values) > _GROUP_TOL).all()):
         raise InvalidSpectrumError(
             f"eigenvalues must be finite and increase by more than {_GROUP_TOL:g}"
         )
-    bad = (counts < 1).any(axis=-1) | (counts.sum(axis=-1) != dim)
-    if counts.shape != values.shape or bad.any():
-        shown = counts if counts.shape != values.shape else counts[bad][0]
+    if counts.shape != values.shape or (counts < 1).any() or counts.sum() != dim:
         raise InvalidSpectrumError(
-            f"multiplicities {shown.tolist()} must be >= 1, one per eigenvalue, "
+            f"multiplicities {counts.tolist()} must be >= 1, one per eigenvalue, "
             f"and sum to {dim}"
         )
-    identity = _identity_or_unitary(V)
-    flat = np.repeat(np.arange(values.size), counts.ravel())  # each column's atom, as a flat index
-    weights = values.ravel()[flat].reshape(k, dim)
-    atom_index = (flat % values.shape[1]).reshape(k, dim)
-    matrices = [np.diag(w).astype(np.complex128) if i else None for w, i in zip(weights, identity)]
-    nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
-    ranks = nonzero.sum(axis=1)
-    for rank in sorted(set(ranks[~identity].tolist())):
-        (members,) = np.nonzero(~identity & (ranks == rank))
-        columns = np.nonzero(nonzero[members])[1].reshape(len(members), rank)
-        if rank == dim:  # every column: a plain copy, several times faster than the gather
-            W = V[members]
-        else:
-            W = V[members[:, None, None], np.arange(dim)[:, None], columns[:, None, :]]
-        w = weights[members[:, None], columns]
-        M = (W * w[:, None, :]) @ W.conj().swapaxes(1, 2)
-        M = (M + M.conj().swapaxes(1, 2)) / 2.0
-        for i, matrix in zip(members, M):
-            matrices[i] = matrix
-    operators = []
-    for i in range(k):
-        measure = SpectralMeasure(values[i], V[i], counts[i])
-        measure.__dict__["column_atom_index"] = atom_index[i]
-        A = HermitianOperator(matrices[i])
-        A.__dict__["_measure"] = measure  # fill the cache, so A is never decomposed
-        operators.append(A)
-    return operators
+    measure = SpectralMeasure(values, V, counts)
+    weights = values[measure.column_atom_index]
+    if _identity_or_unitary(V):
+        matrix = np.diag(weights).astype(np.complex128)
+    else:
+        nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
+        W = V[:, nonzero]
+        M = (W * weights[nonzero]) @ W.conj().T
+        matrix = (M + M.conj().T) / 2.0
+    A = HermitianOperator(matrix)
+    A.__dict__["_measure"] = measure  # fill the cache, so A is never decomposed
+    return A
 
 
-def _identity_or_unitary(V: np.ndarray) -> np.ndarray:
-    """Per frame of the stack ``V`` (k, dim, dim): True if it is exactly the
-    identity, an O(dim^2) test; otherwise False once max|V*V - I| is within
-    :func:`projection_tolerance`.  The frames that are not the identity take
-    one stacked product, and are not copied when there is no identity.
+def _identity_or_unitary(V: np.ndarray) -> bool:
+    """True if the frame ``V`` is exactly the identity, an O(dim^2) test;
+    otherwise False once max|V*V - I| is within :func:`projection_tolerance`.
 
     Raises
     ------
     InvalidSpectrumError
-        If a frame is neither.
+        If it is neither.
     """
     eye = np.eye(V.shape[-1])
-    identity = (V == eye).all(axis=(1, 2))
-    if not identity.all():
-        checked = V if not identity.any() else V[~identity]
-        deviation = np.abs(checked.conj().swapaxes(1, 2) @ checked - eye).max(axis=(1, 2))
-        if (deviation > projection_tolerance(V.shape[-1])).any():
-            raise InvalidSpectrumError(
-                f"frame is not unitary: |V*V - I|_max = {deviation.max():.3e}"
-            )
-    return identity
-
-
-def atoms_separated(eigenvalues) -> np.ndarray:
-    """Per row of ``eigenvalues`` (last axis), whether its values are finite
-    and each exceeds the one before by more than the grouping tolerance:
-    the atoms ``eigh`` would keep apart, and those :func:`hermitian_from_spectrum`
-    accepts."""
-    values = np.asarray(eigenvalues, dtype=float)
-    return np.isfinite(values).all(axis=-1) & (np.diff(values, axis=-1) > _GROUP_TOL).all(axis=-1)
+    if (V == eye).all():
+        return True
+    deviation = float(np.max(np.abs(V.conj().T @ V - eye)))
+    if deviation > projection_tolerance(V.shape[-1]):
+        raise InvalidSpectrumError(f"frame is not unitary: |V*V - I|_max = {deviation:.3e}")
+    return False
 
 
 def zero_operator(dim: int) -> HermitianOperator:
@@ -315,7 +263,9 @@ class SpectralMeasure:
         )
 
     def projections(self) -> list[np.ndarray]:
-        return [a.projection for a in self.atoms]
+        """Each atom's dense projection, from its column block of the frame."""
+        blocks = (self.frame[:, block] for block in self.column_slices)
+        return [B @ B.conj().T for B in blocks]
 
     @cached_property
     def column_slices(self) -> tuple[slice, ...]:

@@ -25,10 +25,9 @@ for cross-checking.
 
 The engine takes a leading stack axis: :func:`apply_function_stack`
 evaluates one symbol over several operator tuples of one dimension in one
-call.  The members differ in atom structure, so each slot is taken in
-column form (:func:`_column_measures`), every frame column its own atom;
-every array gains the stack axis in front, and a chunk counts the weights
-of all members.
+call.  The members may differ in atom structure, so each slot comes in
+column form, every frame column its own atom; every array gains the stack
+axis in front, and a chunk counts the weights of all members.
 
 The one-slot perturbation of a triple is a sum over four measures; it runs
 as four three-measure chains of the same engine, stacked into one product
@@ -242,7 +241,7 @@ def _chain_integral(
     products differently in the last bits), and :func:`_contract_last`
     finishes the sum against T2.
 
-    Measures in column form (:func:`_column_measures`) carry the stack
+    Measures in column form (:func:`apply_function_stack`) carry the stack
     axis in front, and the sum runs for every member at once.
     """
     _check_chain_dims(measures, operators)
@@ -270,26 +269,6 @@ def _chain_integral(
         chunks = _chunks(last.eigenvalues.shape[-1], entries_per_atom)
         acc = _contract_last(products_of, transformed[1], last, chunks, first.dim)
     return measures[0].frame @ acc @ measures[-1].frame.conj().swapaxes(-1, -2)
-
-
-def _column_measures(members: Sequence[Sequence[SpectralMeasure]]) -> list[SpectralMeasure]:
-    """Every slot of a stack of tuples as one measure in column form;
-    ``members[k][t]`` is member k's measure in slot t, all of dimension d.
-
-    Each frame column is its own atom with its atom's eigenvalue, so members
-    of different atom structure share one layout: eigenvalues (members, d),
-    frames (members, d, d), every multiplicity 1.  The column projections
-    of an atom add up to its projection, so the sums do not change.
-    """
-    slots = list(zip(*members))
-    shape = (len(slots), len(members), slots[0][0].dim)
-    values = np.array([E.eigenvalues[E.column_atom_index] for slot in slots for E in slot])
-    frames = np.array([E.frame for slot in slots for E in slot])
-    ones = np.ones(shape[-1], dtype=np.intp)
-    return [
-        SpectralMeasure(v, V, ones)
-        for v, V in zip(values.reshape(shape), frames.reshape(*shape, shape[-1]))
-    ]
 
 
 def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
@@ -339,22 +318,24 @@ def _apply_function(f: Callable, *ops: HermitianOperator) -> np.ndarray:
     return _chain_integral(f, measures, [None] * (len(ops) - 1))
 
 
-def apply_function_stack(
-    f: Callable, tuples: Sequence[Sequence[HermitianOperator]]
-) -> np.ndarray:
-    """f(*ops) for every pair or triple ``ops`` of ``tuples`` (one dimension
-    for all), stacked on axis 0.
+def apply_function_stack(f: Callable, measures: Sequence[SpectralMeasure]) -> np.ndarray:
+    """f over a stack of pairs or triples of operators of one dimension d,
+    one column-form measure per slot, stacked on axis 0.
 
-    One engine call, with one symbol call per chunk, serves the whole stack,
-    each slot in column form (:func:`_column_measures`).  Each member equals
-    :func:`apply_function_pair` or :func:`apply_function_triple` on its own
-    tuple to rounding, not bit for bit.  A non-finite symbol raises
-    :class:`NonFiniteSymbolError` naming the member.
+    Slot t's measure holds each member's operator in that slot with every
+    frame column its own atom: eigenvalues (members, d), frames (members,
+    d, d), multiplicities all 1, so members of different atom structure
+    share one layout.  One engine call, with one symbol call per chunk,
+    serves the stack; each member equals :func:`apply_function_pair` or
+    :func:`apply_function_triple` on its own operators to rounding, not bit
+    for bit.  A non-finite symbol raises :class:`NonFiniteSymbolError`
+    naming the member.  Other than 2 or 3 slots, or slots of unequal member
+    counts, raise ``ValueError``; slots of unequal dimension raise
+    :class:`DimensionMismatchError`.
     """
-    if len({len(ops) for ops in tuples}) != 1 or len(tuples[0]) not in (2, 3):
-        raise ValueError("tuples must all be pairs or all be triples")
-    _same_dim(*(op for ops in tuples for op in ops))
-    measures = _column_measures([[spectral_measure(op) for op in ops] for ops in tuples])
+    stacks = {E.eigenvalues.shape[:-1] for E in measures} | {E.frame.shape[:-2] for E in measures}
+    if len(measures) not in (2, 3) or len(stacks) != 1 or len(stacks.pop()) != 1:
+        raise ValueError("expected 2 or 3 slots, each a stack of the same number of members")
     return _chain_integral(f, measures, [None] * (len(measures) - 1))
 
 

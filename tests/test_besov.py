@@ -74,6 +74,13 @@ def test_grid_function_validation():
         GridFunction(half_width=1.0, samples=np.array([np.inf, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("half_width", [math.nan, math.inf])
+def test_grid_function_rejects_a_non_finite_half_width(half_width):
+    # it used to construct, and psi_band_majorant then failed on the width
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        GridFunction(half_width, np.ones(1024, dtype=complex))
+
+
 def test_grid_function_geometry():
     f = GridFunction.from_function(np.cos, 2.0, 3)
     assert f.size == 8

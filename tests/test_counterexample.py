@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEED
+from conftest import SEED, column_form
 from moilab import counterexample, linalg, moi
 from moilab.besov import psi_band_majorant, psi_reference_grid, window_w
 from moilab.counterexample import (
@@ -494,14 +494,14 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
     # zero seminorm makes the bound 0, but the first step is X - Y
     rng = np.random.default_rng(3)
     X, Y = random_rank_limited_hermitians(rng, 4, 2, 2)
-    zero = zero_operator(4)
+    triples = column_form([X, X, zero_operator(4), Y, Y, zero_operator(4)])
     counts = []
 
     def planted(rng, dim, rank, count):
         counts.append(count)
-        return (X, X, zero, Y, Y, zero) * (count // 6)
+        return tuple(np.concatenate([a] * (count // 6)) for a in triples)
 
-    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", planted)
+    monkeypatch.setattr(counterexample, "_rank_limited_draw", planted)
     monkeypatch.setattr(
         counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
     )
@@ -523,9 +523,11 @@ def _reference_draw(rng, dim, rank):
     try:
         return hermitian_from_spectrum(keys[order], frame, [len(blocks[k]) for k in order])
     except InvalidSpectrumError:
-        values = np.zeros(dim)
-        values[:rank] = drawn
-        return hermitian_from_matrix((Q * values) @ Q.conj().T)
+        # the drawn columns in sorted order, as one rank-r product
+        kept = order[order < rank]
+        W = Q[:, kept]
+        M = (W * drawn[kept]) @ W.conj().T
+        return hermitian_from_matrix((M + M.conj().T) / 2.0)
 
 
 def _direct_trig_sum(coeffs, x, y):
@@ -596,7 +598,7 @@ def _per_operator_reference(monkeypatch, N, trials):
 
     def one_at_a_time(rng, dim, rank, count):
         calls["draws"] += count
-        return tuple(_reference_draw(rng, dim, rank) for _ in range(count))
+        return column_form([_reference_draw(rng, dim, rank) for _ in range(count)])
 
     def svd_each(stack):
         calls["svds"] += len(stack)
@@ -606,7 +608,7 @@ def _per_operator_reference(monkeypatch, N, trials):
         calls["polynomials"] += 1
         return _reference_trig_polynomial(rng)
 
-    monkeypatch.setattr(counterexample, "random_rank_limited_hermitians", one_at_a_time)
+    monkeypatch.setattr(counterexample, "_rank_limited_draw", one_at_a_time)
     monkeypatch.setattr(counterexample, "singular_values", svd_each)
     monkeypatch.setattr(counterexample, "random_trig_polynomial", polynomial)
     return _both_rank_checks(N, trials), calls
@@ -634,7 +636,7 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
     N, trials = 6, 20
     events = []  # every operator draw, function draw and SVD, in call order
     sizes = {
-        "random_rank_limited_hermitians": lambda rng, dim, rank, count: count,
+        "_rank_limited_draw": lambda rng, dim, rank, count: count,
         "random_kink_function": lambda rng: None,
         "random_trig_polynomial": lambda rng: None,
         "singular_values": len,
@@ -652,7 +654,7 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
         assert 1 < per_block < trials and trials % per_block  # several blocks, the last partial
         for start in range(0, trials, per_block):
             n = min(per_block, trials - start)
-            expected.append(("random_rank_limited_hermitians", count * n))
+            expected.append(("_rank_limited_draw", count * n))
             expected += [(function, None)] * n
             expected.append(("singular_values", width * n))
     assert events == expected
@@ -690,6 +692,20 @@ def test_rank_checks_do_not_depend_on_the_block_size(monkeypatch):
     blocked = _both_rank_checks(N, trials)
     monkeypatch.setattr(counterexample, "_BLOCK_ENTRIES", 1)
     assert _both_rank_checks(N, trials) == blocked
+
+
+def test_rank_checks_do_not_depend_on_the_grouping_tolerance(monkeypatch):
+    # the draws reach the engine in column form, never grouped into atoms, so
+    # a wide tolerance sends none of them through eigh, which would merge atoms
+    blocked = _both_rank_checks(3, trials=10)
+    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.15)
+    assert _both_rank_checks(3, trials=10) == blocked
+
+
+def test_rank_checks_build_no_operator(monkeypatch):
+    # every constructor, and so every spectral measure, goes through linalg.HermitianOperator
+    monkeypatch.setattr(linalg, "HermitianOperator", None)
+    assert all(report.all_passed for reports in _both_rank_checks(2, 3) for report in reports)
 
 
 def test_phi_grid_sup_keeps_nan():

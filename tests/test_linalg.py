@@ -163,52 +163,6 @@ def test_hermitian_from_spectrum_carries_its_measure(rng, monkeypatch):
     assert np.allclose(eigh.eigenvalues, values, atol=1e-12)
 
 
-def _mixed_spectra(rng, dim=6):
-    """Five spectra of one shape: an identity frame, then random frames with
-    3, 5, 6 and 6 nonzero eigenvalue columns."""
-    frames = np.stack(
-        [np.eye(dim, dtype=np.complex128)] + [random_unitary(rng, dim) for _ in range(4)]
-    )
-    values = np.array(
-        [[-1.0, 0.5, 2.0], [-1.0, 0.0, 2.0], [-0.3, 0.0, 0.4], [-2.0, -1.0, 1.5], [-0.5, 0.25, 1.0]]
-    )
-    counts = np.array([[2, 1, 3], [2, 3, 1], [1, 1, 4], [1, 4, 1], [2, 2, 2]])
-    return values, frames, counts
-
-
-def test_stacked_constructor_equals_one_at_a_time(rng, monkeypatch):
-    values, frames, counts = _mixed_spectra(rng)
-    calls = _count_decompositions(monkeypatch)
-    stacked = linalg._hermitians_from_spectra(values, frames, counts)
-    alone = [hermitian_from_spectrum(*member) for member in zip(values, frames, counts)]
-    assert len(stacked) == len(alone) == 5
-    for A, B in zip(stacked, alone):
-        assert A.matrix.tobytes() == B.matrix.tobytes()
-        E, F = spectral_measure(A), spectral_measure(B)
-        for field in ("eigenvalues", "frame", "multiplicities", "column_atom_index"):
-            assert np.array_equal(getattr(E, field), getattr(F, field))
-    assert calls == []
-
-
-def test_stacked_constructor_rejects_each_bad_member(rng):
-    values, frames, counts = _mixed_spectra(rng)
-    skewed = frames.copy()
-    skewed[2, :, 0] *= 1.0 + 1e-6
-    close = values.copy()
-    close[3, 1] = close[3, 0] + linalg._GROUP_TOL
-    empty, off = counts.copy(), counts.copy()
-    empty[1] = [3, 0, 3]
-    off[3] = [1, 1, 1]
-    for bad, match in (
-        ((values, skewed, counts), "unitary"),
-        ((close, frames, counts), "increase"),
-        ((values, frames, empty), "multiplicities"),
-        ((values, frames, off), "multiplicities"),
-    ):
-        with pytest.raises(InvalidSpectrumError, match=match):
-            linalg._hermitians_from_spectra(*bad)
-
-
 def test_hermitian_from_spectrum_rejects_unordered_eigenvalues():
     with pytest.raises(InvalidSpectrumError, match="increase"):
         hermitian_from_spectrum([1.0, 0.0], np.eye(2), [1, 1])

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEED
-from moilab import linalg, moi
+from conftest import SEED, column_form
+from moilab import counterexample, linalg, moi
 from moilab.counterexample import (
     build_instance,
     random_kink_function,
@@ -593,59 +594,56 @@ def test_argument_perturbation_memory_is_bounded_at_128(index):
     assert _perturbation_peak(128, index) <= 16 * 2**20
 
 
-def _stack_deviation(f, tuples):
-    """Largest entry of the stacked calculus minus the per-tuple one, over the
-    largest entry of the per-tuple results."""
-    single = apply_function_triple if len(tuples[0]) == 3 else apply_function_pair
-    expected = np.stack([single(f, *ops) for ops in tuples])
-    return np.max(np.abs(apply_function_stack(f, tuples) - expected)) / np.max(np.abs(expected))
+# the rank checks' stacks: four corners of two triples, and two pairs
+CORNERS = [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)]
+PAIRS = [(0, 1), (2, 3)]
 
 
-def _corners_and_pairs(ops):
-    """The rank checks' stacks: four corners of two triples, and two pairs."""
-    first, second = ops[:3], ops[3:6]
-    return [(*second[:k], *first[k:]) for k in range(4)], [ops[0:2], ops[2:4]]
+def _stack_deviation(f, ops, values, frames, members):
+    """Largest entry of the stacked calculus on the column-form draws minus
+    the per-tuple one on the operators ``ops``, over the largest entry of
+    the per-tuple results; member k takes the operators ``members[k]``."""
+    single = apply_function_triple if len(members[0]) == 3 else apply_function_pair
+    expected = np.stack([single(f, *(ops[i] for i in m)) for m in members])
+    stacked = apply_function_stack(f, counterexample._column_slots(values, frames, members))
+    return np.max(np.abs(stacked - expected)) / np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("N", range(1, 9))
 def test_stacked_calculus_matches_the_per_tuple_calculus(N):
     rng = np.random.default_rng(SEED + N)
     for _ in range(3):
-        corners, pairs = _corners_and_pairs(random_rank_limited_hermitians(rng, 2 * N, N, 6))
-        assert _stack_deviation(random_kink_function(rng)[0], corners) <= 1e-13
-        assert _stack_deviation(random_trig_polynomial(rng)[0], pairs) <= 1e-13
-
-
-def test_stacked_calculus_mixes_atom_counts_and_eigh_fallbacks(monkeypatch):
-    # a wide grouping tolerance makes some draws fall back to eigh, which
-    # merges their close atoms, so the members differ in atom structure
-    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.15)
-    rng = np.random.default_rng(SEED)
-    ops = random_rank_limited_hermitians(rng, 6, 3, 6)
-    carried = ["_measure" in op.__dict__ for op in ops]
-    assert any(carried) and not all(carried)
-    assert len({len(spectral_measure(op).eigenvalues) for op in ops}) > 1
-    corners, pairs = _corners_and_pairs(ops)
-    assert _stack_deviation(random_kink_function(rng)[0], corners) <= 1e-13
-    assert _stack_deviation(random_trig_polynomial(rng)[0], pairs) <= 1e-13
-    assert _stack_deviation(lambda x, y: x * y + 1j * x, [ops[0:2], ops[1:3], ops[3:5]]) <= 1e-13
+        # the same draws, grouped into operators and in column form
+        ops = random_rank_limited_hermitians(copy.deepcopy(rng), 2 * N, N, 6)
+        values, frames, _ = counterexample._rank_limited_draw(rng, 2 * N, N, 6)
+        f, g = random_kink_function(rng)[0], random_trig_polynomial(rng)[0]
+        assert _stack_deviation(f, ops, values, frames, CORNERS) <= 1e-13
+        assert _stack_deviation(g, ops, values, frames, PAIRS) <= 1e-13
 
 
 def test_stacked_calculus_names_the_member_of_a_non_finite_symbol(rng):
     A, B, C = (random_hermitian(rng, 4) for _ in range(3))
+    values, frames, _ = column_form([A, B, C])
     # the first slot holds A, B and then C: only member 2 meets C's top eigenvalue
     top = float(spectral_measure(C).eigenvalues[-1])
     f = lambda x, y, z: np.where(x == top, np.nan, 1.0) + x * y * z
+    slots = counterexample._column_slots(values, frames, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     with pytest.raises(
         NonFiniteSymbolError,
         match=re.escape(f"atom (3, 0, 0) of stack member 2 (eigenvalues {top!r}, "),
     ):
-        apply_function_stack(f, [(A, B, C), (B, C, A), (C, A, B)])
+        apply_function_stack(f, slots)
 
 
 def test_stacked_calculus_rejects_mixed_tuples(rng):
-    A, B = (random_hermitian(rng, 3) for _ in range(2))
-    with pytest.raises(ValueError):
-        apply_function_stack(lambda x, y: x, [(A, B), (A, B, A)])
+    slots = counterexample._column_slots
+    values, frames, _ = column_form([random_hermitian(rng, 3) for _ in range(2)])
+    pair = slots(values, frames, [(0, 1), (1, 0)])
+    (one_member,) = slots(values, frames, [(0,)])
+    plain = spectral_measure(random_hermitian(rng, 3))  # no stack axis
+    for bad in (pair[:1], pair * 2, [pair[0], one_member], [pair[0], plain]):
+        with pytest.raises(ValueError, match="2 or 3 slots"):
+            apply_function_stack(lambda x, y: x, bad)
+    values, frames, _ = column_form([random_hermitian(rng, 4) for _ in range(2)])
     with pytest.raises(DimensionMismatchError):
-        apply_function_stack(lambda x, y: x, [(A, B), (A, random_hermitian(rng, 4))])
+        apply_function_stack(lambda x, y: x, [pair[0], slots(values, frames, [(0,), (1,)])[0]])
