@@ -355,14 +355,15 @@ def growth_records(
     p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
     A, B, C = inst.A, inst.B, inst.C
-    base, upper = (
-        apply_function_triple(lambda x, y, z: inst.f(x, y, e * z), A, B, C) for e in (0.0, eps)
-    )
+    base = apply_function_triple(lambda x, y, z: inst.f(x, y, 0.0 * z), A, B, C)
     base_peak = float(np.max(np.abs(base)))
-    diff = upper - base
-    del base, upper  # freed before phi(A, B) is formed, which lowers the peak
+    diff = apply_function_triple(lambda x, y, z: inst.f(x, y, eps * z), A, B, C)
+    diff -= base
+    del base  # freed before phi(A, B) is formed, which lowers the peak
     factored = apply_function_pair(inst.phi, A, B) @ (eps * C.matrix)
-    factor_dev = float(np.max(np.abs(diff - factored)))
+    factored -= diff  # |factored - diff| has the bits of |diff - factored|
+    factor_dev = float(np.max(np.abs(factored)))
+    del factored
 
     if psi_grid is None:
         psi_grid = psi_reference_grid()
@@ -453,15 +454,24 @@ def _rank_limited_draw(
 def random_rank_limited_hermitians(
     rng: np.random.Generator, dim: int, rank: int, count: int
 ) -> tuple[HermitianOperator, ...]:
-    """The operators of :func:`_rank_limited_draw`, each built from its
-    spectrum, its equal columns grouped into atoms, and never decomposed.
+    """The operators of :func:`_rank_limited_draw`, as
+    :func:`_spectrum_operators` builds them."""
+    return _spectrum_operators(*_rank_limited_draw(rng, dim, rank, count))
+
+
+def _spectrum_operators(
+    values: np.ndarray, frames: np.ndarray, matrices: np.ndarray
+) -> tuple[HermitianOperator, ...]:
+    """The operators of a column-form draw of :func:`_rank_limited_draw`,
+    each built from its spectrum, its equal columns grouped into atoms, and
+    never decomposed.
 
     The rare draw that puts two atoms within the grouping tolerance, which
     :func:`~moilab.linalg.hermitian_from_spectrum` rejects, is built from
     its matrix instead, so ``eigh`` merges them.
     """
     operators = []
-    for v, V, M in zip(*_rank_limited_draw(rng, dim, rank, count)):
+    for v, V, M in zip(values, frames, matrices):
         atoms, multiplicities = np.unique(v, return_counts=True)
         try:
             A = hermitian_from_spectrum(atoms, V, multiplicities)

@@ -8,8 +8,11 @@ below.
 Operators come from one of two constructors.  :func:`hermitian_from_matrix`
 validates a matrix, whose spectral measure ``eigh`` finds on first use.
 :func:`hermitian_from_spectrum` takes a spectrum that is already known
-(eigenvalues, an eigenvector frame and multiplicities), validates it and
-forms the matrix, so that operator is never decomposed.
+(eigenvalues, an eigenvector frame and multiplicities) and validates it;
+that operator is never decomposed, and its matrix is formed only when it is
+first read.  A frame is the identity when it equals I exactly
+(:attr:`SpectralMeasure.identity_frame`), the one test both this module and
+the operator integrals read.
 
 Conventions
 -----------
@@ -53,8 +56,13 @@ class InvalidSpectrumError(ValueError):
     """Eigenvalues, frame and multiplicities do not form a spectral measure."""
 
 
-# Consecutive eigenvalues whose gap is at most this land in one atom.
+# Consecutive eigenvalues whose gap is at most this land in one atom, unless
+# the spectrum's scale asks for more (:func:`_group_tolerance`).
 _GROUP_TOL = 1e-8
+
+# eigh leaves each eigenvalue within a few eps * dim * max|lambda| of the
+# exact one; a gap within this many of those units also lands in one atom.
+_GROUP_ROUNDING = 4.0
 
 # Relative floor below which a singular value is treated as exactly zero
 # before exponentiation (avoids 0**p noise for the finite-p norms).
@@ -88,22 +96,33 @@ def projection_tolerance(dim: int) -> float:
     return 1e-8 * dim
 
 
-@dataclass(frozen=True)
 class HermitianOperator:
     """A square complex matrix equal to its conjugate transpose.
 
-    Construct through :func:`hermitian_from_matrix`, which validates and
-    symmetrizes a matrix, or :func:`hermitian_from_spectrum`, which forms
-    the matrix from a known spectral measure; instances are treated as
-    immutable.  The spectral measure (:func:`spectral_measure`) is computed
-    once and cached; an operator built from its spectrum starts with it.
+    ``HermitianOperator(M)`` holds ``M`` as given.  Construct through
+    :func:`hermitian_from_matrix`, which validates and symmetrizes a matrix,
+    or :func:`hermitian_from_spectrum`, which validates a known spectral
+    measure and forms the matrix from it on the first read of
+    :attr:`matrix`.  Instances are immutable.  The spectral measure
+    (:func:`spectral_measure`) is computed once and cached; an operator built
+    from its spectrum starts with it, and :attr:`dim` reads it.
     """
 
-    matrix: np.ndarray
+    def __init__(self, matrix: np.ndarray):
+        vars(self)["matrix"] = matrix
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable HermitianOperator")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # reached only by an operator built from its spectrum
+        return _spectrum_matrix(self._measure)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        formed = vars(self).get("matrix")
+        return self._measure.dim if formed is None else formed.shape[0]
 
     @cached_property
     def _measure(self) -> "SpectralMeasure":
@@ -142,13 +161,12 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     ``eigenvalues`` are the atoms in strictly increasing order,
     ``multiplicities`` their eigenspace dimensions, and ``frame`` the
     dim x dim unitary whose consecutive column blocks of those widths span
-    the eigenspaces.  The matrix is (V diag(lambda)) V*, symmetrized, formed
-    from the columns whose eigenvalue is not zero only, so a rank-r operator
-    costs a rank-r product.  A frame that equals the identity exactly (an
-    O(dim^2) test) is unitary without a check, and its matrix is
-    diag(lambda), the same bits the product gives, so no dim^3 product
-    runs; a frame merely close to the identity takes the unitary check and
-    the product.  The measure is stored on the operator, so
+    the eigenspaces.  Every check runs here; the matrix is formed on its
+    first read (:func:`_spectrum_matrix`), and :attr:`HermitianOperator.dim`
+    and :func:`spectral_measure` do not read it.  A frame that equals the
+    identity exactly (:attr:`SpectralMeasure.identity_frame`) is unitary
+    without a check; a frame merely close to the identity takes the unitary
+    check.  The measure is stored on the operator, so
     :func:`spectral_measure` never runs ``eigh`` on it.
 
     Raises
@@ -165,9 +183,11 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     dim = V.shape[0]
     if V.shape != (dim, dim):
         raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
-    if values.ndim != 1 or not (np.isfinite(values).all() and (np.diff(values) > _GROUP_TOL).all()):
+    finite = values.ndim == 1 and np.isfinite(values).all()
+    tol = _group_tolerance(values, dim) if finite else _GROUP_TOL
+    if not (finite and (np.diff(values) > tol).all()):
         raise InvalidSpectrumError(
-            f"eigenvalues must be finite and increase by more than {_GROUP_TOL:g}"
+            f"eigenvalues must be finite and increase by more than {tol:g}"
         )
     if counts.shape != values.shape or (counts < 1).any() or counts.sum() != dim:
         raise InvalidSpectrumError(
@@ -175,35 +195,36 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
             f"and sum to {dim}"
         )
     measure = SpectralMeasure(values, V, counts)
-    weights = values[measure.column_atom_index]
-    if _identity_or_unitary(V):
-        matrix = np.diag(weights).astype(np.complex128)
-    else:
-        nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
-        W = V[:, nonzero]
-        M = (W * weights[nonzero]) @ W.conj().T
-        matrix = (M + M.conj().T) / 2.0
-    A = HermitianOperator(matrix)
-    A.__dict__["_measure"] = measure  # fill the cache, so A is never decomposed
+    if not measure.identity_frame:
+        deviation = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
+        if deviation > projection_tolerance(dim):
+            raise InvalidSpectrumError(f"frame is not unitary: |V*V - I|_max = {deviation:.3e}")
+    A = HermitianOperator.__new__(HermitianOperator)  # no matrix until it is read
+    vars(A)["_measure"] = measure  # fill the cache, so A is never decomposed
     return A
 
 
-def _identity_or_unitary(V: np.ndarray) -> bool:
-    """True if the frame ``V`` is exactly the identity, an O(dim^2) test;
-    otherwise False once max|V*V - I| is within :func:`projection_tolerance`.
+def _spectrum_matrix(E: SpectralMeasure) -> np.ndarray:
+    """The matrix of the measure ``E``: (V diag(lambda)) V*, symmetrized,
+    formed from the columns whose eigenvalue is not zero only, so a rank-r
+    operator costs a rank-r product.  On an identity frame it is
+    diag(lambda), the same bits the product gives, and no dim^3 product
+    runs."""
+    weights = E.eigenvalues[E.column_atom_index]
+    if E.identity_frame:
+        return np.diag(weights).astype(np.complex128)
+    nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
+    W = E.frame[:, nonzero]
+    M = (W * weights[nonzero]) @ W.conj().T
+    return (M + M.conj().T) / 2.0
 
-    Raises
-    ------
-    InvalidSpectrumError
-        If it is neither.
-    """
-    eye = np.eye(V.shape[-1])
-    if (V == eye).all():
-        return True
-    deviation = float(np.max(np.abs(V.conj().T @ V - eye)))
-    if deviation > projection_tolerance(V.shape[-1]):
-        raise InvalidSpectrumError(f"frame is not unitary: |V*V - I|_max = {deviation:.3e}")
-    return False
+
+def _group_tolerance(values: np.ndarray, dim: int) -> float:
+    """The gap at or below which consecutive eigenvalues of a dim x dim
+    operator land in one atom: ``_GROUP_TOL``, or ``_GROUP_ROUNDING`` * eps
+    * dim * max|lambda| when the spectrum's scale makes that larger."""
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    return max(_GROUP_TOL, _GROUP_ROUNDING * float(np.finfo(float).eps) * dim * peak)
 
 
 def zero_operator(dim: int) -> HermitianOperator:
@@ -253,6 +274,15 @@ class SpectralMeasure:
     @property
     def dim(self) -> int:
         return self.frame.shape[-1]
+
+    @cached_property
+    def identity_frame(self) -> bool:
+        """True iff the frame equals the identity exactly, an O(dim^2) test
+        made once per measure; False for a stacked (column-form) frame and
+        for a frame merely close to I.  A product by such a frame returns
+        its other factor's entries, so no product by it runs."""
+        V = self.frame
+        return V.ndim == 2 and bool((np.diagonal(V) == 1).all()) and np.count_nonzero(V) == self.dim
 
     @cached_property
     def atoms(self) -> tuple[SpectralAtom, ...]:
@@ -307,9 +337,10 @@ class SpectralMeasure:
 def spectral_measure(A: HermitianOperator) -> SpectralMeasure:
     """Eigendecompose ``A`` and merge nearly equal eigenvalues into atoms.
 
-    Consecutive eigenvalues whose gap is at most 1e-8 land in the same
-    atom; the atom's eigenvalue is the group mean and its projection is
-    the sum of the grouped rank-one eigenprojections.  The measure is
+    Consecutive eigenvalues whose gap is at most 1e-8, or a few eps * dim *
+    max|lambda| when that is larger, land in the same atom; the atom's
+    eigenvalue is the group mean and its projection is the sum of the
+    grouped rank-one eigenprojections.  The measure is
     cached on ``A``, so each operator is decomposed once; an operator from
     :func:`hermitian_from_spectrum` carries its measure and is never
     decomposed.
@@ -327,7 +358,8 @@ def _decompose(A: HermitianOperator) -> SpectralMeasure:
         values, vectors = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(str(exc)) from exc
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > _GROUP_TOL)
+    tol = _group_tolerance(values, len(values))
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
     multiplicities = np.diff(starts, append=len(values))
     eigenvalues = values[starts]
     for k in np.flatnonzero(multiplicities > 1):

@@ -141,14 +141,33 @@ def _transforms(
     """Each operator in the eigenbases around it, V_t* T_t V_{t+1}.
 
     ``None`` is the identity, whose transform is the frame product
-    V_t* V_{t+1}, with no product by an identity matrix.  Stacked frames
-    give one stack of transforms.
+    V_t* V_{t+1}, with no product by an identity matrix.  A frame that is
+    exactly the identity (:attr:`SpectralMeasure.identity_frame`) takes no
+    product either; the transform is then the other factor, C-contiguous as
+    a product would give it.  Stacked frames give one stack of transforms.
     """
     out = []
     for t, T in enumerate(operators):
-        left = measures[t].frame.conj().swapaxes(-1, -2)
-        out.append((left if T is None else left @ T) @ measures[t + 1].frame)
+        left, right = measures[t], measures[t + 1]
+        X = T
+        if not left.identity_frame:
+            adjoint = left.frame.conj().swapaxes(-1, -2)
+            X = adjoint if X is None else adjoint @ X
+        if X is None or not right.identity_frame:
+            X = right.frame if X is None else X @ right.frame
+        out.append(np.ascontiguousarray(X))
     return out
+
+
+def _from_eigenbases(first: SpectralMeasure, acc: np.ndarray, last: SpectralMeasure) -> np.ndarray:
+    """V_first acc V_last*: a chain's sum, held in the eigenbases of its end
+    measures, back in the standard basis.  An identity frame takes no
+    product."""
+    if not first.identity_frame:
+        acc = first.frame @ acc
+    if not last.identity_frame:
+        acc = acc @ last.frame.conj().swapaxes(-1, -2)
+    return acc
 
 
 def _chunks(count: int, entries_per_atom: int) -> list[slice]:
@@ -182,9 +201,10 @@ def _contract_last(
         if columns.stop - columns.start == len(blocks):
             vectors = B[..., columns].swapaxes(-1, -2)[..., None]
             acc[..., columns] = (G @ vectors)[..., 0].swapaxes(-1, -2)
-            continue
-        for j, block in enumerate(blocks):
-            acc[..., block] = G[..., j, :, :] @ B[..., block]
+        else:
+            for j, block in enumerate(blocks):
+                acc[..., block] = G[..., j, :, :] @ B[..., block]
+        del G  # freed before the next chunk's products are formed
     return acc
 
 
@@ -268,7 +288,8 @@ def _chain_integral(
         entries_per_atom = math.prod(lead) * first.dim * middle.dim
         chunks = _chunks(last.eigenvalues.shape[-1], entries_per_atom)
         acc = _contract_last(products_of, transformed[1], last, chunks, first.dim)
-    return measures[0].frame @ acc @ measures[-1].frame.conj().swapaxes(-1, -2)
+    del transformed  # freed before the change of basis, which lowers the peak
+    return _from_eigenbases(measures[0], acc, measures[-1])
 
 
 def apply_function_single(f: Callable, E: SpectralMeasure) -> np.ndarray:
@@ -520,4 +541,4 @@ def argument_perturbation(
         acc = o0 + o1 - KT_far @ o2 + KT_sigma @ o3
     if index == 2:
         acc = -acc.T
-    return measures[0].frame @ acc @ measures[-1].frame.conj().T
+    return _from_eigenbases(measures[0], acc, measures[-1])

@@ -292,6 +292,38 @@ def check_naive_oracle_equivalence(seed: int, draws: int) -> CheckResult:
     )
 
 
+def check_stack_member_equivalence(seed: int, draws: int) -> CheckResult:
+    """The stacked calculus (:func:`moilab.moi.apply_function_stack`) member
+    by member: per draw, a stack of three pairs with a random trigonometric
+    polynomial and a stack of three triples with a random kink function,
+    each member on its own operators, drawn in column form as the rank
+    checks draw them.  Each member must equal
+    :func:`~moilab.moi.apply_function_pair` or
+    :func:`~moilab.moi.apply_function_triple` on its operators, built from
+    the same spectra, to 1e-12 times that result's largest entry."""
+
+    def draw(rng):
+        dim = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, dim + 1))
+        for slots, function, single in (
+            (2, ce.random_trig_polynomial, moi.apply_function_pair),
+            (3, ce.random_kink_function, moi.apply_function_triple),
+        ):
+            members = np.arange(3 * slots).reshape(3, slots)
+            values, frames, matrices = ce._rank_limited_draw(rng, dim, rank, members.size)
+            operators = ce._spectrum_operators(values, frames, matrices)
+            f, _ = function(rng)
+            stack = moi.apply_function_stack(f, ce._column_slots(values, frames, members))
+            for member, result in zip(members, stack):
+                own = single(f, *(operators[i] for i in member))
+                peak = max(float(np.max(np.abs(own))), np.finfo(float).tiny)
+                yield float(np.max(np.abs(result - own))) / peak
+
+    return _worst_within(
+        "moi.stack_member_equivalence", "max dev / max|entry|", _draws(seed, draws, draw), 1e-12
+    )
+
+
 # ----------------------------------------------------------------- besov
 
 
@@ -515,4 +547,5 @@ def run_selfcheck(
         check_pairs_chain(trials, seed),
         check_constructed_spectrum(tuple(n for n in N_list if n <= 64), seed + 12, 20),
         check_zero_slot(sweep),
+        check_stack_member_equivalence(seed + 13, 20),
     ]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moilab import besov, counterexample
+from moilab import besov, counterexample, moi
 from moilab.cli import (
     ConfigError,
     RunConfig,
@@ -182,8 +182,30 @@ def test_zero_denominator_fails_its_selfcheck_item(capsys, monkeypatch, fault):
         besov.psi_reference_grid.cache_clear()
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")} == failed_checks
+
+
+# faults in the stacked engine, which only the rank checks and the stack
+# member check call: both pass the rank checks, so only that item fails
+STACK_FAULTS = {
+    "scaled": lambda stack: 10.0 * stack,
+    "rolled": lambda stack: np.roll(stack, 1, axis=0),
+}
+
+
+@pytest.mark.parametrize("fault", STACK_FAULTS)
+def test_stacked_engine_fault_fails_its_selfcheck_item(capsys, monkeypatch, fault):
+    real = moi.apply_function_stack
+    faulty = lambda f, measures: STACK_FAULTS[fault](real(f, measures))
+    monkeypatch.setattr(moi, "apply_function_stack", faulty)
+    monkeypatch.setattr(counterexample, "apply_function_stack", faulty)
+    # selfcheck prints one line per run_selfcheck result
+    assert run_cli(["selfcheck", "--N", "1,2", "--p", "2", "--trials", "2", "--grid-m", "12"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 28
+    failed = [line.split(":")[0][5:] for line in lines if line.startswith("FAIL")]
+    assert failed == ["moi.stack_member_equivalence"]
 
 
 def test_growth_output_is_deterministic(tmp_path):
@@ -342,7 +364,7 @@ def test_selfcheck_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert all(line.startswith("PASS") for line in lines)
 
 

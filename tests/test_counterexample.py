@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,30 @@ def test_growth_records_decompose_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "_decompose", refuse)
     for N in (1, 2, 16):
         assert growth_records(N, [1.0, 2.0, math.inf], eps=0.5)[0].perturbation == 0.5
+
+
+def test_growth_records_form_no_matrix_of_a_or_b(monkeypatch):
+    built = []
+    real = counterexample.build_instance
+    monkeypatch.setattr(counterexample, "build_instance", lambda N: built.append(real(N)) or built[-1])
+    growth_records(16, [2.0])
+    (inst,) = built
+    assert "matrix" not in vars(inst.A) and "matrix" not in vars(inst.B)
+
+
+def test_growth_records_peak_at_512_is_ten_and_a_half_arrays():
+    # at most 10.5 N x N complex arrays at once; 15.0 when the products by
+    # B's identity frame ran, A's and B's matrices were formed and D was
+    # formed out of place
+    N = 512
+    growth_records(2, [1.0])  # the cached psi grid is built outside the trace
+    tracemalloc.start()
+    try:
+        growth_records(N, [1.0, 2.0, math.inf])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 16 * N * N
 
 
 def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):

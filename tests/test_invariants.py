@@ -36,6 +36,7 @@ NAMES = (
     "counterexample.pairs_chain",
     "linalg.constructed_spectrum",
     "counterexample.zero_slot",
+    "moi.stack_member_equivalence",
 )
 
 

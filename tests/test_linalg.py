@@ -217,6 +217,65 @@ def test_identity_frame_matrix_equals_the_product_bit_for_bit(values, counts):
     assert hermitian_from_spectrum(values, V, counts).matrix.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "frame, values, counts",
+    [
+        ("identity", [-1.5, 0.0, 2.0], [1, 2, 3]),
+        ("general", [-1.5, 0.5, 2.0], [1, 2, 3]),
+        ("general", [-1.5, 0.0, 2.0], [1, 4, 1]),
+    ],
+    ids=["identity", "general", "rank-deficient"],
+)
+def test_spectrum_matrix_is_formed_on_first_read(rng, frame, values, counts):
+    dim = 6
+    V = np.eye(dim, dtype=np.complex128) if frame == "identity" else random_unitary(rng, dim)
+    A = hermitian_from_spectrum(values, V, counts)
+    B, C = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z))
+    assert A.dim == dim and spectral_measure(A).dim == dim
+    apply_function_pair(lambda x, y: x * y, A, B)
+    apply_function_triple(f, B, A, C)
+    hermitian_singular_values(A)
+    for index in range(3):
+        argument_perturbation(f, index, B, C, A, A)
+    assert "matrix" not in vars(A)  # nothing above read it
+    weights = np.repeat(values, counts)
+    W = V[:, weights != 0.0]
+    M = (W * weights[weights != 0.0]) @ W.conj().T
+    assert A.matrix.tobytes() == ((M + M.conj().T) / 2.0).tobytes()
+    assert A.matrix is A.matrix  # formed once
+
+
+def test_spectrum_operators_stay_immutable():
+    A = hermitian_from_spectrum([0.0, 1.0], np.eye(2), [1, 1])
+    with pytest.raises(AttributeError):
+        A.matrix = np.zeros((2, 2))
+    with pytest.raises(AttributeError):
+        HermitianOperator(np.eye(2)).matrix = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e8, 1e10, 1e12])
+def test_grouping_is_scale_aware(scale):
+    # three eigenvalues, each repeated, at every scale: an absolute 1e-8
+    # split the rounded clusters into 8 atoms from 1e8 up
+    Q = random_unitary(np.random.default_rng(0), 8)
+    values = scale * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+    E = spectral_measure(hermitian_from_matrix((Q * values) @ Q.conj().T))
+    assert E.multiplicities.tolist() == [3, 2, 3]
+    assert np.allclose(E.eigenvalues, scale * np.array([1.0, 2.0, 3.0]), rtol=1e-12, atol=0.0)
+
+
+def test_spectrum_separation_is_scale_aware():
+    # a gap of 4 ulps at 1e10 sits inside eigh's rounding there, so eigh would
+    # merge the two atoms, and the constructor rejects them
+    top = 1e10
+    for _ in range(4):
+        top = np.nextafter(top, np.inf)
+    with pytest.raises(InvalidSpectrumError, match="increase"):
+        hermitian_from_spectrum([1e10, top], np.eye(2), [1, 1])
+    hermitian_from_spectrum([1e10, 1e10 + 1.0], np.eye(2), [1, 1])
+
+
 def test_zero_operator_is_exactly_zero():
     for d in (1, 5, 64):
         Z = zero_operator(d).matrix

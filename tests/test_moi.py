@@ -647,3 +647,28 @@ def test_stacked_calculus_rejects_mixed_tuples(rng):
     values, frames, _ = column_form([random_hermitian(rng, 4) for _ in range(2)])
     with pytest.raises(DimensionMismatchError):
         apply_function_stack(lambda x, y: x, [pair[0], slots(values, frames, [(0,), (1,)])[0]])
+
+
+def test_identity_frame_skip_returns_the_same_entries(rng, monkeypatch):
+    # an operator on the identity frame, with a repeated atom, in every slot
+    # of every engine call: skipping the products by its frame returns what
+    # taking them returns
+    dim = 6
+    I = hermitian_from_spectrum([-1.5, 0.25, 2.0], np.eye(dim), [2, 1, 3])
+    assert spectral_measure(I).identity_frame
+    P, Q, S = (random_hermitian(rng, dim) for _ in range(3))
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2)
+    g = lambda x, y: np.exp(1j * x * y) + x - 2 * y
+    placements = [(I, P, Q), (P, I, Q), (P, Q, I)]
+
+    def results():
+        out = [apply_function_triple(f, *ops) for ops in placements]
+        out += [apply_function_pair(g, I, P), apply_function_pair(g, P, I)]
+        for index in range(3):
+            for ops in [(I, S, P, Q), (S, I, P, Q), (S, P, I, Q), (S, P, Q, I)]:
+                out.append(argument_perturbation(f, index, *ops))
+        return out
+
+    skipped = results()
+    monkeypatch.setattr(linalg.SpectralMeasure, "identity_frame", property(lambda E: False))
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, results(), strict=True))
