@@ -29,11 +29,8 @@ import numpy as np
 from .besov import GridFunction, psi_reference, psi_reference_grid, tensor_bound_kappa, window_w
 from .linalg import (
     HermitianOperator,
-    InvalidSpectrumError,
-    SpectralMeasure,
     as_complex_matrix,
     complex_gaussian,
-    hermitian_from_matrix,
     hermitian_from_spectrum,
     hermitian_singular_values,
     norm_of_singular_values,
@@ -451,46 +448,6 @@ def _rank_limited_draw(
     return values, frames, (M + M.conj().swapaxes(1, 2)) / 2.0
 
 
-def random_rank_limited_hermitians(
-    rng: np.random.Generator, dim: int, rank: int, count: int
-) -> tuple[HermitianOperator, ...]:
-    """The operators of :func:`_rank_limited_draw`, as
-    :func:`_spectrum_operators` builds them."""
-    return _spectrum_operators(*_rank_limited_draw(rng, dim, rank, count))
-
-
-def _spectrum_operators(
-    values: np.ndarray, frames: np.ndarray, matrices: np.ndarray
-) -> tuple[HermitianOperator, ...]:
-    """The operators of a column-form draw of :func:`_rank_limited_draw`,
-    each built from its spectrum, its equal columns grouped into atoms, and
-    never decomposed.
-
-    The rare draw that puts two atoms within the grouping tolerance, which
-    :func:`~moilab.linalg.hermitian_from_spectrum` rejects, is built from
-    its matrix instead, so ``eigh`` merges them.
-    """
-    operators = []
-    for v, V, M in zip(values, frames, matrices):
-        atoms, multiplicities = np.unique(v, return_counts=True)
-        try:
-            A = hermitian_from_spectrum(atoms, V, multiplicities)
-        except InvalidSpectrumError:
-            A = hermitian_from_matrix(M)
-        operators.append(A)
-    return tuple(operators)
-
-
-def _column_slots(
-    values: np.ndarray, frames: np.ndarray, members: Sequence[Sequence[int]]
-) -> list[SpectralMeasure]:
-    """The slots of a stack of tuples in column form, the input of
-    :func:`~moilab.moi.apply_function_stack`: member k holds in slot t the
-    operator ``members[k][t]`` of ``values`` and ``frames``."""
-    ones = np.ones(values.shape[-1], dtype=np.intp)
-    return [SpectralMeasure(values[slot], frames[slot], ones) for slot in np.transpose(members)]
-
-
 _TRIG_MAX_DEGREE = 3
 
 
@@ -691,7 +648,7 @@ def rank_estimate_check_pairs(
 
     def differences(values, frames, matrices, f):
         # the operators are A1, B1, A2, B2
-        terms = apply_function_stack(f, _column_slots(values, frames, [(0, 1), (2, 3)]))
+        terms = apply_function_stack(f, values, frames, [(0, 1), (2, 3)])
         return np.stack([terms[0] - terms[1], matrices[0] - matrices[2], matrices[1] - matrices[3]])
 
     def verdicts(values, surrogates):
@@ -736,8 +693,8 @@ def lipschitz_rank_bound_check(
 
     def differences(values, frames, matrices, f):
         # corner k takes its first k slots from the second triple (operators 3 to 5)
-        slots = _column_slots(values, frames, [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)])
-        corners = apply_function_stack(f, slots)
+        members = [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)]
+        corners = apply_function_stack(f, values, frames, members)
         steps = matrices[:3] - matrices[3:]
         return np.concatenate([steps, corners[:-1] - corners[1:], corners[:1] - corners[3:]])
 

@@ -172,29 +172,33 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     Raises
     ------
     InvalidSpectrumError
-        If an eigenvalue is not finite or does not exceed the one before it
-        by more than the grouping tolerance (``eigh`` would merge them), if
-        a multiplicity is below 1 or they do not sum to the dimension, or if
-        max|V*V - I| exceeds :func:`projection_tolerance`.
+        If an eigenvalue is not real and finite or does not exceed the one
+        before it by more than the grouping tolerance (``eigh`` would merge
+        them), if a multiplicity is not an integer of at least 1 or they do
+        not sum to the dimension, or if max|V*V - I| exceeds
+        :func:`projection_tolerance`.
     """
-    values = np.array(eigenvalues, dtype=float, ndmin=1)
+    values = np.array(eigenvalues, ndmin=1)
     V = as_complex_matrix(frame)
-    counts = np.array(multiplicities, dtype=np.int64, ndmin=1)
+    counts = np.array(multiplicities, ndmin=1)
     dim = V.shape[0]
     if V.shape != (dim, dim):
         raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
-    finite = values.ndim == 1 and np.isfinite(values).all()
+    real = values.dtype.kind in "iuf"
+    values = values.astype(float, copy=False) if real else values
+    finite = real and values.ndim == 1 and np.isfinite(values).all()
     tol = _group_tolerance(values, dim) if finite else _GROUP_TOL
     if not (finite and (np.diff(values) > tol).all()):
         raise InvalidSpectrumError(
-            f"eigenvalues must be finite and increase by more than {tol:g}"
+            f"eigenvalues must be real, finite and increase by more than {tol:g}"
         )
-    if counts.shape != values.shape or (counts < 1).any() or counts.sum() != dim:
+    whole = counts.dtype.kind in "iu"
+    if not whole or counts.shape != values.shape or (counts < 1).any() or counts.sum() != dim:
         raise InvalidSpectrumError(
-            f"multiplicities {counts.tolist()} must be >= 1, one per eigenvalue, "
+            f"multiplicities {counts.tolist()} must be integers >= 1, one per eigenvalue, "
             f"and sum to {dim}"
         )
-    measure = SpectralMeasure(values, V, counts)
+    measure = SpectralMeasure(values, V, counts.astype(np.int64))
     if not measure.identity_frame:
         deviation = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
         if deviation > projection_tolerance(dim):
@@ -261,10 +265,10 @@ class SpectralMeasure:
     unitary whose consecutive column blocks, of those widths, are the
     eigenspace bases, so the atoms' projections resolve the identity.  The
     operator-integral contractions read the frame directly; :attr:`atoms`
-    is a per-atom view derived from it.  The engine's column form
-    (:func:`moilab.moi.apply_function_stack`) stacks the measures of several
-    operators in one: ``eigenvalues`` and ``frame`` then carry a leading
-    stack axis, and each column is its own atom.
+    is a per-atom view derived from it.  The engine's column form, which
+    only :func:`moilab.moi.apply_function_stack` builds, stacks the measures
+    of several operators in one: ``eigenvalues`` and ``frame`` then carry a
+    leading stack axis, and each column is its own atom.
     """
 
     eigenvalues: np.ndarray
@@ -313,25 +317,11 @@ class SpectralMeasure:
         weights = self.eigenvalues[self.column_atom_index]
         return (V * weights) @ V.conj().T
 
-    def deviations(self, source: HermitianOperator | None = None) -> dict[str, float]:
-        """Max-entry deviations from the measure invariants.
-
-        Orthonormality of the frame columns is equivalent to the projection
-        algebra (idempotence, mutual orthogonality); completeness is frame
-        surjectivity.  Keys: 'orthonormal', 'complete' and, when ``source``
-        is given, 'reconstruction'.
-        """
-        V = self.frame
-        eye = np.eye(self.dim)
-        out = {
-            "orthonormal": float(np.max(np.abs(V.conj().T @ V - eye))),
-            "complete": float(np.max(np.abs(V @ V.conj().T - eye))),
-        }
-        if source is not None:
-            out["reconstruction"] = float(
-                np.max(np.abs(self.reconstruct() - source.matrix))
-            )
-        return out
+    def deviations(self, source: HermitianOperator) -> dict[str, float]:
+        """Max-entry deviation of :meth:`reconstruct` from the matrix of
+        ``source``, under the key 'reconstruction'.  The projection algebra
+        is checked by ``moilab selfcheck`` (``linalg.projection_algebra``)."""
+        return {"reconstruction": float(np.max(np.abs(self.reconstruct() - source.matrix)))}
 
 
 def spectral_measure(A: HermitianOperator) -> SpectralMeasure:

@@ -25,7 +25,7 @@ for cross-checking.
 
 The engine takes a leading stack axis: :func:`apply_function_stack`
 evaluates one symbol over several operator tuples of one dimension in one
-call.  The members may differ in atom structure, so each slot comes in
+call.  The members may differ in atom structure, so it builds each slot in
 column form, every frame column its own atom; every array gains the stack
 axis in front, and a chunk counts the weights of all members.
 
@@ -339,25 +339,32 @@ def _apply_function(f: Callable, *ops: HermitianOperator) -> np.ndarray:
     return _chain_integral(f, measures, [None] * (len(ops) - 1))
 
 
-def apply_function_stack(f: Callable, measures: Sequence[SpectralMeasure]) -> np.ndarray:
-    """f over a stack of pairs or triples of operators of one dimension d,
-    one column-form measure per slot, stacked on axis 0.
+def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarray:
+    """f over a stack of pairs or triples drawn from k operators of one
+    dimension d, given in column form: ``eigenvalues`` (k, d) holds the
+    eigenvalue of every frame column and ``frames`` (k, d, d) the unitary
+    eigenvector frames.  Row i of the integer table ``members`` (m, 2 or 3)
+    names the operators of member i, slot by slot; the result is (m, d, d).
 
-    Slot t's measure holds each member's operator in that slot with every
-    frame column its own atom: eigenvalues (members, d), frames (members,
-    d, d), multiplicities all 1, so members of different atom structure
-    share one layout.  One engine call, with one symbol call per chunk,
-    serves the stack; each member equals :func:`apply_function_pair` or
+    Each slot becomes one measure stacked over the members, with every
+    frame column its own atom, so members of different atom structure share
+    one layout.  One engine call, with one symbol call per chunk, serves the
+    stack; each member equals :func:`apply_function_pair` or
     :func:`apply_function_triple` on its own operators to rounding, not bit
     for bit.  A non-finite symbol raises :class:`NonFiniteSymbolError`
-    naming the member.  Other than 2 or 3 slots, or slots of unequal member
-    counts, raise ``ValueError``; slots of unequal dimension raise
-    :class:`DimensionMismatchError`.
+    naming the member.  A table that is not (m, 2) or (m, 3) integers, or
+    eigenvalues and frames of other shapes, raise ``ValueError``.
     """
-    stacks = {E.eigenvalues.shape[:-1] for E in measures} | {E.frame.shape[:-2] for E in measures}
-    if len(measures) not in (2, 3) or len(stacks) != 1 or len(stacks.pop()) != 1:
-        raise ValueError("expected 2 or 3 slots, each a stack of the same number of members")
-    return _chain_integral(f, measures, [None] * (len(measures) - 1))
+    eigenvalues, frames, members = map(np.asarray, (eigenvalues, frames, members))
+    k, d = eigenvalues.shape if eigenvalues.ndim == 2 else (-1, -1)
+    table = members.ndim == 2 and members.shape[1] in (2, 3) and members.dtype.kind in "iu"
+    if not table or frames.shape != (k, d, d):
+        raise ValueError(
+            "expected an integer table of 2 or 3 columns, eigenvalues (k, d) and frames (k, d, d)"
+        )
+    ones = np.ones(d, dtype=np.intp)
+    measures = [SpectralMeasure(eigenvalues[slot], frames[slot], ones) for slot in members.T]
+    return _chain_integral(f, measures, [None] * (members.shape[1] - 1))
 
 
 def apply_function_pair(f: Callable, A: HermitianOperator, B: HermitianOperator) -> np.ndarray:

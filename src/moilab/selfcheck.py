@@ -160,7 +160,11 @@ def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> 
         rng = np.random.default_rng(seed)
         for _ in range(draws):
             dim = int(rng.integers(2, 13))
-            yield from ce.random_rank_limited_hermitians(rng, dim, int(rng.integers(0, dim + 1)), 1)
+            values, frames, _ = ce._rank_limited_draw(rng, dim, int(rng.integers(0, dim + 1)), 1)
+            atoms, multiplicities = np.unique(values[0], return_counts=True)
+            # skip a draw with atoms eigh would merge, which the constructor rejects
+            if (np.diff(atoms) > linalg._group_tolerance(atoms, dim)).all():
+                yield linalg.hermitian_from_spectrum(atoms, frames[0], multiplicities)
 
     spectral = residual = 0.0
     for op in operators():
@@ -299,8 +303,11 @@ def check_stack_member_equivalence(seed: int, draws: int) -> CheckResult:
     each member on its own operators, drawn in column form as the rank
     checks draw them.  Each member must equal
     :func:`~moilab.moi.apply_function_pair` or
-    :func:`~moilab.moi.apply_function_triple` on its operators, built from
-    the same spectra, to 1e-12 times that result's largest entry."""
+    :func:`~moilab.moi.apply_function_triple` on the draw's own matrices,
+    decomposed by ``eigh``, to 1e-12 times that result's largest entry; so
+    the stack is checked against a route that reads neither the drawn
+    eigenvalues nor the drawn frames, and drawn matrices that disagree with
+    them fail too."""
 
     def draw(rng):
         dim = int(rng.integers(2, 9))
@@ -311,9 +318,9 @@ def check_stack_member_equivalence(seed: int, draws: int) -> CheckResult:
         ):
             members = np.arange(3 * slots).reshape(3, slots)
             values, frames, matrices = ce._rank_limited_draw(rng, dim, rank, members.size)
-            operators = ce._spectrum_operators(values, frames, matrices)
+            operators = [linalg.hermitian_from_matrix(M) for M in matrices]
             f, _ = function(rng)
-            stack = moi.apply_function_stack(f, ce._column_slots(values, frames, members))
+            stack = moi.apply_function_stack(f, values, frames, members)
             for member, result in zip(members, stack):
                 own = single(f, *(operators[i] for i in member))
                 peak = max(float(np.max(np.abs(own))), np.finfo(float).tiny)

@@ -187,19 +187,25 @@ def test_zero_denominator_fails_its_selfcheck_item(capsys, monkeypatch, fault):
 
 
 # faults in the stacked engine, which only the rank checks and the stack
-# member check call: both pass the rank checks, so only that item fails
+# member check call, and in the drawn matrices, which the stack member check
+# ties to the drawn spectra: each passes the rank checks, so only that item
+# fails
 STACK_FAULTS = {
-    "scaled": lambda stack: 10.0 * stack,
-    "rolled": lambda stack: np.roll(stack, 1, axis=0),
+    "scaled": ("apply_function_stack", lambda stack: 10.0 * stack),
+    "rolled": ("apply_function_stack", lambda stack: np.roll(stack, 1, axis=0)),
+    "matrices-rolled": ("_rank_limited_draw", lambda d: (*d[:2], np.roll(d[2], 1, axis=0))),
+    "matrices-scaled": ("_rank_limited_draw", lambda d: (*d[:2], 1.001 * d[2])),
 }
 
 
 @pytest.mark.parametrize("fault", STACK_FAULTS)
 def test_stacked_engine_fault_fails_its_selfcheck_item(capsys, monkeypatch, fault):
-    real = moi.apply_function_stack
-    faulty = lambda f, measures: STACK_FAULTS[fault](real(f, measures))
-    monkeypatch.setattr(moi, "apply_function_stack", faulty)
-    monkeypatch.setattr(counterexample, "apply_function_stack", faulty)
+    name, corrupt = STACK_FAULTS[fault]
+    real = getattr(counterexample, name)
+    faulty = lambda *args: corrupt(real(*args))
+    for module in (moi, counterexample):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, faulty)
     # selfcheck prints one line per run_selfcheck result
     assert run_cli(["selfcheck", "--N", "1,2", "--p", "2", "--trials", "2", "--grid-m", "12"]) == 1
     lines = capsys.readouterr().out.splitlines()

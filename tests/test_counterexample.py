@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEED, column_form
+from conftest import SEED, _reference_draw, column_form
 from moilab import counterexample, linalg, moi
 from moilab.besov import psi_band_majorant, psi_reference_grid, window_w
 from moilab.counterexample import (
@@ -26,16 +26,13 @@ from moilab.counterexample import (
     phi_symbol,
     quarter_root_rule,
     random_kink_function,
-    random_rank_limited_hermitians,
     random_trig_polynomial,
     rank_estimate_check_pairs,
 )
 from moilab.linalg import (
-    InvalidSpectrumError,
     hermitian_from_matrix,
     hermitian_from_spectrum,
     norm_of_singular_values,
-    random_unitary,
     rank_of_singular_values,
     schatten_norm,
     singular_values,
@@ -285,26 +282,21 @@ def test_rank_one_collapse_of_symbol_calculus():
 
 
 def test_rank_limited_draws_have_bounded_rank(rng):
-    for _ in range(5):
-        (op,) = random_rank_limited_hermitians(rng, 8, 3, 1)
-        s = singular_values(op.matrix)
+    _, _, matrices = counterexample._rank_limited_draw(rng, 8, 3, 5)
+    for M in matrices:
+        s = singular_values(M)
         assert int(np.count_nonzero(s > 1e-10)) <= 3
-        assert float(np.max(np.abs(op.matrix - op.matrix.conj().T))) <= 1e-12
+        assert float(np.max(np.abs(M - M.conj().T))) <= 1e-12
 
 
 @pytest.mark.parametrize("rank", [0, 1, 5, 6])
-def test_rank_limited_draws_carry_their_spectrum(rng, rank, monkeypatch):
-    (op,) = random_rank_limited_hermitians(rng, 6, rank, 1)
-    calls = []
-    monkeypatch.setattr(linalg, "_decompose", lambda A: calls.append(A))
-    E = spectral_measure(op)
-    assert calls == []
-    assert int(E.multiplicities.sum()) == 6
-    assert np.all(np.diff(E.eigenvalues) > 0)
-    assert int(np.count_nonzero(E.eigenvalues)) == rank
-    assert len(E.eigenvalues) == rank + (rank < 6)
-    assert E.deviations(op)["reconstruction"] <= 1e-14
-    assert rank_of_singular_values(singular_values(op.matrix)) == rank
+def test_rank_limited_draws_carry_their_spectrum(rng, rank):
+    (values,), (V,), (M,) = counterexample._rank_limited_draw(rng, 6, rank, 1)
+    assert np.all(np.diff(values) >= 0)
+    assert int(np.count_nonzero(values)) == rank
+    assert float(np.max(np.abs(V.conj().T @ V - np.eye(6)))) <= 1e-14
+    assert float(np.max(np.abs((V * values) @ V.conj().T - M))) <= 1e-14
+    assert rank_of_singular_values(singular_values(M)) == rank
 
 
 @pytest.mark.parametrize("N", [48, 100, 128])
@@ -508,8 +500,8 @@ def test_lipschitz_check_constant_function_gives_zero():
     # degenerate kink function: no slope, no kinks
     f = lambda x, y, z: 1.0 + 0.0 * (x + y + z)
     rng = np.random.default_rng(5)
-    ops1 = random_rank_limited_hermitians(rng, 6, 3, 3)
-    ops2 = random_rank_limited_hermitians(rng, 6, 3, 3)
+    ops1 = [_reference_draw(rng, 6, 3) for _ in range(3)]
+    ops2 = [_reference_draw(rng, 6, 3) for _ in range(3)]
     diff = apply_function_triple(f, *ops1) - apply_function_triple(f, *ops2)
     assert float(np.max(np.abs(diff))) <= 1e-12
 
@@ -518,7 +510,7 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
     # f = x - y on (X, X, 0) and (Y, Y, 0): the total difference is 0 and the
     # zero seminorm makes the bound 0, but the first step is X - Y
     rng = np.random.default_rng(3)
-    X, Y = random_rank_limited_hermitians(rng, 4, 2, 2)
+    X, Y = (_reference_draw(rng, 4, 2) for _ in range(2))
     triples = column_form([X, X, zero_operator(4), Y, Y, zero_operator(4)])
     counts = []
 
@@ -535,24 +527,6 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
     assert [len(report.trials) for report in reports] == [3, 3, 3]
     assert not any(t.ok for report in reports for t in report.trials)
     assert all(t.ratio == 0.0 for report in reports for t in report.trials)
-
-
-def _reference_draw(rng, dim, rank):
-    """One rank-limited operator drawn alone: its own QR, then its values."""
-    Q = random_unitary(rng, dim)
-    drawn = rng.uniform(-1.0, 1.0, size=rank)
-    keys = np.append(drawn, 0.0) if rank < dim else drawn
-    order = np.argsort(keys, kind="stable")
-    blocks = [[i] for i in range(rank)] + [list(range(rank, dim))]
-    frame = Q[:, [col for k in order for col in blocks[k]]]
-    try:
-        return hermitian_from_spectrum(keys[order], frame, [len(blocks[k]) for k in order])
-    except InvalidSpectrumError:
-        # the drawn columns in sorted order, as one rank-r product
-        kept = order[order < rank]
-        W = Q[:, kept]
-        M = (W * drawn[kept]) @ W.conj().T
-        return hermitian_from_matrix((M + M.conj().T) / 2.0)
 
 
 def _direct_trig_sum(coeffs, x, y):
@@ -593,19 +567,6 @@ def test_trig_polynomial_factored_form_equals_the_double_sum():
         y = rng.uniform(-4.0, 4.0, size=(3, 1, 5))
         direct = _direct_trig_sum(coeffs, x, y)
         assert np.max(np.abs(f(x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-def test_rank_limited_draws_fall_back_to_eigh_per_operator(monkeypatch):
-    # a wide grouping tolerance makes some draws, not all, hold atoms eigh would merge
-    monkeypatch.setattr(linalg, "_GROUP_TOL", 0.15)
-    ops = random_rank_limited_hermitians(np.random.default_rng(SEED), 6, 3, 8)
-    redraw = np.random.default_rng(SEED)
-    reference = [_reference_draw(redraw, 6, 3) for _ in range(8)]
-    carried = ["_measure" in op.__dict__ for op in ops]
-    assert any(carried) and not all(carried)
-    assert carried == ["_measure" in op.__dict__ for op in reference]
-    for op, ref in zip(ops, reference):
-        assert np.array_equal(op.matrix, ref.matrix)
 
 
 def _both_rank_checks(N, trials):
@@ -750,8 +711,8 @@ def test_coordinate_function_bounds_hold_with_slack(rng):
     # f(x, y, z) = x: the difference is exactly A1 - A2, far below N^4 * sum
     N = 3
     f = lambda x, y, z: x + 0.0 * (y + z)
-    ops1 = random_rank_limited_hermitians(rng, 2 * N, N, 3)
-    ops2 = random_rank_limited_hermitians(rng, 2 * N, N, 3)
+    ops1 = [_reference_draw(rng, 2 * N, N) for _ in range(3)]
+    ops2 = [_reference_draw(rng, 2 * N, N) for _ in range(3)]
     diff = apply_function_triple(f, *ops1) - apply_function_triple(f, *ops2)
     delta_a = ops1[0].matrix - ops2[0].matrix
     assert float(np.max(np.abs(diff - delta_a))) <= 1e-10
@@ -764,7 +725,7 @@ def test_coordinate_function_bounds_hold_with_slack(rng):
 
 def test_pairs_difference_of_coordinate_function(rng):
     # f(x, y) = x reduces the functional-calculus difference to A1 - A2
-    A1, B1, A2, B2 = random_rank_limited_hermitians(rng, 6, 3, 4)
+    A1, B1, A2, B2 = (_reference_draw(rng, 6, 3) for _ in range(4))
     f = lambda x, y: x + 0.0 * y
     diff = apply_function_pair(f, A1, B1) - apply_function_pair(f, A2, B2)
     assert float(np.max(np.abs(diff - (A1.matrix - A2.matrix)))) <= 1e-10

@@ -195,6 +195,20 @@ def test_hermitian_from_spectrum_rejects_multiplicities_off_the_dimension():
         hermitian_from_spectrum([0.0, 1.0], np.eye(3), [3])
 
 
+def test_hermitian_from_spectrum_rejects_fractional_multiplicities():
+    with pytest.raises(InvalidSpectrumError, match="integers"):
+        hermitian_from_spectrum([0.0, 1.0], np.eye(3), [1.5, 2.5])
+    with pytest.raises(InvalidSpectrumError, match="integers"):
+        hermitian_from_spectrum([0.0, 1.0], np.eye(3), np.array([1.0, 2.0]))
+
+
+def test_hermitian_from_spectrum_rejects_complex_eigenvalues():
+    with pytest.raises(InvalidSpectrumError, match="real"):
+        hermitian_from_spectrum([0.0, 1.0 + 1.0j], np.eye(2), [1, 1])
+    with pytest.raises(InvalidSpectrumError, match="real"):
+        hermitian_from_spectrum(np.array([0.0, 1.0], dtype=complex), np.eye(2), [1, 1])
+
+
 def test_hermitian_from_spectrum_rejects_a_non_unitary_frame(rng):
     Q = random_unitary(rng, 4)
     Q[:, 0] *= 1.0 + 1e-6

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEED, column_form
+from conftest import SEED, _reference_draw, column_form
 from moilab import counterexample, linalg, moi
-from moilab.counterexample import (
-    build_instance,
-    random_kink_function,
-    random_rank_limited_hermitians,
-    random_trig_polynomial,
-)
+from moilab.counterexample import build_instance, random_kink_function, random_trig_polynomial
 from moilab.linalg import (
     DimensionMismatchError,
     complex_gaussian,
@@ -605,7 +600,7 @@ def _stack_deviation(f, ops, values, frames, members):
     the per-tuple results; member k takes the operators ``members[k]``."""
     single = apply_function_triple if len(members[0]) == 3 else apply_function_pair
     expected = np.stack([single(f, *(ops[i] for i in m)) for m in members])
-    stacked = apply_function_stack(f, counterexample._column_slots(values, frames, members))
+    stacked = apply_function_stack(f, values, frames, members)
     return np.max(np.abs(stacked - expected)) / np.max(np.abs(expected))
 
 
@@ -614,7 +609,8 @@ def test_stacked_calculus_matches_the_per_tuple_calculus(N):
     rng = np.random.default_rng(SEED + N)
     for _ in range(3):
         # the same draws, grouped into operators and in column form
-        ops = random_rank_limited_hermitians(copy.deepcopy(rng), 2 * N, N, 6)
+        replay = copy.deepcopy(rng)
+        ops = [_reference_draw(replay, 2 * N, N) for _ in range(6)]
         values, frames, _ = counterexample._rank_limited_draw(rng, 2 * N, N, 6)
         f, g = random_kink_function(rng)[0], random_trig_polynomial(rng)[0]
         assert _stack_deviation(f, ops, values, frames, CORNERS) <= 1e-13
@@ -627,26 +623,29 @@ def test_stacked_calculus_names_the_member_of_a_non_finite_symbol(rng):
     # the first slot holds A, B and then C: only member 2 meets C's top eigenvalue
     top = float(spectral_measure(C).eigenvalues[-1])
     f = lambda x, y, z: np.where(x == top, np.nan, 1.0) + x * y * z
-    slots = counterexample._column_slots(values, frames, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    members = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     with pytest.raises(
         NonFiniteSymbolError,
         match=re.escape(f"atom (3, 0, 0) of stack member 2 (eigenvalues {top!r}, "),
     ):
-        apply_function_stack(f, slots)
+        apply_function_stack(f, values, frames, members)
 
 
 def test_stacked_calculus_rejects_mixed_tuples(rng):
-    slots = counterexample._column_slots
     values, frames, _ = column_form([random_hermitian(rng, 3) for _ in range(2)])
-    pair = slots(values, frames, [(0, 1), (1, 0)])
-    (one_member,) = slots(values, frames, [(0,)])
-    plain = spectral_measure(random_hermitian(rng, 3))  # no stack axis
-    for bad in (pair[:1], pair * 2, [pair[0], one_member], [pair[0], plain]):
-        with pytest.raises(ValueError, match="2 or 3 slots"):
-            apply_function_stack(lambda x, y: x, bad)
-    values, frames, _ = column_form([random_hermitian(rng, 4) for _ in range(2)])
-    with pytest.raises(DimensionMismatchError):
-        apply_function_stack(lambda x, y: x, [pair[0], slots(values, frames, [(0,), (1,)])[0]])
+    bad = [
+        (values, frames, [(0,), (1,)]),  # one column
+        (values, frames, [(0, 1, 0, 1)]),  # four columns
+        (values, frames, [0, 1]),  # a 1-D table
+        (values, frames, [(0.0, 1.0)]),  # not integers
+        (values[:, :2], frames, [(0, 1)]),  # eigenvalues of other shapes than the frames
+        (values[:1], frames, [(0, 1)]),
+        (values[0], frames, [(0, 1)]),
+        (values[0], frames[0], [(0, 1)]),  # no stack axis
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="2 or 3 columns"):
+            apply_function_stack(lambda x, y: x, *args)
 
 
 def test_identity_frame_skip_returns_the_same_entries(rng, monkeypatch):
