@@ -331,10 +331,17 @@ def growth_records(
     Both terms are computed on the instance's own A, B and C by a change
     of variable in the symbol: for every real e, f(A, B, e*C) =
     f_e(A, B, C) with f_e(x, y, z) = f(x, y, e*z), e = 0 included, so
-    neither eps*C nor a zero operator is formed.  The bytes are those of
-    forming them: e*z is the float the eigenvalue of eps*C would be, and
+    neither eps*C nor a zero operator is formed.  The zero-slot term runs
+    first and is freed once ``base_peak`` is read; D is then one triple of
+    the difference symbol f_eps - f_0, written phi(x, y) (psi(eps z) -
+    psi(0 z)) so that phi is gathered once per chunk (only the pointwise
+    symbol is written out; D still runs through the triple calculus).  The
+    bytes are those of forming eps*C and the zero operator and subtracting
+    the two triples: e*z is the float the eigenvalue of eps*C would be, and
     every weight of f_0 is exactly 0, as it is on the zero operator.  The
-    singular values of eps*C are those of C times eps.
+    factor check scales phi(A, B) by eps in place, exactly at eps = 1,
+    before its product with C.  The singular values of eps*C are those of
+    C times eps.
 
     The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
     psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
@@ -354,10 +361,14 @@ def growth_records(
     A, B, C = inst.A, inst.B, inst.C
     base = apply_function_triple(lambda x, y, z: inst.f(x, y, 0.0 * z), A, B, C)
     base_peak = float(np.max(np.abs(base)))
-    diff = apply_function_triple(lambda x, y, z: inst.f(x, y, eps * z), A, B, C)
-    diff -= base
-    del base  # freed before phi(A, B) is formed, which lowers the peak
-    factored = apply_function_pair(inst.phi, A, B) @ (eps * C.matrix)
+    del base  # freed before D is formed, which lowers the peak
+    psi = psi_reference()
+    diff = apply_function_triple(
+        lambda x, y, z: inst.phi(x, y) * (psi(eps * z) - psi(0.0 * z)), A, B, C
+    )
+    factored = apply_function_pair(inst.phi, A, B)
+    factored *= eps
+    factored = factored @ C.matrix
     factored -= diff  # |factored - diff| has the bits of |diff - factored|
     factor_dev = float(np.max(np.abs(factored)))
     del factored

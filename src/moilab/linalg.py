@@ -220,7 +220,9 @@ def _spectrum_matrix(E: SpectralMeasure) -> np.ndarray:
     nonzero = weights != 0.0  # a zero eigenvalue adds nothing to the sum
     W = E.frame[:, nonzero]
     M = (W * weights[nonzero]) @ W.conj().T
-    return (M + M.conj().T) / 2.0
+    M += M.conj().T  # symmetrized in place: the bits of (M + M*) / 2
+    M /= 2.0
+    return M
 
 
 def _group_tolerance(values: np.ndarray, dim: int) -> float:

@@ -17,7 +17,9 @@ it, and :func:`_expand` repeats atoms to frame columns.  The table
 multiplies a transformed operator entrywise; in a chain of three measures
 the last one is chunked, and one dense matrix product per atom of the
 chunk finishes the sum, or one stacked product when the chunk's atoms are
-all simple.  No weight tensor over all atoms is built, so a generic triple
+all simple.  No weight tensor over all atoms is built: every chain counts
+the arrays that grow with its chunk and sizes the chunk so that all of
+them together hold at most ``_CHUNK_ENTRIES`` entries, so a generic triple
 at dimension d holds O(d^2 * chunk) weights.  The contraction order depends
 only on the dimensions and atom counts, which keeps outputs bit-stable
 between runs.  A literal atom-by-atom loop lives in :mod:`moilab.reference`
@@ -110,16 +112,21 @@ def _difference_quotient(num, den: np.ndarray, diagonal_value: complex = 0.0):
     return np.where(diag, diagonal_value, num / safe)
 
 
-# Largest number of complex weight entries (4 MiB) one chunk of the last
-# measure may hold once expanded to the column space of the other measures.
+# Largest number of complex entries (4 MiB) that all arrays growing with one
+# chunk of the last measure may hold together, in every chain: each chain
+# counts its arrays per last atom, expanded to the column space of the
+# other measures, and sizes its chunks by that count.
 _CHUNK_ENTRIES = 2**18
 
-# The one-slot perturbation sizes its chunks so that all of its arrays that
-# grow with the chunk fit in _CHUNK_ENTRIES together: at most this many
-# dim x dim arrays per last atom.  The two symbol tables, the two gathered
-# differences and the four blocks of the stacked product make 8; 2 more
-# leave room for the symbol's own temporaries and for the copies that
-# ``_expand`` makes when atoms repeat.
+# A three-measure chain holds this many such arrays per last atom: the
+# symbol table, one full-size temporary inside the symbol, and the product G.
+_CHAIN_ARRAYS = 3
+
+# The one-slot perturbation holds at most this many dim x dim arrays per
+# last atom.  The two symbol tables, the two gathered differences and the
+# four blocks of the stacked product make 8; 2 more leave room for the
+# symbol's own temporaries and for the copies that ``_expand`` makes when
+# atoms repeat.
 _PERTURBATION_ARRAYS = 10
 
 
@@ -252,9 +259,10 @@ def _chain_integral(
     to frame columns.  For m = 2 the table is in chain order, all atoms of
     the first measure forming the one chunk on axis 0, and it acts
     entrywise, as one Schur product.  For m = 3 the last measure's atoms,
-    on axis 0, are taken in chunks whose weights, expanded to the column
-    space of the first two measures, hold at most ``_CHUNK_ENTRIES``
-    entries (at least one atom per chunk).  Per chunk the symbol is called
+    on axis 0, are taken in chunks whose ``_CHAIN_ARRAYS`` arrays (the
+    table, the symbol's temporary and G), each expanded to the column space
+    of the first two measures, hold at most ``_CHUNK_ENTRIES`` entries
+    together (at least one atom per chunk).  Per chunk the symbol is called
     once, ``np.einsum("...zab,...ab->...zab", w, T1)`` forms G[j] = w[j] * T1
     for every last atom j of the chunk (C-contiguous when the first two
     measures have simple atoms; the ufunc ``*`` would round the complex
@@ -285,7 +293,7 @@ def _chain_integral(
             w = _expand(weights(sl), first, middle)
             return np.einsum("...zab,...ab->...zab", w, transformed[0])
 
-        entries_per_atom = math.prod(lead) * first.dim * middle.dim
+        entries_per_atom = _CHAIN_ARRAYS * math.prod(lead) * first.dim * middle.dim
         chunks = _chunks(last.eigenvalues.shape[-1], entries_per_atom)
         acc = _contract_last(products_of, transformed[1], last, chunks, first.dim)
     del transformed  # freed before the change of basis, which lowers the peak

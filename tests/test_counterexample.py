@@ -152,10 +152,10 @@ def test_growth_instance_builds_one_phi_table(chunks, monkeypatch):
         tables.append(np.shape(x))
         return eta(x)
 
-    # f(A, B, C), f(A, B, 0) and phi(A, B) all read phi on the A x B atom grid,
-    # the triples once per chunk of C's two atoms; eta runs twice per table
+    # f(A, B, 0), D and phi(A, B) all read phi on the A x B atom grid, the
+    # triples once per chunk of C's two atoms; eta runs twice per table
     monkeypatch.setattr(counterexample, "eta", counted_eta)
-    monkeypatch.setattr(moi, "_CHUNK_ENTRIES", (2 // chunks) * N * N)
+    monkeypatch.setattr(moi, "_CHUNK_ENTRIES", (2 // chunks) * moi._CHAIN_ARRAYS * N * N)
     record = growth_records(N, [2.0])[0]
     assert record.ratio == pytest.approx(math.sqrt(N), rel=1e-12)
     assert tables == [(N, N), (N, N)]
@@ -354,19 +354,30 @@ def test_growth_records_form_no_matrix_of_a_or_b(monkeypatch):
     assert "matrix" not in vars(inst.A) and "matrix" not in vars(inst.B)
 
 
-def test_growth_records_peak_at_512_is_ten_and_a_half_arrays():
-    # at most 10.5 N x N complex arrays at once; 15.0 when the products by
-    # B's identity frame ran, A's and B's matrices were formed and D was
-    # formed out of place
-    N = 512
-    growth_records(2, [1.0])  # the cached psi grid is built outside the trace
+def _growth_peak_arrays(N):
+    """tracemalloc peak of growth_records(N, [1, 2, inf]) in N x N complex
+    arrays, with the cached psi grid and its surrogate built outside the trace."""
+    psi_band_majorant(psi_reference_grid())
     tracemalloc.start()
     try:
         growth_records(N, [1.0, 2.0, math.inf])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5 * 16 * N * N
+    return peak / (16 * N * N)
+
+
+def test_growth_records_peak_at_256():
+    # 10.02, set by the zero-slot triple's phi table; 12.02 when a chunk's
+    # weights alone filled _CHUNK_ENTRIES, so both of C's atoms shared one
+    # chunk, and the zero-slot matrix stayed live while D was formed
+    assert _growth_peak_arrays(256) <= 10.5
+
+
+def test_growth_records_peak_at_512_is_ten_and_a_half_arrays():
+    # 15.0 when the products by B's identity frame ran, A's and B's matrices
+    # were formed and D was formed out of place
+    assert _growth_peak_arrays(512) <= 10.5
 
 
 def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):
