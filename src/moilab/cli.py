@@ -156,10 +156,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     parsed in full even where a flag overrides it, and a file key whose flag
     the command lacks is an error, like the flag.
 
-    The one rule across fields is the psi grid's: its spacing 2L/2^m must be
-    positive and finite, and ``growth`` and ``selfcheck`` need band 0 below
-    its Nyquist frequency (a spacing of at most about pi/2).  ``bounds``
-    builds no grid, so it checks only the spacing."""
+    The one rule across fields is the psi grid's, for the commands that
+    take the grid keys: its spacing 2L/2^m must be positive and finite, and
+    resolve band 0 below its Nyquist frequency (a spacing of at most about
+    pi/2)."""
     entries = load_config_file(args.config) if args.config else {}
     unknown = set(entries) - set(_CONFIG_FIELDS)
     if unknown:
@@ -176,10 +176,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 except ValueError as exc:
                     raise ConfigError(key, str(exc)) from exc
     config = replace(RunConfig(), **updates)
-    spacing = 2.0 * config.grid_half_width / 2**config.grid_log2_size
-    if not 0.0 < spacing < math.inf:
-        raise ConfigError("grid_L", f"grid spacing 2L/2^m = {spacing} must be positive and finite")
-    if args.command != "bounds":
+    if "grid_L" in vars(args):
+        spacing = 2.0 * config.grid_half_width / 2**config.grid_log2_size
+        if not 0.0 < spacing < math.inf:
+            raise ConfigError(
+                "grid_L", f"grid spacing 2L/2^m = {spacing} must be positive and finite"
+            )
         grid = psi_reference_grid(config.grid_half_width, config.grid_log2_size)
         if max_resolvable_band(grid) < 0:
             raise ConfigError("grid_L", f"grid spacing 2L/2^m = {spacing} cannot resolve band 0")
@@ -187,9 +189,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def format_p(p: float) -> str:
+    """'inf', an integral p below 2^53 as an integer, any other p by ``repr``
+    (so 1e308 reads '1e+308', not 309 digits)."""
     if math.isinf(p):
         return "inf"
-    if p == int(p):
+    if p == int(p) and p < 2**53:
         return str(int(p))
     return repr(p)
 
@@ -318,13 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moilab {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub):
+    def add_common(sub, seed, grid):
         sub.add_argument("--config", help="key=value configuration file")
         sub.add_argument("--N", help="comma-separated sizes, e.g. 1,2,4,8")
         sub.add_argument("--p", help="comma-separated Schatten indices; 'inf' allowed")
-        sub.add_argument("--seed", help="seed for randomized checks")
-        sub.add_argument("--grid-m", dest="grid_m", help="log2 grid size (10..22)")
-        sub.add_argument("--grid-L", dest="grid_L", help="grid half width")
+        if seed:  # growth is deterministic
+            sub.add_argument("--seed", help="seed for randomized checks")
+        if grid:  # bounds builds no psi grid
+            sub.add_argument("--grid-m", dest="grid_m", help="log2 grid size (10..22)")
+            sub.add_argument("--grid-L", dest="grid_L", help="grid half width")
 
     def add_output(sub):
         # selfcheck prints PASS/FAIL lines and writes no data file
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     growth = subparsers.add_parser(
         "growth", help="sweep the growth family and report Schatten ratios"
     )
-    add_common(growth)
+    add_common(growth, seed=False, grid=True)
     add_output(growth)
     growth.add_argument(
         "--eps-rule",
@@ -345,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = subparsers.add_parser(
         "bounds", help="run the rank-based estimate checks over the sweep"
     )
-    add_common(bounds)
+    add_common(bounds, seed=True, grid=False)
     add_output(bounds)
     bounds.add_argument("--trials", help="random trials per sweep cell")
 
     selfcheck = subparsers.add_parser(
         "selfcheck", help="run every module's invariant suite"
     )
-    add_common(selfcheck)
+    add_common(selfcheck, seed=True, grid=True)
     selfcheck.add_argument("--trials", help="random trials for bound checks")
     strictness = selfcheck.add_mutually_exclusive_group()
     strictness.add_argument(

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moilab import besov, counterexample, moi
+from moilab import counterexample
 from moilab.cli import (
     ConfigError,
     RunConfig,
@@ -85,139 +85,10 @@ def test_growth_gate_on_perturbation_is_relative(tmp_path, capsys, monkeypatch):
     assert "growth mismatch at N=256, p=2: 0.250000005" in capsys.readouterr().err
 
 
-# a broken psi in the growth symbol, and the selfcheck items and growth
-# residuals that must catch it: 1.5 t scales D by 1.5, and t + 1/2 makes
-# f(A, B, 0) = phi(A, B) / 2 while leaving D alone
-PSI_FAULTS = {
-    "scaled": (
-        lambda t: 1.5 * np.asarray(t, dtype=float),
-        {"counterexample.exact_blowup", "counterexample.factorization_identity"},
-        {"ratio_error", "factor_dev"},
-    ),
-    "shifted": (
-        lambda t: np.asarray(t, dtype=float) + 0.5,
-        {"counterexample.zero_slot"},
-        {"zero_slot_error"},
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", PSI_FAULTS)
-def test_broken_psi_fails_selfcheck_and_growth_gates(tmp_path, capsys, monkeypatch, fault):
-    psi, failed_checks, failed_residuals = PSI_FAULTS[fault]
-    monkeypatch.setattr(counterexample, "psi_reference", lambda: psi)
-    assert run_cli(["selfcheck", "--N", "2,4"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")} == failed_checks
-
-    out = tmp_path / "growth.csv"
-    assert run_cli(["growth", "--N", "2,4", "--p", "2", "--out", str(out)]) == 1
-    assert len(out.read_text().splitlines()) == 3  # the rows are written all the same
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 * len(failed_residuals)
-    assert all(line.startswith("growth mismatch at N=") for line in err)
-    assert {line.split("(")[1].split()[0] for line in err} == failed_residuals
-
-
-@pytest.mark.parametrize(
-    "command", [["growth", "--N", "2,4", "--p", "2"], ["selfcheck", "--N", "2,4"]],
-    ids=["growth", "selfcheck"],
-)
-def test_non_finite_symbol_exits_one_naming_the_atom(tmp_path, capsys, monkeypatch, command):
-    # without its small-argument series eta is 0/0 on the lattice
-    def unguarded(x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return 2.0 * (1.0 - np.cos(arr)) / (arr * arr)
-
-    monkeypatch.setattr(counterexample, "eta", unguarded)
-    assert run_cli(command) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("moilab: symbol is not finite at atom (")
-
-
-def test_non_finite_kink_function_exits_one_naming_the_member(tmp_path, capsys, monkeypatch):
-    draw = counterexample.random_kink_function
-
-    def nan_kinks(rng):
-        f, seminorm = draw(rng)
-        return (lambda x, y, z: f(x, y, z) * np.nan), seminorm
-
-    monkeypatch.setattr(counterexample, "random_kink_function", nan_kinks)
-    out = tmp_path / "bounds.csv"
-    assert run_cli(["bounds", "--N", "2", "--p", "1", "--trials", "2", "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("moilab: symbol is not finite at atom (0, 0, 0) of stack member 0 (")
-
-
-# a zero eta makes every phi_N sup 0, and a zero psi grid makes its band
-# majorant 0: the checks that divide by them fail instead of raising, and
-# selfcheck prints every line
-ZERO_DENOMINATOR_FAULTS = {
-    "eta": (
-        counterexample, "eta", lambda x: np.zeros_like(x, dtype=float),
-        {
-            "counterexample.exact_blowup",
-            "counterexample.rank_one_collapse",
-            "counterexample.bounded_symbol",
-        },
-    ),
-    "psi_grid": (
-        besov, "psi_reference", lambda: lambda t: 0.0 * np.asarray(t, dtype=float),
-        {"besov.summability_tail", "besov.surrogate_refinement"},
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", ZERO_DENOMINATOR_FAULTS)
-def test_zero_denominator_fails_its_selfcheck_item(capsys, monkeypatch, fault):
-    module, name, zero, failed_checks = ZERO_DENOMINATOR_FAULTS[fault]
-    monkeypatch.setattr(module, name, zero)
-    besov.psi_reference_grid.cache_clear()
-    try:
-        code = run_cli(["selfcheck", "--N", "2,4"])
-    finally:
-        besov.psi_reference_grid.cache_clear()
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert len(lines) == 28
-    assert {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")} == failed_checks
-
-
-# faults in the stacked engine, which only the rank checks and the stack
-# member check call, and in the drawn matrices, which the stack member check
-# ties to the drawn spectra: each passes the rank checks, so only that item
-# fails
-STACK_FAULTS = {
-    "scaled": ("apply_function_stack", lambda stack: 10.0 * stack),
-    "rolled": ("apply_function_stack", lambda stack: np.roll(stack, 1, axis=0)),
-    "matrices-rolled": ("_rank_limited_draw", lambda d: (*d[:2], np.roll(d[2], 1, axis=0))),
-    "matrices-scaled": ("_rank_limited_draw", lambda d: (*d[:2], 1.001 * d[2])),
-}
-
-
-@pytest.mark.parametrize("fault", STACK_FAULTS)
-def test_stacked_engine_fault_fails_its_selfcheck_item(capsys, monkeypatch, fault):
-    name, corrupt = STACK_FAULTS[fault]
-    real = getattr(counterexample, name)
-    faulty = lambda *args: corrupt(real(*args))
-    for module in (moi, counterexample):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, faulty)
-    # selfcheck prints one line per run_selfcheck result
-    assert run_cli(["selfcheck", "--N", "1,2", "--p", "2", "--trials", "2", "--grid-m", "12"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 28
-    failed = [line.split(":")[0][5:] for line in lines if line.startswith("FAIL")]
-    assert failed == ["moi.stack_member_equivalence"]
-
-
 def test_growth_output_is_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    args = ["growth", "--N", "1,2,4", "--p", "1,2", "--seed", "55"]
+    args = ["growth", "--N", "1,2,4", "--p", "1,2"]
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -250,6 +121,21 @@ def test_growth_quarter_root_scaling(tmp_path):
     assert pert[0] == pytest.approx(4.0**-0.25, abs=1e-8)
     assert lhs[1] == pytest.approx(2.0, abs=1e-8)
     assert pert[1] == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("command", [["growth", "--N", "2,4", "--p", "2"]], ids=["growth"])
+def test_non_finite_symbol_exits_one_naming_the_atom(capsys, monkeypatch, command):
+    # without its small-argument series eta is 0/0 on the lattice
+    def unguarded(x):
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return 2.0 * (1.0 - np.cos(arr)) / (arr * arr)
+
+    monkeypatch.setattr(counterexample, "eta", unguarded)
+    assert run_cli(command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("moilab: symbol is not finite at atom (")
 
 
 def test_malformed_p_exits_two_and_names_field(capsys):
@@ -415,7 +301,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N=1,2\np=1,inf\nseed=7\nformat=json\n# comment\n")
     parser = build_parser()
-    args = parser.parse_args(["growth", "--config", str(cfg), "--p", "2"])
+    args = parser.parse_args(["bounds", "--config", str(cfg), "--p", "2"])
     config = build_config(args)
     assert config.N_list == (1, 2)
     assert config.p_list == (2.0,)  # flag wins over config file
@@ -464,6 +350,13 @@ def test_format_p_spellings():
     assert format_p(1.5) == "1.5"
 
 
+def test_format_p_writes_a_large_p_in_float_form():
+    # an integral p is written as an integer only below 2^53
+    assert format_p(2.0**53 - 1) == "9007199254740991"
+    assert format_p(2.0**53) == "9007199254740992.0"
+    assert format_p(1e308) == "1e+308"
+
+
 def test_default_config_matches_documented_sweep():
     config = RunConfig()
     assert config.N_list == (1, 2, 4, 8, 16, 32, 64)
@@ -510,7 +403,7 @@ def test_bad_configuration_exits_two_and_names_field(
 ):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_text)
-    code = run_cli(["bounds", "--config", str(cfg), "--N", "2", "--trials", "1", *flags])
+    code = run_cli(["selfcheck", "--config", str(cfg), "--N", "2", "--trials", "1", *flags])
     assert code == 2
     assert f"'{field}'" in capsys.readouterr().err
 
@@ -522,7 +415,7 @@ def test_bounds_builds_no_psi_grid(tmp_path, monkeypatch):
 
     monkeypatch.setattr("moilab.cli.psi_reference_grid", no_grid)
     monkeypatch.setattr("moilab.besov.psi_reference_grid", no_grid)
-    args = ["bounds", "--N", "2", "--p", "2", "--trials", "1", "--grid-L", "1e5"]
+    args = ["bounds", "--N", "2", "--p", "2", "--trials", "1"]
     assert run_cli([*args, "--out", str(tmp_path / "b.csv")]) == 0
 
 
@@ -536,14 +429,38 @@ def test_out_of_range_file_value_is_rejected_under_a_flag(tmp_path, capsys):
     assert "field 'seed'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, expected", [("growth", 2), ("selfcheck", 2), ("bounds", 0)])
+@pytest.mark.parametrize("command, expected", [("growth", 2), ("selfcheck", 2)])
 def test_grid_too_coarse_for_band_zero(tmp_path, capsys, command, expected):
-    # spacing 2e5 / 2^16 > pi/2 puts band 0 above the Nyquist frequency;
-    # bounds never builds the psi grid, so it accepts the value
+    # spacing 2e5 / 2^16 > pi/2 puts band 0 above the Nyquist frequency
     args = [command, "--N", "1", "--p", "2", "--grid-L", "1e5"]
-    if command != "selfcheck":
+    if command == "growth":
         args += ["--out", str(tmp_path / "o")]
+    assert run_cli(args) == expected
+    assert "'grid_L'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("growth", "seed", "1"), ("bounds", "grid_L", "100"), ("bounds", "grid_m", "12")],
+    ids=["growth-seed", "bounds-grid_L", "bounds-grid_m"],
+)
+def test_command_refuses_a_setting_it_does_not_read(tmp_path, capsys, command, key, value, source):
+    # growth is deterministic and bounds builds no psi grid, so neither takes these
+    out = tmp_path / "o.csv"
+    args = [command, "--N", "2", "--p", "2", "--out", str(out)]
     if command == "bounds":
         args += ["--trials", "1"]
-    assert run_cli(args) == expected
-    assert ("'grid_L'" in capsys.readouterr().err) == (expected == 2)
+    if source == "flag":
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert run_cli([*args, "--config", str(cfg)]) == 2
+        assert f"field '{key}'" in capsys.readouterr().err
+    assert not out.exists()

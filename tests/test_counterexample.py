@@ -745,16 +745,14 @@ def test_pairs_difference_of_coordinate_function(rng):
 def test_fault_injection_unguarded_eta_is_caught(monkeypatch):
     # without the small-argument series the lattice evaluation hits 0/0 and
     # the growth identities must refuse to report a number
-    import moilab.counterexample as ce
-
     def unguarded(x):
         arr = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             return 2.0 * (1.0 - np.cos(arr)) / (arr * arr)
 
-    monkeypatch.setattr(ce, "eta", unguarded)
+    monkeypatch.setattr(counterexample, "eta", unguarded)
     with pytest.raises(moi.NonFiniteSymbolError):
-        ce.growth_records(2, [2.0])
+        counterexample.growth_records(2, [2.0])
 
 
 def test_nan_ratio_fails_exact_blowup():
