@@ -203,6 +203,8 @@ def _format_cell(value) -> str:
 
 
 def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> None:
+    """Write the rows to the configured output; a path that cannot be
+    written is a :class:`ConfigError` of field 'out'."""
     if config.output_format == "csv":
         lines = [",".join(columns)]
         lines.extend(
@@ -220,8 +222,11 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], config: RunConfig) -> 
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {path}: {exc}") from exc
 
 
 def cmd_growth(config: RunConfig) -> int:
@@ -374,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = build_config(args)
-    except ConfigError as exc:
-        print(f"moilab: configuration error: {exc}", file=sys.stderr)
-        return 2
     command = {"growth": cmd_growth, "bounds": cmd_bounds, "selfcheck": cmd_selfcheck}
     try:
-        return command[args.command](config)
+        return command[args.command](build_config(args))
+    except ConfigError as exc:  # also an output path that cannot be written
+        print(f"moilab: configuration error: {exc}", file=sys.stderr)
+        return 2
     except NonFiniteSymbolError as exc:  # a symbol gave NaN or inf: an identity failed
         print(f"moilab: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,6 @@ from .linalg import (
     complex_gaussian,
     hermitian_from_spectrum,
     hermitian_singular_values,
-    norm_of_singular_values,
     norms_of_singular_values,
     rank_of_singular_values,
     schatten_norm,
@@ -328,20 +327,21 @@ def growth_records(
     on none of them, and :data:`GROWTH_GATES` gates them with the ratio
     residuals, so a caller can report every failed gate.
 
-    Both terms are computed on the instance's own A, B and C by a change
-    of variable in the symbol: for every real e, f(A, B, e*C) =
-    f_e(A, B, C) with f_e(x, y, z) = f(x, y, e*z), e = 0 included, so
-    neither eps*C nor a zero operator is formed.  The zero-slot term runs
-    first and is freed once ``base_peak`` is read; D is then one triple of
-    the difference symbol f_eps - f_0, written phi(x, y) (psi(eps z) -
-    psi(0 z)) so that phi is gathered once per chunk (only the pointwise
-    symbol is written out; D still runs through the triple calculus).  The
-    bytes are those of forming eps*C and the zero operator and subtracting
-    the two triples: e*z is the float the eigenvalue of eps*C would be, and
-    every weight of f_0 is exactly 0, as it is on the zero operator.  The
-    factor check scales phi(A, B) by eps in place, exactly at eps = 1,
-    before its product with C.  The singular values of eps*C are those of
-    C times eps.
+    The zero operator's spectral measure is one atom at 0 with projection
+    I, so the zero-slot term f(A, B, 0) is the pair function of f(., ., 0),
+    and runs through the pair calculus; it is freed once ``base_peak`` is
+    read.  D is computed on the instance's own A, B and C by a change of
+    variable in the symbol: for every real e, f(A, B, e*C) = f_e(A, B, C)
+    with f_e(x, y, z) = f(x, y, e*z), e = 0 included, so neither eps*C nor
+    a zero operator is formed.  D is one triple of the difference symbol
+    f_eps - f_0, written phi(x, y) (psi(eps z) - psi(0 z)) so that phi is
+    gathered once per chunk (only the pointwise symbol is written out; D
+    still runs through the triple calculus).  The bytes are those of
+    forming eps*C and the zero operator and subtracting the two triples:
+    e*z is the float the eigenvalue of eps*C would be, and every weight of
+    f_0 is exactly 0, as it is on the zero operator.  The factor check
+    scales phi(A, B) by eps in place, exactly at eps = 1, before its
+    product with C.  The singular values of eps*C are those of C times eps.
 
     The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
     psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
@@ -359,7 +359,7 @@ def growth_records(
     p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
     A, B, C = inst.A, inst.B, inst.C
-    base = apply_function_triple(lambda x, y, z: inst.f(x, y, 0.0 * z), A, B, C)
+    base = apply_function_pair(lambda x, y: inst.f(x, y, 0.0), A, B)
     base_peak = float(np.max(np.abs(base)))
     del base  # freed before D is formed, which lowers the peak
     psi = psi_reference()
@@ -381,8 +381,8 @@ def growth_records(
     c_values = hermitian_singular_values(C) * eps
     records = []
     for p in p_list:
-        lhs = norm_of_singular_values(diff_values, p)
-        perturbation = norm_of_singular_values(c_values, p)
+        lhs = float(norms_of_singular_values(diff_values, p))
+        perturbation = float(norms_of_singular_values(c_values, p))
         records.append(
             ExperimentRecord(
                 N=N,

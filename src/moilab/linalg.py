@@ -292,16 +292,12 @@ class SpectralMeasure:
 
     @cached_property
     def atoms(self) -> tuple[SpectralAtom, ...]:
-        """Per-atom view: each value with its column block of the frame."""
+        """The per-atom view: each value with its column block of the frame,
+        whose :attr:`SpectralAtom.projection` is the atom's projection."""
         return tuple(
             SpectralAtom(float(value), self.frame[:, block])
             for value, block in zip(self.eigenvalues, self.column_slices)
         )
-
-    def projections(self) -> list[np.ndarray]:
-        """Each atom's dense projection, from its column block of the frame."""
-        blocks = (self.frame[:, block] for block in self.column_slices)
-        return [B @ B.conj().T for B in blocks]
 
     @cached_property
     def column_slices(self) -> tuple[slice, ...]:
@@ -312,18 +308,6 @@ class SpectralMeasure:
     def column_atom_index(self) -> np.ndarray:
         """For each frame column, the index of the atom it belongs to."""
         return np.repeat(np.arange(len(self.eigenvalues)), self.multiplicities)
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projection; recovers the source operator."""
-        V = self.frame
-        weights = self.eigenvalues[self.column_atom_index]
-        return (V * weights) @ V.conj().T
-
-    def deviations(self, source: HermitianOperator) -> dict[str, float]:
-        """Max-entry deviation of :meth:`reconstruct` from the matrix of
-        ``source``, under the key 'reconstruction'.  The projection algebra
-        is checked by ``moilab selfcheck`` (``linalg.projection_algebra``)."""
-        return {"reconstruction": float(np.max(np.abs(self.reconstruct() - source.matrix)))}
 
 
 def spectral_measure(A: HermitianOperator) -> SpectralMeasure:
@@ -410,13 +394,7 @@ def schatten_norm(M, p: float) -> float:
     value so extreme finite p cannot overflow.
     """
     p = validate_schatten_index(p)
-    return norm_of_singular_values(singular_values(M), p)
-
-
-def norm_of_singular_values(s: np.ndarray, p: float) -> float:
-    """:func:`schatten_norm` of a matrix with singular values ``s``:
-    :func:`norms_of_singular_values` on a stack of one."""
-    return float(norms_of_singular_values(s, p))
+    return float(norms_of_singular_values(singular_values(M), p))
 
 
 def norms_of_singular_values(s: np.ndarray, p: float) -> np.ndarray:

@@ -360,15 +360,16 @@ def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarra
     stack; each member equals :func:`apply_function_pair` or
     :func:`apply_function_triple` on its own operators to rounding, not bit
     for bit.  A non-finite symbol raises :class:`NonFiniteSymbolError`
-    naming the member.  A table that is not (m, 2) or (m, 3) integers, or
-    eigenvalues and frames of other shapes, raise ``ValueError``.
+    naming the member.  A table that is not (m, 2) or (m, 3) integers in
+    [0, k), or eigenvalues and frames of other shapes, raise ``ValueError``.
     """
     eigenvalues, frames, members = map(np.asarray, (eigenvalues, frames, members))
     k, d = eigenvalues.shape if eigenvalues.ndim == 2 else (-1, -1)
     table = members.ndim == 2 and members.shape[1] in (2, 3) and members.dtype.kind in "iu"
-    if not table or frames.shape != (k, d, d):
+    if not table or frames.shape != (k, d, d) or ((members < 0) | (members >= k)).any():
         raise ValueError(
-            "expected an integer table of 2 or 3 columns, eigenvalues (k, d) and frames (k, d, d)"
+            "expected an integer table of 2 or 3 columns with entries in [0, k), "
+            "eigenvalues (k, d) and frames (k, d, d)"
         )
     ones = np.ones(d, dtype=np.intp)
     measures = [SpectralMeasure(eigenvalues[slot], frames[slot], ones) for slot in members.T]

@@ -66,10 +66,16 @@ def _draws(seed, draws, draw):
 # ---------------------------------------------------------------- linalg
 
 
+def _reconstruction_residual(A: linalg.HermitianOperator) -> float:
+    """max|sum of eigenvalue * projection - A|: the identity on A's measure
+    against A's matrix."""
+    identity = moi.apply_function_single(lambda x: x, linalg.spectral_measure(A))
+    return float(np.max(np.abs(identity - A.matrix)))
+
+
 def check_spectral_resolution(seed: int, draws: int) -> CheckResult:
     def draw(rng):
-        A = linalg.random_hermitian(rng, int(rng.integers(2, 17)))
-        yield linalg.spectral_measure(A).deviations(A)["reconstruction"]
+        yield _reconstruction_residual(linalg.random_hermitian(rng, int(rng.integers(2, 17))))
 
     return _worst_within("linalg.spectral_resolution", "max dev", _draws(seed, draws, draw), 1e-10)
 
@@ -77,7 +83,8 @@ def check_spectral_resolution(seed: int, draws: int) -> CheckResult:
 def check_projection_algebra(seed: int, draws: int) -> CheckResult:
     def draw(rng):
         dim = int(rng.integers(2, 17))
-        projections = linalg.spectral_measure(linalg.random_hermitian(rng, dim)).projections()
+        atoms = linalg.spectral_measure(linalg.random_hermitian(rng, dim)).atoms
+        projections = [atom.projection for atom in atoms]
         for i, P in enumerate(projections):
             for j, Q in enumerate(projections):
                 yield float(np.max(np.abs(P @ Q - (P if i == j else 0.0))))
@@ -142,7 +149,7 @@ def _measure_distance(E: linalg.SpectralMeasure, F: linalg.SpectralMeasure) -> f
     if len(E.eigenvalues) != len(F.eigenvalues):
         return math.inf
     gaps = [float(np.max(np.abs(E.eigenvalues - F.eigenvalues)))]
-    gaps += [float(np.max(np.abs(P - Q))) for P, Q in zip(E.projections(), F.projections())]
+    gaps += [float(np.max(np.abs(a.projection - b.projection))) for a, b in zip(E.atoms, F.atoms)]
     return max(gaps)
 
 
@@ -170,7 +177,7 @@ def check_constructed_spectrum(N_list: Sequence[int], seed: int, draws: int) -> 
     for op in operators():
         built = linalg.spectral_measure(op)
         spectral = _worse(spectral, _measure_distance(built, linalg._decompose(op)))
-        residual = _worse(residual, built.deviations(op)["reconstruction"] / op.dim)
+        residual = _worse(residual, _reconstruction_residual(op) / op.dim)
     spectral_tol, residual_tol = 1e-10, 1e-12
     return _result(
         "linalg.constructed_spectrum",
@@ -524,6 +531,7 @@ def run_selfcheck(
     A symbol that is not finite at some atom raises
     :class:`moilab.moi.NonFiniteSymbolError` from the sweep."""
     small_N = tuple(n for n in N_list if n <= 16) or tuple(N_list[:1])
+    mid_N = tuple(n for n in N_list if n <= 64)
     psi_grid = besov.psi_reference_grid(grid_half_width, grid_log2_size)
     sweep = [record for N in N_list for record in ce.growth_records(N, p_list, psi_grid=psi_grid)]
     return [
@@ -548,11 +556,11 @@ def run_selfcheck(
         check_factorization_identity(sweep),
         check_rank_one_collapse(small_N),
         check_gram_fidelity(small_N),
-        check_bounded_symbol((4, 8, 16, 32, 64)),
+        check_bounded_symbol(mid_N or tuple(N_list[:1])),
         check_bounded_surrogate(sweep, N_list, psi_grid),
         check_lipschitz_bound(trials, seed),
         check_pairs_chain(trials, seed),
-        check_constructed_spectrum(tuple(n for n in N_list if n <= 64), seed + 12, 20),
+        check_constructed_spectrum(mid_N, seed + 12, 20),
         check_zero_slot(sweep),
         check_stack_member_equivalence(seed + 13, 20),
     ]

@@ -160,6 +160,16 @@ def test_empty_size_token_exits_two_and_names_field(tmp_path, capsys, source, te
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_unwritable_out_exits_two_and_names_field(tmp_path, capsys):
+    # the parent of --out is a regular file, so the output cannot be written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["growth", "--N", "1", "--p", "2", "--out", str(blocker / "g.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"moilab: configuration error: field 'out': cannot write {blocker}")
+
+
 def test_malformed_eps_rule_exits_two(capsys):
     code = run_cli(["growth", "--N", "1", "--eps-rule", "2.0"])
     assert code == 2

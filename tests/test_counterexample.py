@@ -32,7 +32,7 @@ from moilab.counterexample import (
 from moilab.linalg import (
     hermitian_from_matrix,
     hermitian_from_spectrum,
-    norm_of_singular_values,
+    norms_of_singular_values,
     rank_of_singular_values,
     schatten_norm,
     singular_values,
@@ -153,7 +153,7 @@ def test_growth_instance_builds_one_phi_table(chunks, monkeypatch):
         return eta(x)
 
     # f(A, B, 0), D and phi(A, B) all read phi on the A x B atom grid, the
-    # triples once per chunk of C's two atoms; eta runs twice per table
+    # triple D once per chunk of C's two atoms; eta runs twice per table
     monkeypatch.setattr(counterexample, "eta", counted_eta)
     monkeypatch.setattr(moi, "_CHUNK_ENTRIES", (2 // chunks) * moi._CHAIN_ARRAYS * N * N)
     record = growth_records(N, [2.0])[0]
@@ -315,13 +315,14 @@ def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
         transposed = singular_values(diff.T)
         values = np.linalg.svd(diff, compute_uv=False)
         for record, p in zip(growth_records(N, p_list, eps=eps), p_list):
-            assert record.lhs == norm_of_singular_values(transposed, p)
-            expected = norm_of_singular_values(values, p)
+            assert record.lhs == float(norms_of_singular_values(transposed, p))
+            expected = float(norms_of_singular_values(values, p))
             assert abs(record.lhs - expected) <= 1e-13 * expected
 
 
 def test_growth_builds_only_a_b_and_c(monkeypatch):
-    # f(A, B, 0) is f_0(A, B, C), so no zero operator (and no eps C) is built
+    # f(A, B, 0) is a pair function and D is f_eps - f_0 on C, so no zero
+    # operator (and no eps C) is built
     calls = []
     real = linalg.hermitian_from_spectrum
 
@@ -334,6 +335,20 @@ def test_growth_builds_only_a_b_and_c(monkeypatch):
     record = growth_records(8, [2.0], eps=0.5)[0]
     assert record.ratio == pytest.approx(math.sqrt(8), rel=1e-12)
     assert len(calls) == 3
+
+
+def test_growth_records_run_one_triple_and_two_pairs(monkeypatch):
+    # D is the one triple; f(A, B, 0) and phi(A, B) are pairs: the zero
+    # operator's measure is one atom at 0 with projection I
+    calls = []
+    for name in ("apply_function_pair", "apply_function_triple"):
+        real = getattr(counterexample, name)
+        counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(counterexample, name, counted)
+    for N in (1, 8):
+        calls.clear()
+        assert growth_records(N, [2.0], eps=0.5)[0].ratio == pytest.approx(math.sqrt(N))
+        assert sorted(calls) == ["apply_function_pair"] * 2 + ["apply_function_triple"]
 
 
 def test_growth_records_decompose_nothing(monkeypatch):
@@ -368,10 +383,8 @@ def _growth_peak_arrays(N):
 
 
 def test_growth_records_peak_at_256():
-    # 10.02, set by the zero-slot triple's phi table; 12.02 when a chunk's
-    # weights alone filled _CHUNK_ENTRIES, so both of C's atoms shared one
-    # chunk, and the zero-slot matrix stayed live while D was formed
-    assert _growth_peak_arrays(256) <= 10.5
+    # reads 9.16: f(A, B, 0) is a pair, so no second triple chunks C's atoms
+    assert _growth_peak_arrays(256) <= 9.5
 
 
 def test_growth_records_peak_at_512_is_ten_and_a_half_arrays():

@@ -15,7 +15,7 @@ from moilab import besov, linalg
 from moilab.cli import main
 
 COMMANDS = {
-    "selfcheck": ["selfcheck", "--N", "1,2", "--p", "2", "--trials", "2", "--grid-m", "12"],
+    "selfcheck": ["selfcheck", "--N", "1,2,4", "--p", "2", "--trials", "2", "--grid-m", "12"],
     "growth": ["growth", "--N", "2,4", "--p", "2"],
     "bounds": ["bounds", "--N", "2", "--p", "1,2", "--trials", "2"],
 }
@@ -100,14 +100,17 @@ FAULTS = {
     # U is real for N <= 2, so only N = 4 sees A built on U instead of U*
     "a-on-u": Fault(
         "counterexample.build_instance", corrupting(_a_on_u),
-        growth=residuals("ratio_error", sizes=(4,)),
+        {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
+         "counterexample.gram_fidelity"},
+        residuals("ratio_error", sizes=(4,)),
     ),
     # both sides of the stack check run the swapped chain
     "chain-swap": Fault(
         "moi._chain_integral",
         lambda real: lambda f, ms, ops: real(f, [ms[1], ms[0], *ms[2:]], ops),
-        {"counterexample.exact_blowup", "moi.commuting_diagonal", "moi.naive_oracle_equivalence",
-         "moi.resolution_collapse", "moi.triple_slot_exactness"},
+        {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
+         "moi.commuting_diagonal", "moi.naive_oracle_equivalence", "moi.resolution_collapse",
+         "moi.triple_slot_exactness"},
         residuals("ratio_error"),
     ),
     # each atom paired with its nearest atom's neighbour: still exact

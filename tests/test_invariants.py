@@ -74,3 +74,14 @@ def test_invariant(results, name):
     (result,) = [r for r in results if r.name == name]
     assert result.passed, result.detail
 
+
+def test_bounded_symbol_scans_the_configured_sizes(monkeypatch):
+    scanned = []
+    real = counterexample.phi_grid_sup
+    monkeypatch.setattr(
+        counterexample, "phi_grid_sup", lambda phi, N: scanned.append(N) or real(phi, N)
+    )
+    results = selfcheck.run_selfcheck(N_list=(1, 2), p_list=(2.0,), trials=2, grid_log2_size=12)
+    assert scanned == [1, 2]
+    (result,) = [r for r in results if r.name == "counterexample.bounded_symbol"]
+    assert result.passed, result.detail

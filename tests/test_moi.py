@@ -652,6 +652,14 @@ def test_stacked_calculus_rejects_mixed_tuples(rng):
             apply_function_stack(lambda x, y: x, *args)
 
 
+def test_stacked_calculus_rejects_members_outside_the_operators(rng):
+    # k = 3: a negative entry must not wrap around to operator k - 1
+    values, frames, _ = column_form([random_hermitian(rng, 3) for _ in range(3)])
+    for members in ([(-1, 0)], [(3, 0)], [(0, 1), (2, 3)]):
+        with pytest.raises(ValueError, match=re.escape("entries in [0, k)")):
+            apply_function_stack(lambda x, y: x * y, values, frames, members)
+
+
 def test_identity_frame_skip_returns_the_same_entries(rng, monkeypatch):
     # an operator on the identity frame, with a repeated atom, in every slot
     # of every engine call: skipping the products by its frame returns what
