@@ -33,6 +33,7 @@ from .linalg import (
     complex_gaussian,
     hermitian_from_spectrum,
     hermitian_singular_values,
+    identity_frame,
     norms_of_singular_values,
     rank_of_singular_values,
     schatten_norm,
@@ -186,24 +187,31 @@ class CounterexampleInstance:
     """One size-N member of the growth family."""
 
     N: int
-    U: np.ndarray
     A: HermitianOperator
     B: HermitianOperator
     C: HermitianOperator
     phi: Callable
     f: Callable
 
+    @property
+    def U(self) -> np.ndarray:
+        """The unitary DFT matrix :func:`dft_unitary` (N), built afresh on
+        every read: the instance does not hold it."""
+        return dft_unitary(self.N)
+
     def deviations(self) -> dict[str, float]:
         """Max-entry deviations from the construction identities.
 
-        'gram' compares U with the Gram matrix (h_k, g_j) of the eigenvectors
-        g_j of A and h_k of B, read off the frames the operators carry.
+        'gram' compares a fresh U with the Gram matrix (h_k, g_j) of the
+        eigenvectors g_j of A and h_k of B, read off the frames the operators
+        carry.
         """
+        U = self.U
         gram = spectral_measure(self.A).frame.conj().T @ spectral_measure(self.B).frame
         C = self.C.matrix
         return {
-            "unitary": float(np.max(np.abs(self.U.conj().T @ self.U - np.eye(self.N)))),
-            "gram": float(np.max(np.abs(gram - self.U))),
+            "unitary": float(np.max(np.abs(U.conj().T @ U - np.eye(self.N)))),
+            "gram": float(np.max(np.abs(gram - U))),
             "c_norm": abs(schatten_norm(C, math.inf) - 1.0),
             "c_idempotent": float(np.max(np.abs(C @ C - C))),
             "c_trace": abs(float(np.trace(C).real) - 1.0),
@@ -222,39 +230,40 @@ def build_instance(N: int) -> CounterexampleInstance:
 
     * A: simple eigenvalues 2 pi j, j = 1..N, with frame U* (column j is g_j,
       with coordinates conj(u_jk));
-    * B: the same eigenvalues with the identity frame (h_k is the k-th
-      standard basis vector), so the Gram matrix (h_k, g_j) is U;
-    * C: atoms 0 and 1 with multiplicities N - 1 and 1 on the frame U,
-      whose last column is s / sqrt(N) = ones / sqrt(N); for N = 1 the
-      single atom 1.
+    * B: the same eigenvalues with the identity frame
+      (:func:`~moilab.linalg.identity_frame`; h_k is the k-th standard basis
+      vector), so the Gram matrix (h_k, g_j) is U;
+    * C: atoms 0 and 1 with multiplicities N - 1 and 1 on the frame conj(U),
+      unitary, whose last column is s / sqrt(N) = ones / sqrt(N); for N = 1
+      the single atom 1.
+
+    A and C share one N x N array, conj(U).  This relies on the DFT: U is
+    symmetric, so A's frame U* is the transposed view conj(U).T, whose F
+    order lets the calculus take its adjoint without a copy, and C's frame
+    is conj(U) itself, in C order.  D has the bits it has on the frame U,
+    since every weight of C's atom 0 is exactly 0.  theta is sqrt(N) times
+    the same array.  The instance does not keep U
+    (:attr:`CounterexampleInstance.U` builds it again).
     """
-    U = dft_unitary(N)
+    conj_u = dft_unitary(N).conj()
 
     weights = 2.0 * math.pi * np.arange(1, N + 1)
     simple = np.ones(N, dtype=np.int64)
-    A = hermitian_from_spectrum(weights, U.conj().T, simple)
-    B = hermitian_from_spectrum(weights, np.eye(N, dtype=np.complex128), simple)
+    A = hermitian_from_spectrum(weights, conj_u.T, simple)
+    B = hermitian_from_spectrum(weights, identity_frame(N), simple)
     C = (
-        hermitian_from_spectrum([0.0, 1.0], U, [N - 1, 1])
+        hermitian_from_spectrum([0.0, 1.0], conj_u, [N - 1, 1])
         if N > 1
-        else hermitian_from_spectrum([1.0], U, [1])
+        else hermitian_from_spectrum([1.0], conj_u, [1])
     )
 
-    phi = phi_symbol(math.sqrt(N) * U.conj(), N)
+    phi = phi_symbol(math.sqrt(N) * conj_u, N)
     psi = psi_reference()
 
     def f(x, y, z):
         return phi(x, y) * psi(z)
 
-    return CounterexampleInstance(
-        N=N,
-        U=U,
-        A=A,
-        B=B,
-        C=C,
-        phi=phi,
-        f=f,
-    )
+    return CounterexampleInstance(N=N, A=A, B=B, C=C, phi=phi, f=f)
 
 
 @dataclass(frozen=True)
@@ -352,7 +361,9 @@ def growth_records(
     computed difference, not its closed form; since C projects onto the
     constant vector, every column of D is the same vector up to rounding,
     and LAPACK's bidiagonal solver stalls on that layout, up to ten times
-    longer than on D^T.  The two agree to a few ulps.
+    longer than on D^T.  The two agree to a few ulps.  The instance is
+    released first, so D is the one N x N array live next to LAPACK's
+    workspace.
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
@@ -377,8 +388,9 @@ def growth_records(
         psi_grid = psi_reference_grid()
     surrogate = tensor_bound_kappa(PHI_SUP, psi_grid)
 
-    diff_values = singular_values(diff.T)  # a view, not a copy
     c_values = hermitian_singular_values(C) * eps
+    del inst, A, B, C  # freed before the SVD
+    diff_values = singular_values(diff.T)  # a view, not a copy
     records = []
     for p in p_list:
         lhs = float(norms_of_singular_values(diff_values, p))

@@ -233,9 +233,25 @@ def _group_tolerance(values: np.ndarray, dim: int) -> float:
     return max(_GROUP_TOL, _GROUP_ROUNDING * float(np.finfo(float).eps) * dim * peak)
 
 
+def identity_frame(dim: int) -> np.ndarray:
+    """The dim x dim identity as a read-only view of 2 dim - 1 entries.
+
+    Entry (i, j) is entry dim - 1 - i + j of a line of zeros with a 1 in the
+    middle, so only the diagonal reads 1.  It passes
+    :attr:`SpectralMeasure.identity_frame`, so no product by it runs, and it
+    holds O(dim) memory instead of a dense identity's dim^2.
+    """
+    line = np.zeros(2 * dim - 1, dtype=np.complex128)
+    line[dim - 1] = 1.0
+    step = line.itemsize
+    frame = np.ndarray((dim, dim), line.dtype, line, (dim - 1) * step, (-step, step))
+    frame.flags.writeable = False
+    return frame
+
+
 def zero_operator(dim: int) -> HermitianOperator:
     """The dim x dim zero operator: one atom at 0 with the identity frame."""
-    return hermitian_from_spectrum([0.0], np.eye(dim, dtype=np.complex128), [dim])
+    return hermitian_from_spectrum([0.0], identity_frame(dim), [dim])
 
 
 @dataclass(frozen=True)

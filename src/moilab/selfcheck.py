@@ -338,6 +338,37 @@ def check_stack_member_equivalence(seed: int, draws: int) -> CheckResult:
     )
 
 
+def check_slot_reversal(seed: int, draws: int) -> CheckResult:
+    """The adjoint reverses the slots: g(C, B, A) = f(A, B, C)* with
+    g(x, y, z) = conj f(z, y, x), and g(B, A) = f(A, B)* with g(x, y) =
+    conj f(y, x), on seeded Hermitian matrices of dimension 2 to 8, to
+    1e-12 times the largest entry of f(A, B, C) or f(A, B).  An identity of
+    the engine, so it needs no oracle; a chain that swaps its first two
+    measures fails the triple."""
+    triple = lambda x, y, z: (
+        np.exp(1j * (x - 2.0 * y + z)) / (1.0 + x * x + y * y + z * z)
+        + 0.3 * x * y * y
+        - 0.7j * z * x
+    )
+    pair = lambda x, y: triple(x, y, 0.5)
+
+    def draw(rng):
+        dim = int(rng.integers(2, 9))
+        A, B, C = (linalg.random_hermitian(rng, dim) for _ in range(3))
+        for f, apply, slots in (
+            (triple, moi.apply_function_triple, (A, B, C)),
+            (pair, moi.apply_function_pair, (A, B)),
+        ):
+            forward = apply(f, *slots)
+            backward = apply(lambda *v: np.conj(f(*v[::-1])), *slots[::-1])
+            peak = max(float(np.max(np.abs(forward))), np.finfo(float).tiny)
+            yield float(np.max(np.abs(backward - forward.conj().T))) / peak
+
+    return _worst_within(
+        "moi.slot_reversal", "max dev / max|entry|", _draws(seed, draws, draw), 1e-12
+    )
+
+
 # ----------------------------------------------------------------- besov
 
 
@@ -563,4 +594,5 @@ def run_selfcheck(
         check_constructed_spectrum(mid_N, seed + 12, 20),
         check_zero_slot(sweep),
         check_stack_member_equivalence(seed + 13, 20),
+        check_slot_reversal(seed + 14, 20),
     ]

@@ -383,14 +383,43 @@ def _growth_peak_arrays(N):
 
 
 def test_growth_records_peak_at_256():
-    # reads 9.16: f(A, B, 0) is a pair, so no second triple chunks C's atoms
-    assert _growth_peak_arrays(256) <= 9.5
+    # reads 7.17: A and C share conj(U), B's identity frame is a view of
+    # 2N - 1 entries, and U is not kept
+    assert _growth_peak_arrays(256) <= 7.5
 
 
 def test_growth_records_peak_at_512_is_ten_and_a_half_arrays():
     # 15.0 when the products by B's identity frame ran, A's and B's matrices
     # were formed and D was formed out of place
     assert _growth_peak_arrays(512) <= 10.5
+
+
+def test_growth_instance_shares_one_frame():
+    N = 16
+    inst = build_instance(N)
+    frame_a, frame_b, frame_c = (spectral_measure(op).frame for op in (inst.A, inst.B, inst.C))
+    assert np.shares_memory(frame_a, frame_c)
+    assert np.array_equal(frame_b, np.eye(N)) and frame_b.base.size <= 2 * N - 1
+    assert inst.U.tobytes() == dft_unitary(N).tobytes()
+    assert "U" not in {field.name for field in dataclasses.fields(inst)}
+
+
+def test_growth_records_release_the_instance_before_the_svd(monkeypatch):
+    # only D is live when its singular values are taken
+    N, live = 256, []
+    real = counterexample.singular_values
+    monkeypatch.setattr(
+        counterexample,
+        "singular_values",
+        lambda M: live.append(tracemalloc.get_traced_memory()[0]) or real(M),
+    )
+    psi_band_majorant(psi_reference_grid())
+    tracemalloc.start()
+    try:
+        growth_records(N, [1.0, 2.0, math.inf])
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1 and live[0] <= 1.2 * 16 * N * N
 
 
 def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):

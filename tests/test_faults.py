@@ -104,13 +104,14 @@ FAULTS = {
          "counterexample.gram_fidelity"},
         residuals("ratio_error", sizes=(4,)),
     ),
-    # both sides of the stack check run the swapped chain
+    # both sides of the stack check run the swapped chain; the reversed
+    # triple swaps other measures than the forward one
     "chain-swap": Fault(
         "moi._chain_integral",
         lambda real: lambda f, ms, ops: real(f, [ms[1], ms[0], *ms[2:]], ops),
         {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
          "moi.commuting_diagonal", "moi.naive_oracle_equivalence", "moi.resolution_collapse",
-         "moi.triple_slot_exactness"},
+         "moi.triple_slot_exactness", "moi.slot_reversal"},
         residuals("ratio_error"),
     ),
     # each atom paired with its nearest atom's neighbour: still exact
@@ -151,7 +152,7 @@ def run(monkeypatch, capsys, tmp_path):
 def test_selfcheck_under_fault(run, fault):
     if result := run(fault, "selfcheck"):
         lines, _ = result
-        assert len(lines) == 28  # one line per item, failed or not
+        assert len(lines) == 29  # one line per item, failed or not
         failed = {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")}
         assert failed == FAULTS[fault].selfcheck
 

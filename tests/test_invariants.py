@@ -6,7 +6,7 @@
 
 import pytest
 
-from moilab import counterexample, selfcheck
+from moilab import counterexample, moi, selfcheck
 
 NAMES = (
     "linalg.spectral_resolution",
@@ -37,6 +37,7 @@ NAMES = (
     "linalg.constructed_spectrum",
     "counterexample.zero_slot",
     "moi.stack_member_equivalence",
+    "moi.slot_reversal",
 )
 
 
@@ -85,3 +86,13 @@ def test_bounded_symbol_scans_the_configured_sizes(monkeypatch):
     assert scanned == [1, 2]
     (result,) = [r for r in results if r.name == "counterexample.bounded_symbol"]
     assert result.passed, result.detail
+
+
+def test_slot_reversal_catches_a_swapped_chain(monkeypatch):
+    # the stack check misses this fault: both of its sides run the swapped chain
+    assert selfcheck.check_slot_reversal(1, 5).passed
+    real = moi._chain_integral
+    swapped = lambda f, ms, ops: real(f, [ms[1], ms[0], *ms[2:]], ops)
+    monkeypatch.setattr(moi, "_chain_integral", swapped)
+    assert not selfcheck.check_slot_reversal(1, 5).passed
+    assert selfcheck.check_stack_member_equivalence(1, 5).passed

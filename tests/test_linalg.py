@@ -301,6 +301,18 @@ def test_zero_operator_is_exactly_zero():
         assert not Z.any()
 
 
+def test_zero_operator_frame_is_an_identity_view(rng):
+    d = 64
+    frame = spectral_measure(zero_operator(d)).frame
+    assert np.array_equal(frame, np.eye(d)) and frame.base.size <= 2 * d - 1
+    assert not frame.flags.writeable
+    A = random_hermitian(rng, d)
+    f = lambda x, y: np.exp(1j * x) * (2.0 - y) + x * y
+    expected = apply_function_single(lambda x: f(x, 0.0), spectral_measure(A))
+    deviation = np.max(np.abs(apply_function_pair(f, A, zero_operator(d)) - expected))
+    assert deviation <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_frames_other_than_the_identity_take_the_unitary_check():
     bad = np.eye(4, dtype=np.complex128)
     bad[2, 2] = 2.0
