@@ -32,8 +32,9 @@ column form, every frame column its own atom; every array gains the stack
 axis in front, and a chunk counts the weights of all members.
 
 The one-slot perturbation of a triple is a sum over four measures; it runs
-as four three-measure chains of the same engine, stacked into one product
-per atom of the chunked measure (see :func:`argument_perturbation`).
+as four three-measure chains of the same engine, written as three blocks of
+one product per atom of the chunked measure into a workspace allocated once
+per call (see :func:`argument_perturbation`).
 
 A symbol that returns NaN or infinity at some atom raises
 :class:`NonFiniteSymbolError` instead of spreading through the sum.
@@ -123,10 +124,10 @@ _CHUNK_ENTRIES = 2**18
 _CHAIN_ARRAYS = 3
 
 # The one-slot perturbation holds at most this many dim x dim arrays per
-# last atom.  The two symbol tables, the two gathered differences and the
-# four blocks of the stacked product make 8; 2 more leave room for the
-# symbol's own temporaries and for the copies that ``_expand`` makes when
-# atoms repeat.
+# last atom.  The two symbol tables, the three blocks of the workspace and
+# the scratch, which holds each gathered difference and the second product
+# of a merged block, make 6; 4 more leave room for the symbol's own
+# temporaries and for the copies that ``_expand`` makes when atoms repeat.
 _PERTURBATION_ARRAYS = 10
 
 
@@ -471,15 +472,21 @@ def argument_perturbation(
     within ``_CHUNK_ENTRIES`` entries together.
 
     The four chains share the chunked measure and run as one: per chunk
-    their weights h, h - l o pi, l and h o sigma - l stack as four blocks
-    along the pair axis and multiply one stacked operator M, and one product
-    per last atom against R finishes all four.  With T0, T1, T2 the chain's
-    transformed operators: when the pair leads, M = [KT_F T1; KT_pi T1; T1;
-    T1] stacks by rows, R = T2, and the C2 blocks take -KT_F and KT_sigma
-    from the left afterwards; otherwise M = [T0, T0, -T0 KT_F, T0 KT_sigma]
-    and R = [KT_F T2; KT_pi T2; T2; T2].  A symbol that is not finite at
-    some atom raises :class:`NonFiniteSymbolError` naming a four-measure
-    atom tuple.
+    their weights h, h - l o pi, l and h o sigma - l multiply their
+    operators entrywise into three blocks along the pair axis, the two
+    chains that share R summed into one block, and one product per last
+    atom against R finishes all four.  With T0, T1, T2 the chain's
+    transformed operators: when the pair leads, the blocks are
+    h (KT_F T1) + (h - l o pi) (KT_pi T1), l T1 and (h o sigma - l) T1 by
+    rows, R = T2, and the last two take -KT_F and KT_sigma from the left
+    afterwards; otherwise they are h T0, (h - l o pi) T0 and
+    l (-T0 KT_F) + (h o sigma - l) (T0 KT_sigma) by columns, and
+    R = [KT_F T2; KT_pi T2; T2].  The blocks are written in place into one
+    workspace, sized by the widest chunk and allocated once per call, and
+    the gathered differences into one scratch beside it; when atoms repeat,
+    :func:`_expand` copies each weight to frame columns first.  A symbol
+    that is not finite at some atom raises :class:`NonFiniteSymbolError`
+    naming a four-measure atom tuple.
     """
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
@@ -531,30 +538,56 @@ def argument_perturbation(
     d = first.dim
     chunks = _chunks(len(last.eigenvalues), _PERTURBATION_ARRAYS * d * d)
 
-    # the four chains as blocks along the pair axis; C2(l; F) is subtracted
+    # the four chains' operators, in the order of their weights h, h - l o pi,
+    # l and h o sigma - l, and the block each fills: the two chains that share
+    # R fill one block, and C2(l; F) is subtracted
     axis = 1 + q
     if q == 0:
-        M = np.vstack([KT_far @ T1, KT_pi @ T1, T1, T1])
+        M, into = (KT_far @ T1, KT_pi @ T1, T1, T1), (0, 0, 1, 2)
         R = T2
     else:
-        M = np.hstack([T0, T0, -(T0 @ KT_far), T0 @ KT_sigma])
-        R = np.vstack([KT_far @ T2, KT_pi @ T2, T2, T2])
+        M, into = (T0, T0, -(T0 @ KT_far), T0 @ KT_sigma), (0, 1, 2, 2)
+        R = np.vstack([KT_far @ T2, KT_pi @ T2, T2])
+    width = chunks[0].stop
+    work = np.empty((width, 3 * d, d) if q == 0 else (width, d, 3 * d), dtype=np.complex128)
+    scratch = np.empty((width, d, d), dtype=np.complex128)
+
+    def gathered(w: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+        """w at ``atoms`` along the pair axis, written into the scratch (into
+        its first entries when atoms repeat, as the weight is then smaller)."""
+        shape = list(w.shape)
+        shape[axis] = len(atoms)
+        out = scratch.reshape(-1)[: math.prod(shape)].reshape(shape)
+        return np.take(w, atoms, axis=axis, out=out, mode="clip")
+
+    def weights(sl: slice):
+        """The four weights over the chunk ``sl``, each with its pair measure;
+        a gathered difference lives in the scratch until the next is formed."""
+        u, v = table(first, sl), table(second, sl)  # the pair measure on axis 1 + q
+        yield u, first
+        near = gathered(v, pi)
+        yield np.subtract(u, near, out=near), first
+        yield v, second
+        far = gathered(u, sigma)
+        yield np.subtract(far, v, out=far), second
 
     def products_of(sl: slice) -> np.ndarray:
-        u, v = table(first, sl), table(second, sl)  # the pair measure on axis 1 + q
-        weights = (u, u - np.take(v, pi, axis=axis), v, np.take(u, sigma, axis=axis) - v)
-        blocks = [
-            _expand(w, *((E, other) if q == 0 else (other, E)))
-            for w, E in zip(weights, (first, first, second, second))
-        ]
-        G = np.concatenate(blocks, axis=axis)
-        G *= M
+        G, s = work[: sl.stop - sl.start], scratch[: sl.stop - sl.start]
+        blocks = np.split(G, 3, axis=axis)
+        filled = -1
+        for (w, E), T, b in zip(weights(sl), M, into):
+            w = _expand(w, *((E, other) if q == 0 else (other, E)))
+            if b == filled:  # the block's second chain: its product in the scratch
+                blocks[b] += np.multiply(w, T, out=s)
+            else:
+                np.multiply(w, T, out=blocks[b])
+            filled = b
         return G
 
-    acc = _contract_last(products_of, R, last, chunks, M.shape[0])
+    acc = _contract_last(products_of, R, last, chunks, work.shape[1])
     if q == 0:
-        o0, o1, o2, o3 = np.split(acc, 4)
-        acc = o0 + o1 - KT_far @ o2 + KT_sigma @ o3
+        o0, o1, o2 = np.split(acc, 3)
+        acc = o0 - KT_far @ o1 + KT_sigma @ o2
     if index == 2:
         acc = -acc.T
     return _from_eigenbases(measures[0], acc, measures[-1])

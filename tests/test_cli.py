@@ -266,7 +266,7 @@ def test_selfcheck_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 29
+    assert len(lines) == 30
     assert all(line.startswith("PASS") for line in lines)
 
 

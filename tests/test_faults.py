@@ -152,7 +152,7 @@ def run(monkeypatch, capsys, tmp_path):
 def test_selfcheck_under_fault(run, fault):
     if result := run(fault, "selfcheck"):
         lines, _ = result
-        assert len(lines) == 29  # one line per item, failed or not
+        assert len(lines) == 30  # one line per item, failed or not
         failed = {line.split(":")[0][5:] for line in lines if line.startswith("FAIL")}
         assert failed == FAULTS[fault].selfcheck
 

@@ -38,6 +38,7 @@ NAMES = (
     "counterexample.zero_slot",
     "moi.stack_member_equivalence",
     "moi.slot_reversal",
+    "moi.clustered_exactness",
 )
 
 

@@ -34,6 +34,9 @@ from moilab.moi import (
 )
 from moilab.reference import naive_double_operator_integral, naive_triple_operator_integral
 from moilab.selfcheck import (
+    CLUSTERED_ERROR_TIMES_DELTA,
+    _clustered_errors,
+    _slot_operands,
     check_commuting_diagonal,
     check_diagonal_policy_independence,
     check_naive_oracle_equivalence,
@@ -274,13 +277,6 @@ def test_mixed_dimension_rejection(rng):
         apply_function_triple(lambda x, y, z: x, A, A, B)
 
 
-def _slot_operands(index, perturbed, first, second):
-    """``[first, second]`` with ``perturbed`` inserted at slot ``index``."""
-    operands = [first, second]
-    operands.insert(index, perturbed)
-    return operands
-
-
 def _degenerate_hermitian(rng, dim):
     """A Hermitian operator with fewer distinct eigenvalues than its dimension."""
     E = random_measure(rng, dim, int(rng.integers(1, dim)))
@@ -362,6 +358,32 @@ def test_generic_triple_products_are_c_contiguous(rng, chunks):
     assert np.max(np.abs(out - A.matrix @ B.matrix @ C.matrix)) <= 1e-10
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_argument_perturbation_fills_one_workspace(rng, index):
+    # simple atoms: every chunk's G is a view of one array allocated per call,
+    # three dim x dim blocks along the pair axis, rows when the pair leads
+    dim = 6
+    X1, X2, Y, Z = (random_hermitian(rng, dim) for _ in range(4))
+    contract = moi._contract_last
+    products = []
+
+    def checked(products_of, *args):
+        return contract(lambda sl: products.append(products_of(sl)) or products[-1], *args)
+
+    f = lambda x, y, z: np.exp(1j * (x - 2 * y + z)) / (1 + x**2 + y**2 + z**2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_contract_last", checked)
+        mp.setattr(moi, "_CHUNK_ENTRIES", 4 * moi._PERTURBATION_ARRAYS * dim * dim)
+        lhs = argument_perturbation(f, index, X1, X2, Y, Z)
+    shape = (dim, 3 * dim) if index == 1 else (3 * dim, dim)
+    assert [G.shape for G in products] == [(4, *shape), (2, *shape)]
+    assert all(np.shares_memory(G, products[0]) for G in products)
+    rhs = apply_function_triple(f, *_slot_operands(index, X1, Y, Z)) - apply_function_triple(
+        f, *_slot_operands(index, X2, Y, Z)
+    )
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
 def test_generic_triple_memory_is_bounded(rng):
     # a full weight tensor at d = 256 alone would take 256 MiB
     A, B, C = (random_hermitian(rng, 256) for _ in range(3))
@@ -374,36 +396,6 @@ def test_generic_triple_memory_is_bounded(rng):
     # 8.05 MiB, eigh included; 14.04 MiB when a chunk's weights alone filled
     # _CHUNK_ENTRIES and the symbol's temporary and G came on top
     assert peak <= 10 * 2**20
-
-
-def _clustered_errors(X1, X2, Y, Z):
-    """Per slot, the relative error of argument_perturbation against the exact
-    X1^2 - X2^2 = X1 D + D X2 (D = X1 - X2) of a product symbol with t^2 in
-    the perturbed slot, where the calculus factorises with no cancellation."""
-    D = X1.matrix - X2.matrix
-    g, k = (lambda t: np.exp(1j * t)), (lambda t: 1.0 / (1.0 + t * t))
-    gY = apply_function_single(g, spectral_measure(Y))
-    kZ = apply_function_single(k, spectral_measure(Z))
-    errors = []
-    for index in range(3):
-        factors = _slot_operands(index, lambda t: t * t, g, k)
-        f = lambda x, y, z, fs=factors: fs[0](x) * fs[1](y) * fs[2](z)
-        first, middle, last = _slot_operands(index, X1.matrix @ D + D @ X2.matrix, gY, kZ)
-        exact = first @ middle @ last
-        out = argument_perturbation(f, index, X1, X2, Y, Z)
-        errors.append(np.max(np.abs(out - exact)) / np.max(np.abs(exact)))
-    return errors
-
-
-# Clustered perturbations X2 = X1 + delta G: the divided difference of t^2
-# is formed from f(l1) - f(l2), whose rounding is relative to f, so the
-# error grows like eps / delta.  At this seed the largest error times delta
-# over the three slots and delta = 1e-2 .. 1e-8 measured 1.5e-16, with the
-# kernel on the eigenbasis perturbation and with divided weights alike, and
-# with the three-measure chains; 4e-16 keeps over 2x headroom.  Applying the
-# kernel in the original basis and transforming back measured 1.0e-15 to
-# 1.2e-15 at every delta; chains without nearest-atom pairs, 3.1e-16.
-CLUSTERED_ERROR_TIMES_DELTA = 4e-16
 
 
 @pytest.mark.parametrize("exponent", range(2, 9))
@@ -581,16 +573,16 @@ def _perturbation_peak(dim, index):
 
 @pytest.mark.parametrize("index", range(3))
 def test_argument_perturbation_memory_is_bounded(index):
-    # at d = 64 one chunk holds 10 arrays of 64^2 entries per last atom, 4 MiB
-    # in all; every slot peaks at 5.6 MiB
-    assert _perturbation_peak(64, index) <= 11 * 2**20
+    # at d = 64 one chunk may hold 10 arrays of 64^2 entries per last atom, 4
+    # MiB in all; the slots peak at 3.46-3.52 MiB
+    assert _perturbation_peak(64, index) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_argument_perturbation_memory_is_bounded_at_128(index):
     # a weight over all four measures at d = 128 would take 4 GiB; the chunked
-    # three-measure chains peak at 7.4 MiB in every slot
-    assert _perturbation_peak(128, index) <= 16 * 2**20
+    # three-measure chains peak at 5.31-5.32 MiB in every slot
+    assert _perturbation_peak(128, index) <= 6 * 2**20
 
 
 # the rank checks' stacks: four corners of two triples, and two pairs
