@@ -44,6 +44,7 @@ from .linalg import (
     SpectralAtom,
     SpectralMeasure,
     SvdError,
+    ZeroDimensionError,
     hermitian_from_matrix,
     hermitian_from_spectrum,
     schatten_norm,
@@ -82,6 +83,7 @@ __all__ = [
     "SpectralAtom",
     "SpectralMeasure",
     "SvdError",
+    "ZeroDimensionError",
     "apply_function_pair",
     "apply_function_single",
     "apply_function_stack",

@@ -195,8 +195,7 @@ class CounterexampleInstance:
 
     @property
     def U(self) -> np.ndarray:
-        """The unitary DFT matrix :func:`dft_unitary` (N), built afresh on
-        every read: the instance does not hold it."""
+        """The unitary DFT matrix :func:`dft_unitary` (N), built afresh on every read."""
         return dft_unitary(self.N)
 
     def deviations(self) -> dict[str, float]:
@@ -219,45 +218,40 @@ class CounterexampleInstance:
 
 
 def build_instance(N: int) -> CounterexampleInstance:
-    """Assemble the size-N operators, coefficients and symbols.
+    """Assemble the size-N operators, coefficients and symbols, in A's eigenbasis.
 
     A = sum 2 pi j (., g_j) g_j, B = sum 2 pi k (., h_k) h_k,
     C = (1/N)(., s) s with s the sum of the h_k, theta = sqrt(N) conj(U),
-    and f(x, y, z) = phi(x, y) psi(z) with the reference cutoff psi.
+    and f(x, y, z) = phi(x, y) psi(z) with the reference cutoff psi.  Each
+    operator is built from its closed-form spectral measure, never
+    decomposed:
 
-    All three spectra are known in closed form, so each operator is built
-    from its spectral measure and never decomposed:
+    * A: simple eigenvalues 2 pi j, j = 1..N, on the identity frame
+      (:func:`~moilab.linalg.identity_frame`), so g_j = e_j;
+    * B: the same eigenvalues on the frame U, so h_k is column k of U and
+      the Gram matrix (h_k, g_j) is U;
+    * C: atoms 0 and 1 of multiplicities N - 1 and 1 on the same identity
+      frame (the single atom 1 for N = 1): s = U 1 = sqrt(N) e_N, so
+      C = e_N e_N*.
 
-    * A: simple eigenvalues 2 pi j, j = 1..N, with frame U* (column j is g_j,
-      with coordinates conj(u_jk));
-    * B: the same eigenvalues with the identity frame
-      (:func:`~moilab.linalg.identity_frame`; h_k is the k-th standard basis
-      vector), so the Gram matrix (h_k, g_j) is U;
-    * C: atoms 0 and 1 with multiplicities N - 1 and 1 on the frame conj(U),
-      unitary, whose last column is s / sqrt(N) = ones / sqrt(N); for N = 1
-      the single atom 1.
-
-    A and C share one N x N array, conj(U).  This relies on the DFT: U is
-    symmetric, so A's frame U* is the transposed view conj(U).T, whose F
-    order lets the calculus take its adjoint without a copy, and C's frame
-    is conj(U) itself, in C order.  D has the bits it has on the frame U,
-    since every weight of C's atom 0 is exactly 0.  theta is sqrt(N) times
-    the same array.  The instance does not keep U
-    (:attr:`CounterexampleInstance.U` builds it again).
+    U is the one frame that takes the unitary check, and the instance keeps
+    it only as B's frame.  Every weight of C's atom 0 is exactly 0 and no
+    change of basis acts on D's columns, so D = f(A, B, C) - f(A, B, 0) is
+    exactly zero outside its last column.
     """
-    conj_u = dft_unitary(N).conj()
+    U, identity = dft_unitary(N), identity_frame(N)
 
     weights = 2.0 * math.pi * np.arange(1, N + 1)
     simple = np.ones(N, dtype=np.int64)
-    A = hermitian_from_spectrum(weights, conj_u.T, simple)
-    B = hermitian_from_spectrum(weights, identity_frame(N), simple)
+    A = hermitian_from_spectrum(weights, identity, simple)
+    B = hermitian_from_spectrum(weights, U, simple)
     C = (
-        hermitian_from_spectrum([0.0, 1.0], conj_u, [N - 1, 1])
+        hermitian_from_spectrum([0.0, 1.0], identity, [N - 1, 1])
         if N > 1
-        else hermitian_from_spectrum([1.0], conj_u, [1])
+        else hermitian_from_spectrum([1.0], identity, [1])
     )
 
-    phi = phi_symbol(math.sqrt(N) * conj_u, N)
+    phi = phi_symbol(math.sqrt(N) * U.conj(), N)
     psi = psi_reference()
 
     def f(x, y, z):
@@ -337,33 +331,27 @@ def growth_records(
     residuals, so a caller can report every failed gate.
 
     The zero operator's spectral measure is one atom at 0 with projection
-    I, so the zero-slot term f(A, B, 0) is the pair function of f(., ., 0),
-    and runs through the pair calculus; it is freed once ``base_peak`` is
-    read.  D is computed on the instance's own A, B and C by a change of
-    variable in the symbol: for every real e, f(A, B, e*C) = f_e(A, B, C)
-    with f_e(x, y, z) = f(x, y, e*z), e = 0 included, so neither eps*C nor
-    a zero operator is formed.  D is one triple of the difference symbol
-    f_eps - f_0, written phi(x, y) (psi(eps z) - psi(0 z)) so that phi is
-    gathered once per chunk (only the pointwise symbol is written out; D
-    still runs through the triple calculus).  The bytes are those of
-    forming eps*C and the zero operator and subtracting the two triples:
-    e*z is the float the eigenvalue of eps*C would be, and every weight of
-    f_0 is exactly 0, as it is on the zero operator.  The factor check
-    scales phi(A, B) by eps in place, exactly at eps = 1, before its
-    product with C.  The singular values of eps*C are those of C times eps.
+    I, so f(A, B, 0) is the pair function of f(., ., 0); it is freed once
+    ``base_peak`` is read.  D is computed on the instance's own C by a
+    change of variable in the symbol: f(A, B, e*C) = f_e(A, B, C) with
+    f_e(x, y, z) = f(x, y, e*z) for every real e, 0 included, so neither
+    eps*C nor a zero operator is formed.  D is one triple of f_eps - f_0,
+    written phi(x, y) (psi(eps z) - psi(0 z)) so that phi is gathered once
+    per chunk.  Its bytes are those of subtracting the two triples on eps*C
+    and the zero operator: e*z is the float the eigenvalue of eps*C would
+    be, and every weight of f_0 is exactly 0, as on the zero operator.  The
+    factor check scales phi(A, B) by eps in place, exactly at eps = 1,
+    before its product with C.  The singular values of eps*C are those of
+    C times eps.
 
     The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
     psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
     a grid estimate and not a certified bound.  It is identical bit for bit
     for every N, and computed once per grid.
 
-    The singular values are taken of D^T, which has those of D.  D is the
-    computed difference, not its closed form; since C projects onto the
-    constant vector, every column of D is the same vector up to rounding,
-    and LAPACK's bidiagonal solver stalls on that layout, up to ten times
-    longer than on D^T.  The two agree to a few ulps.  The instance is
-    released first, so D is the one N x N array live next to LAPACK's
-    workspace.
+    D is zero outside its last column (:func:`build_instance`), so its
+    singular values after the first are exactly 0.  The instance is freed
+    first, so D is the one N x N array live next to LAPACK's workspace.
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
@@ -390,7 +378,7 @@ def growth_records(
 
     c_values = hermitian_singular_values(C) * eps
     del inst, A, B, C  # freed before the SVD
-    diff_values = singular_values(diff.T)  # a view, not a copy
+    diff_values = singular_values(diff)
     records = []
     for p in p_list:
         lhs = float(norms_of_singular_values(diff_values, p))

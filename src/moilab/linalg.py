@@ -44,6 +44,10 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
+class ZeroDimensionError(ValueError):
+    """An operator, or a stack of them, of dimension 0."""
+
+
 class EigensolverError(RuntimeError):
     """Eigenvalue iteration did not converge."""
 
@@ -87,8 +91,7 @@ def _complex_matrices(entries, stack: bool) -> np.ndarray:
 
 def hermitian_tolerance(M: np.ndarray) -> float:
     """Scale-aware tolerance for the M == M* check: 1e-10 * max(1, |M|_max)."""
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
-    return 1e-10 * max(1.0, peak)
+    return 1e-10 * max(1.0, float(np.max(np.abs(M))))
 
 
 def projection_tolerance(dim: int) -> float:
@@ -140,18 +143,19 @@ def hermitian_from_matrix(entries) -> HermitianOperator:
     ------
     NotSquareError
         If the matrix is not square.
+    ZeroDimensionError
+        If the matrix is 0 x 0.
     NotHermitianError
         If the deviation from self-adjointness exceeds the tolerance.
     """
     M = as_complex_matrix(entries)
     if M.shape[0] != M.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {M.shape}")
-    deviation = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if deviation > hermitian_tolerance(M):
-        raise NotHermitianError(
-            f"|M - M*|_max = {deviation:.3e} exceeds tolerance "
-            f"{hermitian_tolerance(M):.3e}"
-        )
+    if not M.size:
+        raise ZeroDimensionError("an operator has dimension at least 1")
+    deviation, tol = float(np.max(np.abs(M - M.conj().T))), hermitian_tolerance(M)
+    if deviation > tol:
+        raise NotHermitianError(f"|M - M*|_max = {deviation:.3e} exceeds tolerance {tol:.3e}")
     return HermitianOperator((M + M.conj().T) / 2.0)
 
 
@@ -171,6 +175,8 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
 
     Raises
     ------
+    ZeroDimensionError
+        If the frame is 0 x 0.
     InvalidSpectrumError
         If an eigenvalue is not real and finite or does not exceed the one
         before it by more than the grouping tolerance (``eigh`` would merge
@@ -184,6 +190,8 @@ def hermitian_from_spectrum(eigenvalues, frame, multiplicities) -> HermitianOper
     dim = V.shape[0]
     if V.shape != (dim, dim):
         raise InvalidSpectrumError(f"frame must be square, got shape {V.shape}")
+    if not dim:
+        raise ZeroDimensionError("an operator has dimension at least 1")
     real = values.dtype.kind in "iuf"
     values = values.astype(float, copy=False) if real else values
     finite = real and values.ndim == 1 and np.isfinite(values).all()

@@ -52,6 +52,7 @@ from .linalg import (
     DimensionMismatchError,
     HermitianOperator,
     SpectralMeasure,
+    ZeroDimensionError,
     as_complex_matrix,
     spectral_measure,
 )
@@ -107,8 +108,6 @@ def _difference_quotient(num, den: np.ndarray, diagonal_value: complex = 0.0):
     """num / den, with ``diagonal_value`` wherever den == 0 exactly."""
     num = np.asarray(num, dtype=np.complex128)
     diag = den == 0
-    if not diag.any():
-        return num / den
     safe = np.where(diag, 1.0, den)
     return np.where(diag, diagonal_value, num / safe)
 
@@ -159,7 +158,7 @@ def _transforms(
         left, right = measures[t], measures[t + 1]
         X = T
         if not left.identity_frame:
-            adjoint = left.frame.conj().swapaxes(-1, -2)
+            adjoint = np.conjugate(left.frame.swapaxes(-1, -2), order="C")
             X = adjoint if X is None else adjoint @ X
         if X is None or not right.identity_frame:
             X = right.frame if X is None else X @ right.frame
@@ -212,7 +211,7 @@ def _contract_last(
         else:
             for j, block in enumerate(blocks):
                 acc[..., block] = G[..., j, :, :] @ B[..., block]
-        del G  # freed before the next chunk's products are formed
+        del G  # a chain's G is freed here; argument_perturbation's is a workspace view
     return acc
 
 
@@ -362,7 +361,8 @@ def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarra
     :func:`apply_function_triple` on its own operators to rounding, not bit
     for bit.  A non-finite symbol raises :class:`NonFiniteSymbolError`
     naming the member.  A table that is not (m, 2) or (m, 3) integers in
-    [0, k), or eigenvalues and frames of other shapes, raise ``ValueError``.
+    [0, k), or eigenvalues and frames of other shapes, raise ``ValueError``,
+    and d = 0 raises :class:`~moilab.linalg.ZeroDimensionError`.
     """
     eigenvalues, frames, members = map(np.asarray, (eigenvalues, frames, members))
     k, d = eigenvalues.shape if eigenvalues.ndim == 2 else (-1, -1)
@@ -372,6 +372,8 @@ def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarra
             "expected an integer table of 2 or 3 columns with entries in [0, k), "
             "eigenvalues (k, d) and frames (k, d, d)"
         )
+    if not d:
+        raise ZeroDimensionError("stacked operators have dimension at least 1")
     ones = np.ones(d, dtype=np.intp)
     measures = [SpectralMeasure(eigenvalues[slot], frames[slot], ones) for slot in members.T]
     return _chain_integral(f, measures, [None] * (members.shape[1] - 1))

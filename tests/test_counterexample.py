@@ -32,6 +32,7 @@ from moilab.counterexample import (
 from moilab.linalg import (
     hermitian_from_matrix,
     hermitian_from_spectrum,
+    identity_frame,
     norms_of_singular_values,
     rank_of_singular_values,
     schatten_norm,
@@ -303,21 +304,30 @@ def test_rank_limited_draws_carry_their_spectrum(rng, rank):
 def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
     # growth_records scales the third slot inside the symbol; its lhs must be
     # the norms of D = f(A, B, eps C) - f(A, B, 0) formed on eps C and the zero
-    # operator, bit for bit, and those of D, not only of the D^T it takes
+    # operator, bit for bit
     p_list = [1.0, 2.0, math.inf]
     inst = build_instance(N)
     for eps in (1.0, 0.3):
-        scaled_c = hermitian_from_spectrum([0.0, eps], inst.U, [N - 1, 1])
+        scaled_c = hermitian_from_spectrum([0.0, eps], identity_frame(N), [N - 1, 1])
         upper, base = (
             apply_function_triple(inst.f, inst.A, inst.B, c) for c in (scaled_c, zero_operator(N))
         )
-        diff = upper - base
-        transposed = singular_values(diff.T)
-        values = np.linalg.svd(diff, compute_uv=False)
+        values = singular_values(upper - base)
         for record, p in zip(growth_records(N, p_list, eps=eps), p_list):
-            assert record.lhs == float(norms_of_singular_values(transposed, p))
-            expected = float(norms_of_singular_values(values, p))
-            assert abs(record.lhs - expected) <= 1e-13 * expected
+            assert record.lhs == float(norms_of_singular_values(values, p))
+
+
+def test_growth_difference_is_its_last_column(monkeypatch):
+    # C's atom-0 weights are exactly 0 and no change of basis mixes D's
+    # columns, so D is one column and its other singular values are exactly 0
+    N, seen = 256, []
+    real = counterexample.singular_values
+    monkeypatch.setattr(counterexample, "singular_values", lambda M: seen.append(M) or real(M))
+    growth_records(N, [1.0, 2.0, math.inf])
+    (D,) = seen
+    assert D.shape == (N, N) and not D[:, :-1].any()
+    values = real(D)
+    assert values[0] > 0.0 and not values[1:].any()
 
 
 def test_growth_builds_only_a_b_and_c(monkeypatch):
@@ -383,24 +393,36 @@ def _growth_peak_arrays(N):
 
 
 def test_growth_records_peak_at_256():
-    # reads 7.17: A and C share conj(U), B's identity frame is a view of
-    # 2N - 1 entries, and U is not kept
+    # reads 7.16: A and C share one identity view of 2N - 1 entries, and U
+    # is kept only as B's frame
     assert _growth_peak_arrays(256) <= 7.5
 
 
 def test_growth_records_peak_at_512():
-    # reads 7.05, as N = 256 reads 7.17
+    # reads 7.04, as N = 256 reads 7.16
     assert _growth_peak_arrays(512) <= 7.5
 
 
 def test_growth_instance_shares_one_frame():
+    # A and C share one identity view of 2N - 1 entries; B's frame is U
     N = 16
     inst = build_instance(N)
     frame_a, frame_b, frame_c = (spectral_measure(op).frame for op in (inst.A, inst.B, inst.C))
     assert np.shares_memory(frame_a, frame_c)
-    assert np.array_equal(frame_b, np.eye(N)) and frame_b.base.size <= 2 * N - 1
-    assert inst.U.tobytes() == dft_unitary(N).tobytes()
+    assert np.array_equal(frame_a, np.eye(N)) and frame_a.base.size <= 2 * N - 1
+    assert frame_b.tobytes() == inst.U.tobytes() == dft_unitary(N).tobytes()
     assert "U" not in {field.name for field in dataclasses.fields(inst)}
+
+
+def test_growth_instance_takes_one_unitary_check(monkeypatch):
+    # U is the one frame that is not exactly the identity
+    checks = []
+    real = linalg.projection_tolerance
+    monkeypatch.setattr(linalg, "projection_tolerance", lambda dim: checks.append(dim) or real(dim))
+    inst = build_instance(16)
+    assert checks == [16]
+    measures = (spectral_measure(op) for op in (inst.A, inst.B, inst.C))
+    assert [E.identity_frame for E in measures] == [True, False, True]
 
 
 def test_growth_records_release_the_instance_before_the_svd(monkeypatch):

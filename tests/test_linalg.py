@@ -12,6 +12,7 @@ from moilab.linalg import (
     NotHermitianError,
     NotSquareError,
     SpectralMeasure,
+    ZeroDimensionError,
     complex_gaussian,
     hermitian_from_matrix,
     hermitian_from_spectrum,
@@ -62,6 +63,11 @@ def test_hermitian_from_matrix_rejects_nilpotent():
 def test_hermitian_from_matrix_rejects_rectangular():
     with pytest.raises(NotSquareError):
         hermitian_from_matrix(np.ones((2, 3)))
+
+
+def test_hermitian_from_matrix_rejects_dimension_zero():
+    with pytest.raises(ZeroDimensionError):
+        hermitian_from_matrix(np.zeros((0, 0)))
 
 
 def test_hermitian_from_matrix_rejects_nan():
@@ -211,6 +217,11 @@ def test_hermitian_from_spectrum_rejects_complex_eigenvalues():
         hermitian_from_spectrum([0.0, 1.0 + 1.0j], np.eye(2), [1, 1])
     with pytest.raises(InvalidSpectrumError, match="real"):
         hermitian_from_spectrum(np.array([0.0, 1.0], dtype=complex), np.eye(2), [1, 1])
+
+
+def test_hermitian_from_spectrum_rejects_dimension_zero():
+    with pytest.raises(ZeroDimensionError):
+        hermitian_from_spectrum([], np.zeros((0, 0)), np.array([], dtype=int))
 
 
 def test_hermitian_from_spectrum_rejects_a_non_unitary_frame(rng):

@@ -11,6 +11,7 @@ from moilab import counterexample, linalg, moi
 from moilab.counterexample import build_instance, random_kink_function, random_trig_polynomial
 from moilab.linalg import (
     DimensionMismatchError,
+    ZeroDimensionError,
     complex_gaussian,
     hermitian_from_matrix,
     hermitian_from_spectrum,
@@ -642,6 +643,12 @@ def test_stacked_calculus_rejects_mixed_tuples(rng):
     for args in bad:
         with pytest.raises(ValueError, match="2 or 3 columns"):
             apply_function_stack(lambda x, y: x, *args)
+
+
+@pytest.mark.parametrize("members", [[(0, 1)], [(0, 1, 0)]])
+def test_stacked_calculus_rejects_dimension_zero(members):
+    with pytest.raises(ZeroDimensionError):
+        apply_function_stack(lambda *v: v[0], np.zeros((2, 0)), np.zeros((2, 0, 0)), members)
 
 
 def test_stacked_calculus_rejects_members_outside_the_operators(rng):
