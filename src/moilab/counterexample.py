@@ -42,7 +42,7 @@ from .linalg import (
     unitary_from_gaussian,
     validate_schatten_index,
 )
-from .moi import apply_function_pair, apply_function_stack, apply_function_triple
+from .moi import apply_function_stack, apply_function_triple
 
 
 class InvalidEpsilonError(ValueError):
@@ -62,6 +62,7 @@ GROWTH_GATES = {
     "perturbation_error": ("perturbation", RATIO_REL_TOL),
     "zero_slot_error": ("base_peak", 1e-12),
     "factor_dev": ("factor_dev", 1e-10),
+    "off_column": ("off_column", 0.0),
 }
 """The one definition of every gate on a growth record: a record passes
 iff each residual is at most its tolerance, so a NaN fails.  ``moilab
@@ -109,11 +110,11 @@ def eta(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     sq = arr * arr
-    series = 1.0 + sq * (-1.0 / 12.0 + sq * (1.0 / 360.0 - sq / 20160.0))
     small = np.abs(arr) <= _ETA_SWITCH
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = 2.0 * (1.0 - np.cos(arr)) / np.where(small, 1.0, sq)
-    out = np.where(small, series, direct)
+        out = 2.0 * (1.0 - np.cos(arr)) / np.where(small, 1.0, sq)
+    sq = sq[small]  # the series runs on the small arguments only
+    out[small] = 1.0 + sq * (-1.0 / 12.0 + sq * (1.0 / 360.0 - sq / 20160.0))
     if scalar:
         return float(out[0])
     return out
@@ -146,13 +147,14 @@ def phi_symbol(theta, size: int) -> Callable:
 
     The closure remembers its last table, with copies of the flattened x
     and y it was built from, and reuses it when the next call's flattened
-    values are equal entry for entry; the three operator functions of a
-    growth instance (f(A, B, C), f(A, B, 0) and phi(A, B)) all evaluate
-    phi on the same A x B atom grid, so the table is built once.  A miss
-    drops the old table before building the new one, so a chunked scan
-    holds one table at a time.  Every call returns a fresh gather.
+    values are equal entry for entry; :func:`growth_records` builds the
+    table by one call on A's and B's eigenvalue vectors, and every chunk of
+    its triple f(A, B, C) evaluates phi on that A x B atom grid, so the
+    table is built once.  A miss drops the old table before building the
+    new one, so a chunked scan holds one table at a time.  Every call
+    returns a fresh gather.
     """
-    theta = as_complex_matrix(theta)
+    theta = np.ascontiguousarray(as_complex_matrix(theta))
     if theta.shape != (size, size):
         raise ValueError(f"theta must be {size} x {size}, got {theta.shape}")
     offsets = 2.0 * math.pi * np.arange(1, size + 1)
@@ -165,8 +167,12 @@ def phi_symbol(theta, size: int) -> Callable:
             return memo[2]
         last = memo = None  # free the old table before building the new one
         rows = eta(xs[:, None] - offsets)
-        cols = eta(ys[:, None] - offsets)
-        table = (rows.astype(np.complex128) @ theta) @ cols.T
+        cols = rows if np.array_equal(xs, ys) else eta(ys[:, None] - offsets)
+        # eta's factors are real: each product runs as one real product on
+        # the interleaved parts of its complex operand, half the flops
+        left = (rows @ theta.view(float)).view(np.complex128)  # rows theta
+        table = cols @ np.ascontiguousarray(left.T).view(float)  # (rows theta cols^T)^T
+        table = np.ascontiguousarray(table.view(np.complex128).T)
         last = (xs.copy(), ys.copy(), table)
         return table
 
@@ -235,9 +241,10 @@ def build_instance(N: int) -> CounterexampleInstance:
       C = e_N e_N*.
 
     U is the one frame that takes the unitary check, and the instance keeps
-    it only as B's frame.  Every weight of C's atom 0 is exactly 0 and no
-    change of basis acts on D's columns, so D = f(A, B, C) - f(A, B, 0) is
-    exactly zero outside its last column.
+    it only as B's frame.  theta_jk U_jk = 1/sqrt(N) and U 1 = sqrt(N) e_N
+    give phi(A, B) = 1 e_N^T, so D = f(A, B, C) - f(A, B, 0) = phi(A, B) C
+    = 1 e_N^T.  Every weight of C's atom 0 is exactly 0 and no change of
+    basis acts on D's columns, so D is exactly zero outside its last column.
     """
     U, identity = dft_unitary(N), identity_frame(N)
 
@@ -270,8 +277,9 @@ class ExperimentRecord:
     perturbation: float
     besov_surrogate: float
     ratio: float
-    base_peak: float  # peak entry of f(A, B, 0), which vanishes since psi(0) = 0
-    factor_dev: float  # max-entry deviation of D from phi(A, B) (eps C)
+    base_peak: float  # |psi(0)|, the peak entry of f(A, B, 0) = psi(0) phi(A, B); it vanishes
+    factor_dev: float  # max |D - eps 1 e_N^T|: D's deviation from phi(A, B) (eps C)
+    off_column: float  # max |D| outside its last column, exactly 0
     eps: float = 1.0
 
     @property
@@ -321,79 +329,62 @@ def growth_records(
 ) -> list[ExperimentRecord]:
     """Growth experiment rows for one size and several Schatten indices.
 
-    Computes D = f(A, B, eps*C) - f(A, B, 0) once through the triple
-    calculus and reports ||D||_{S_p} / ||eps*C||_{S_p} per index.  The
-    residuals of two construction identities ride on every record: the
-    base term vanishes because psi(0) = 0 (``base_peak``), and D equals
-    phi(A, B) (eps C) (``factor_dev``).  A failure there means an
-    implementation bug, not an experimental outcome; this function raises
-    on none of them, and :data:`GROWTH_GATES` gates them with the ratio
-    residuals, so a caller can report every failed gate.
+    Computes D = f(A, B, eps*C) - f(A, B, 0) as one triple, the one
+    calculus call of a size, and reports ||D||_{S_p} / ||eps*C||_{S_p} per
+    index.  D has the closed form phi(A, B) (eps C) = eps 1 e_N^T
+    (:func:`build_instance`), and every record carries its residuals: D
+    is zero outside its last column (``off_column``), D equals eps 1 e_N^T
+    (``factor_dev``), and f(A, B, 0) = psi(0) phi(A, B) vanishes
+    (``base_peak`` = |psi(0)| max|phi(A, B)| = |psi(0)|).  A failure there
+    is an implementation bug; this function raises on none, and
+    :data:`GROWTH_GATES` gates them with the ratio residuals, so a caller
+    can report every failed gate.
 
-    The zero operator's spectral measure is one atom at 0 with projection
-    I, so f(A, B, 0) is the pair function of f(., ., 0); it is freed once
-    ``base_peak`` is read.  D is computed on the instance's own C by a
-    change of variable in the symbol: f(A, B, e*C) = f_e(A, B, C) with
-    f_e(x, y, z) = f(x, y, e*z) for every real e, 0 included, so neither
-    eps*C nor a zero operator is formed.  D is one triple of f_eps - f_0,
-    written phi(x, y) (psi(eps z) - psi(0 z)) so that phi is gathered once
-    per chunk.  Its bytes are those of subtracting the two triples on eps*C
-    and the zero operator: e*z is the float the eigenvalue of eps*C would
-    be, and every weight of f_0 is exactly 0, as on the zero operator.  The
-    factor check scales phi(A, B) by eps in place, exactly at eps = 1,
-    before its product with C.  The singular values of eps*C are those of
-    C times eps.
+    D is computed on the instance's own C by a change of variable in the
+    symbol: f(A, B, e*C) = f_e(A, B, C) with f_e(x, y, z) = f(x, y, e*z), 0
+    included, so neither eps*C nor a zero operator is formed.  D is one
+    triple of f_eps - f_0, written phi(x, y) (psi(eps z) - psi(0 z)), with
+    the bytes of subtracting the two triples on eps*C and the zero
+    operator: e*z is the float the eigenvalue of eps*C would be, and every
+    weight of f_0 is exactly 0.  One call on A's and B's eigenvalue vectors
+    builds phi's table first, so the triple's chunks only gather from it.
 
-    The reported ``besov_surrogate`` is tensor_bound_kappa(PHI_SUP,
-    psi_grid): the proved sup|phi_N| = 1 times psi_band_majorant(psi_grid),
-    a grid estimate and not a certified bound.  It is identical bit for bit
-    for every N, and computed once per grid.
-
-    D is zero outside its last column (:func:`build_instance`), so its
-    singular values after the first are exactly 0.  The instance is freed
-    first, so D is the one N x N array live next to LAPACK's workspace.
+    Each Schatten norm of D is its last column's 2-norm, summed without
+    BLAS, so its bits do not depend on the thread count.  The singular
+    values of eps*C are those of C times eps.  ``besov_surrogate`` is
+    tensor_bound_kappa(PHI_SUP, psi_grid): the proved sup|phi_N| = 1 times
+    psi_band_majorant(psi_grid), a grid estimate and not a certified
+    bound, identical bit for bit for every N and computed once per grid.
     """
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
     p_list = [validate_schatten_index(p) for p in p_list]
     inst = build_instance(N)
     A, B, C = inst.A, inst.B, inst.C
-    base = apply_function_pair(lambda x, y: inst.f(x, y, 0.0), A, B)
-    base_peak = float(np.max(np.abs(base)))
-    del base  # freed before D is formed, which lowers the peak
     psi = psi_reference()
+    inst.phi(spectral_measure(A).eigenvalues, spectral_measure(B).eigenvalues)  # the table
     diff = apply_function_triple(
         lambda x, y, z: inst.phi(x, y) * (psi(eps * z) - psi(0.0 * z)), A, B, C
     )
-    factored = apply_function_pair(inst.phi, A, B)
-    factored *= eps
-    factored = factored @ C.matrix
-    factored -= diff  # |factored - diff| has the bits of |diff - factored|
-    factor_dev = float(np.max(np.abs(factored)))
-    del factored
+    column = diff[:, -1]
+    off_column = float(np.max(np.abs(diff[:, :-1]), initial=0.0))
+    factor_dev = _worse(off_column, float(np.max(np.abs(column - eps))))
+    lhs = math.sqrt(float(np.sum(column.real**2 + column.imag**2)))
+    base_peak = float(abs(psi(0.0)))
 
     if psi_grid is None:
         psi_grid = psi_reference_grid()
     surrogate = tensor_bound_kappa(PHI_SUP, psi_grid)
 
     c_values = hermitian_singular_values(C) * eps
-    del inst, A, B, C  # freed before the SVD
-    diff_values = singular_values(diff)
     records = []
     for p in p_list:
-        lhs = float(norms_of_singular_values(diff_values, p))
         perturbation = float(norms_of_singular_values(c_values, p))
         records.append(
             ExperimentRecord(
-                N=N,
-                p=p,
-                lhs=lhs,
-                perturbation=perturbation,
-                besov_surrogate=surrogate,
-                ratio=lhs / perturbation,
-                base_peak=base_peak,
-                factor_dev=factor_dev,
-                eps=eps,
+                N=N, p=p, lhs=lhs, perturbation=perturbation, besov_surrogate=surrogate,
+                ratio=lhs / perturbation, base_peak=base_peak, factor_dev=factor_dev,
+                off_column=off_column, eps=eps,
             )
         )
     return records

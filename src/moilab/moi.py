@@ -195,7 +195,9 @@ def _contract_last(
 
     ``products_of(sl)`` returns G, one ``rows``-row matrix per atom of the
     chunk ``sl``; atom j fills only its own column block, so a repeated last
-    atom costs one matrix product rather than one outer product per column.
+    atom costs one matrix product rather than one outer product per column,
+    and none when its G is exactly zero, as the f_0 term of a difference
+    symbol makes it: B is finite, so the block is then exactly 0.
     A chunk whose atoms are all simple takes one stacked product instead,
     matrix j against column j, with the bits of the per-atom loop.  G and
     B may carry the stack axis in front.
@@ -210,7 +212,7 @@ def _contract_last(
             acc[..., columns] = (G @ vectors)[..., 0].swapaxes(-1, -2)
         else:
             for j, block in enumerate(blocks):
-                acc[..., block] = G[..., j, :, :] @ B[..., block]
+                acc[..., block] = G[..., j, :, :] @ B[..., block] if G[..., j, :, :].any() else 0.0
         del G  # a chain's G is freed here; argument_perturbation's is a workspace view
     return acc
 
@@ -352,7 +354,8 @@ def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarra
     dimension d, given in column form: ``eigenvalues`` (k, d) holds the
     eigenvalue of every frame column and ``frames`` (k, d, d) the unitary
     eigenvector frames.  Row i of the integer table ``members`` (m, 2 or 3)
-    names the operators of member i, slot by slot; the result is (m, d, d).
+    names the operators of member i, slot by slot; the result is (m, d, d),
+    empty for an empty table, which calls no symbol.
 
     Each slot becomes one measure stacked over the members, with every
     frame column its own atom, so members of different atom structure share
@@ -374,6 +377,8 @@ def apply_function_stack(f: Callable, eigenvalues, frames, members) -> np.ndarra
         )
     if not d:
         raise ZeroDimensionError("stacked operators have dimension at least 1")
+    if not len(members):
+        return np.empty((0, d, d), dtype=np.complex128)
     ones = np.ones(d, dtype=np.intp)
     measures = [SpectralMeasure(eigenvalues[slot], frames[slot], ones) for slot in members.T]
     return _chain_integral(f, measures, [None] * (members.shape[1] - 1))

@@ -38,8 +38,8 @@ def _result(name, ok, detail, category="core"):
 
 
 def _tol_text(tol: float) -> str:
-    """Shortest spelling of a tolerance: 1e-9 and 2e-2 below 0.1, plain 0.1 from there."""
-    if tol < 0.1:
+    """Shortest spelling of a tolerance: 1e-9 and 2e-2 in (0, 0.1), plain 0 and 0.1 otherwise."""
+    if 0.0 < tol < 0.1:
         return np.format_float_scientific(tol, trim="-", exp_digits=1)
     return f"{tol:g}"
 
@@ -513,7 +513,11 @@ def check_exact_blowup(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
 
 
 def check_factorization_identity(records: Sequence[ce.ExperimentRecord]) -> CheckResult:
-    return _growth_gate("counterexample.factorization_identity", "max dev", records, "factor_dev")
+    """D = eps 1 e_N^T entrywise, and exactly zero outside its last column."""
+    name = "counterexample.factorization_identity"
+    dev = _growth_gate(name, "max dev", records, "factor_dev")
+    off = _growth_gate(name, "max off-column", records, "off_column")
+    return _result(name, dev.passed and off.passed, f"{dev.detail}, {off.detail}")
 
 
 def check_zero_slot(records: Sequence[ce.ExperimentRecord]) -> CheckResult:

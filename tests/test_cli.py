@@ -71,7 +71,7 @@ def test_growth_gate_on_perturbation_is_relative(tmp_path, capsys, monkeypatch):
             ExperimentRecord(
                 N=N, p=p, lhs=16.0 * eps_rule(N), perturbation=eps_rule(N) * (1.0 + 2e-8),
                 besov_surrogate=1.0, ratio=16.0, base_peak=0.0, factor_dev=0.0,
-                eps=eps_rule(N),
+                off_column=0.0, eps=eps_rule(N),
             )
             for N in N_list
             for p in p_list

@@ -60,6 +60,16 @@ def test_eta_is_even_and_seam_is_smooth():
         assert eta(t) == pytest.approx(direct, rel=1e-10)
 
 
+def test_eta_runs_each_branch_on_its_own_arguments_bit_for_bit():
+    # the series only where |x| <= 1e-2, the direct form everywhere else
+    x = np.array([[0.0, 1e-3, -0.01, 0.0101], [2.0 * math.pi, -3.0, 1e-2, 50.0]])
+    sq = x * x
+    series = 1.0 + sq * (-1.0 / 12.0 + sq * (1.0 / 360.0 - sq / 20160.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = 2.0 * (1.0 - np.cos(x)) / sq
+    assert eta(x).tobytes() == np.where(np.abs(x) <= 1e-2, series, direct).tobytes()
+
+
 def test_dft_unitary_smallest_sizes():
     assert np.allclose(dft_unitary(1), [[1.0]])
     expected = np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0)
@@ -101,6 +111,21 @@ def test_phi_symbol_lattice_values():
         for k in (2, 4):
             value = complex(np.asarray(phi(2.0 * math.pi * j, 2.0 * math.pi * k)))
             assert value == pytest.approx(theta[j - 1, k - 1], abs=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_phi_symbol_equals_its_double_sum(order):
+    # the table's real products agree with the complex double sum, for
+    # either layout of theta and when both axes take the same values
+    N = 6
+    rng = np.random.default_rng(5)
+    theta = np.asarray(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), order=order)
+    offsets = 2.0 * math.pi * np.arange(1, N + 1)
+    x, y = rng.uniform(0.0, 2.0 * math.pi * (N + 1), (2, 9))
+    phi = phi_symbol(theta, N)
+    for u, v in ((x, y), (x, x)):
+        direct = eta(u[:, None] - offsets) @ theta @ eta(v[:, None] - offsets).T
+        assert np.max(np.abs(phi(u[:, None], v[None, :]) - direct)) <= 1e-13
 
 
 def test_phi_symbol_zero_coefficients():
@@ -153,13 +178,14 @@ def test_growth_instance_builds_one_phi_table(chunks, monkeypatch):
         tables.append(np.shape(x))
         return eta(x)
 
-    # f(A, B, 0), D and phi(A, B) all read phi on the A x B atom grid, the
-    # triple D once per chunk of C's two atoms; eta runs twice per table
+    # one call on A's and B's eigenvalues builds the table, and the triple D
+    # reads it on the A x B atom grid once per chunk of C's two atoms; eta
+    # runs once per table, as A and B have the same spectrum
     monkeypatch.setattr(counterexample, "eta", counted_eta)
     monkeypatch.setattr(moi, "_CHUNK_ENTRIES", (2 // chunks) * moi._CHAIN_ARRAYS * N * N)
     record = growth_records(N, [2.0])[0]
     assert record.ratio == pytest.approx(math.sqrt(N), rel=1e-12)
-    assert tables == [(N, N), (N, N)]
+    assert tables == [(N, N)]
 
 
 def test_build_instance_size_one_closed_forms():
@@ -303,8 +329,8 @@ def test_rank_limited_draws_carry_their_spectrum(rng, rank):
 @pytest.mark.parametrize("N", [48, 100, 128])
 def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
     # growth_records scales the third slot inside the symbol; its lhs must be
-    # the norms of D = f(A, B, eps C) - f(A, B, 0) formed on eps C and the zero
-    # operator, bit for bit
+    # the last column's 2-norm of D = f(A, B, eps C) - f(A, B, 0) formed on
+    # eps C and the zero operator, bit for bit, and D's norms to a few ulps
     p_list = [1.0, 2.0, math.inf]
     inst = build_instance(N)
     for eps in (1.0, 0.3):
@@ -312,22 +338,29 @@ def test_growth_lhs_equals_the_norms_of_the_difference_itself(N):
         upper, base = (
             apply_function_triple(inst.f, inst.A, inst.B, c) for c in (scaled_c, zero_operator(N))
         )
+        column = (upper - base)[:, -1]
         values = singular_values(upper - base)
         for record, p in zip(growth_records(N, p_list, eps=eps), p_list):
-            assert record.lhs == float(norms_of_singular_values(values, p))
+            assert record.lhs == math.sqrt(float(np.sum(column.real**2 + column.imag**2)))
+            norm = float(norms_of_singular_values(values, p))
+            assert record.lhs == pytest.approx(norm, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_growth_difference_is_its_last_column(monkeypatch):
     # C's atom-0 weights are exactly 0 and no change of basis mixes D's
-    # columns, so D is one column and its other singular values are exactly 0
+    # columns, so D is one column, whose 2-norm is every norm: no SVD runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth_records took an SVD")
+
     N, seen = 256, []
-    real = counterexample.singular_values
-    monkeypatch.setattr(counterexample, "singular_values", lambda M: seen.append(M) or real(M))
-    growth_records(N, [1.0, 2.0, math.inf])
+    real = counterexample.apply_function_triple
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    kept = lambda *args: seen.append(real(*args)) or seen[-1]
+    monkeypatch.setattr(counterexample, "apply_function_triple", kept)
+    records = growth_records(N, [1.0, 2.0, math.inf])
     (D,) = seen
-    assert D.shape == (N, N) and not D[:, :-1].any()
-    values = real(D)
-    assert values[0] > 0.0 and not values[1:].any()
+    assert D.shape == (N, N) and not D[:, :-1].any() and D[:, -1].all()
+    assert {record.off_column for record in records} == {0.0}
 
 
 def test_growth_builds_only_a_b_and_c(monkeypatch):
@@ -347,18 +380,17 @@ def test_growth_builds_only_a_b_and_c(monkeypatch):
     assert len(calls) == 3
 
 
-def test_growth_records_run_one_triple_and_two_pairs(monkeypatch):
-    # D is the one triple; f(A, B, 0) and phi(A, B) are pairs: the zero
-    # operator's measure is one atom at 0 with projection I
+def test_growth_records_run_one_triple_and_no_pair(monkeypatch):
+    # D is the one calculus call: f(A, B, 0) = psi(0) phi(A, B) and
+    # phi(A, B) = 1 e_N^T are read from their closed forms
     calls = []
-    for name in ("apply_function_pair", "apply_function_triple"):
-        real = getattr(counterexample, name)
-        counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        monkeypatch.setattr(counterexample, name, counted)
+    real = moi._chain_integral
+    counted = lambda f, measures, ops: calls.append(len(measures)) or real(f, measures, ops)
+    monkeypatch.setattr(moi, "_chain_integral", counted)
     for N in (1, 8):
         calls.clear()
         assert growth_records(N, [2.0], eps=0.5)[0].ratio == pytest.approx(math.sqrt(N))
-        assert sorted(calls) == ["apply_function_pair"] * 2 + ["apply_function_triple"]
+        assert calls == [3]
 
 
 def test_growth_records_decompose_nothing(monkeypatch):
@@ -370,13 +402,13 @@ def test_growth_records_decompose_nothing(monkeypatch):
         assert growth_records(N, [1.0, 2.0, math.inf], eps=0.5)[0].perturbation == 0.5
 
 
-def test_growth_records_form_no_matrix_of_a_or_b(monkeypatch):
+def test_growth_records_form_no_matrix_of_a_b_or_c(monkeypatch):
     built = []
     real = counterexample.build_instance
     monkeypatch.setattr(counterexample, "build_instance", lambda N: built.append(real(N)) or built[-1])
     growth_records(16, [2.0])
     (inst,) = built
-    assert "matrix" not in vars(inst.A) and "matrix" not in vars(inst.B)
+    assert not any("matrix" in vars(op) for op in (inst.A, inst.B, inst.C))
 
 
 def _growth_peak_arrays(N):
@@ -423,24 +455,6 @@ def test_growth_instance_takes_one_unitary_check(monkeypatch):
     assert checks == [16]
     measures = (spectral_measure(op) for op in (inst.A, inst.B, inst.C))
     assert [E.identity_frame for E in measures] == [True, False, True]
-
-
-def test_growth_records_release_the_instance_before_the_svd(monkeypatch):
-    # only D is live when its singular values are taken
-    N, live = 256, []
-    real = counterexample.singular_values
-    monkeypatch.setattr(
-        counterexample,
-        "singular_values",
-        lambda M: live.append(tracemalloc.get_traced_memory()[0]) or real(M),
-    )
-    psi_band_majorant(psi_reference_grid())
-    tracemalloc.start()
-    try:
-        growth_records(N, [1.0, 2.0, math.inf])
-    finally:
-        tracemalloc.stop()
-    assert len(live) == 1 and live[0] <= 1.2 * 16 * N * N
 
 
 def test_growth_ratios_agree_with_decomposed_operators(monkeypatch):
@@ -823,7 +837,7 @@ def test_nan_ratio_fails_exact_blowup():
     records = [
         ExperimentRecord(
             N=4, p=p, lhs=lhs, perturbation=1.0, besov_surrogate=1.0, ratio=lhs,
-            base_peak=0.0, factor_dev=0.0,
+            base_peak=0.0, factor_dev=0.0, off_column=0.0,
         )
         for p, lhs in ((1.0, 2.0), (2.0, math.nan))
     ]

@@ -76,8 +76,9 @@ FAULTS = {
     # zero phi_N sups and psi majorants: the checks dividing by them fail, not raise
     "eta-zero": Fault(
         ETA, returning(lambda x: np.zeros_like(x, dtype=float)),
-        {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
-         "counterexample.bounded_symbol"}, residuals("ratio_error"),
+        {"counterexample.exact_blowup", "counterexample.factorization_identity",
+         "counterexample.rank_one_collapse", "counterexample.bounded_symbol"},
+        residuals("ratio_error", "factor_dev"),
     ),
     "psi-grid-zero": Fault(
         "besov.psi_reference", returning(lambda: lambda t: 0.0 * np.asarray(t, float)),
@@ -95,24 +96,30 @@ FAULTS = {
          "moi.commuting_diagonal", STACK_ITEM, "moi.triple_slot_exactness"},
         residuals("ratio_error", "factor_dev"),
     ),
+    # D smeared off its last column, by far less than factor_dev's tolerance
+    "triple-offset": Fault(
+        "moi.apply_function_triple counterexample.apply_function_triple",
+        corrupting(lambda result: result + 1e-13),
+        {"counterexample.factorization_identity"}, residuals("off_column"),
+    ),
     # only the stack check decomposes matrices with eigenvalues 1e-3 apart
     "group-tol": Fault("linalg._GROUP_TOL", returning(1e-3), {STACK_ITEM}),
     # A built on B's frame U instead of the identity: the Gram matrix is I
     "a-on-u": Fault(
         "counterexample.build_instance", corrupting(_a_on_u),
-        {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
-         "counterexample.gram_fidelity"},
-        residuals("ratio_error"),
+        {"counterexample.exact_blowup", "counterexample.factorization_identity",
+         "counterexample.rank_one_collapse", "counterexample.gram_fidelity"},
+        residuals("ratio_error", "factor_dev"),
     ),
     # both sides of the stack check run the swapped chain; the reversed
     # triple swaps other measures than the forward one
     "chain-swap": Fault(
         "moi._chain_integral",
         lambda real: lambda f, ms, ops: real(f, [ms[1], ms[0], *ms[2:]], ops),
-        {"counterexample.exact_blowup", "counterexample.rank_one_collapse",
-         "moi.commuting_diagonal", "moi.naive_oracle_equivalence", "moi.resolution_collapse",
+        {"counterexample.exact_blowup", "counterexample.factorization_identity",
+         "counterexample.rank_one_collapse", "moi.commuting_diagonal", "moi.naive_oracle_equivalence", "moi.resolution_collapse",
          "moi.triple_slot_exactness", "moi.slot_reversal"},
-        residuals("ratio_error"),
+        residuals("ratio_error", "factor_dev"),
     ),
     # each atom paired with its nearest atom's neighbour: still exact
     "nearest-off": Fault(

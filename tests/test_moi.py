@@ -306,6 +306,23 @@ def test_chunked_triple_matches_naive_oracle_with_repeated_atoms(seed, dim, atom
     assert np.max(np.abs(fast - slow)) <= 1e-10
 
 
+@pytest.mark.parametrize("atoms_per_chunk", [1, 2])
+@pytest.mark.parametrize("zero_at", [0.5, 2.0])
+def test_chunked_triple_skips_a_repeated_atom_of_zero_weight(rng, atoms_per_chunk, zero_at):
+    # the symbol vanishes on one repeated last atom: its block takes no
+    # product and is exactly 0, and the sum still equals the literal one
+    E1, E2 = (random_measure(rng, 6, 6) for _ in range(2))
+    C = hermitian_from_spectrum([-1.0, 0.5, 2.0], random_unitary(rng, 6), [1, 3, 2])
+    E3 = spectral_measure(C)
+    T1, T2 = complex_gaussian(rng, 6, 6), complex_gaussian(rng, 6, 6)
+    phi = lambda x, y, z: np.exp(1j * (x - 2.0 * y)) * (z - zero_at)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moi, "_CHUNK_ENTRIES", atoms_per_chunk * moi._CHAIN_ARRAYS * 36)
+        fast = triple_operator_integral(phi, E1, T1, E2, T2, E3)
+    slow = naive_triple_operator_integral(phi, E1, T1, E2, T2, E3)
+    assert np.max(np.abs(fast - slow)) <= 1e-10
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -649,6 +666,16 @@ def test_stacked_calculus_rejects_mixed_tuples(rng):
 def test_stacked_calculus_rejects_dimension_zero(members):
     with pytest.raises(ZeroDimensionError):
         apply_function_stack(lambda *v: v[0], np.zeros((2, 0)), np.zeros((2, 0, 0)), members)
+
+
+@pytest.mark.parametrize("slots", [2, 3])
+def test_stacked_calculus_of_an_empty_table_is_an_empty_stack(rng, slots):
+    def refuse(*args):
+        raise AssertionError("the symbol ran on an empty table")
+
+    values, frames, _ = column_form([random_hermitian(rng, 3) for _ in range(2)])
+    out = apply_function_stack(refuse, values, frames, np.empty((0, slots), dtype=int))
+    assert out.shape == (0, 3, 3) and out.dtype == np.complex128
 
 
 def test_stacked_calculus_rejects_members_outside_the_operators(rng):
