@@ -105,8 +105,8 @@ class GridFunction:
     """Uniform complex samples of one period of a function on [-L, L).
 
     ``samples`` must have power-of-two length 2^m; the grid points are
-    x_k = -L + k * (2L / 2^m).  The discrete spectrum and the band
-    majorant (:func:`psi_band_majorant`) are cached per instance.
+    x_k = -L + k * (2L / 2^m).  The discrete spectrum and the band sups
+    that :func:`psi_band_majorant` sums are cached per instance.
     """
 
     half_width: float
@@ -148,19 +148,20 @@ class GridFunction:
         return np.fft.fft(self.samples)
 
     @cached_property
-    def _band_majorant(self) -> float:
+    def _band_sups(self) -> tuple[float, tuple[float, ...]]:
+        """sup|flat| and sup|f_n| for n = 0 .. top, from one loop over the bands."""
         top = max_resolvable_band(self)
         if top < 0:
             raise BandAboveNyquistError(
                 "grid too coarse: no nonnegative band is resolvable"
             )
         flat = self.samples.copy()
-        weighted_sum = 0.0
+        sups = []
         for n in range(0, top + 1):
             piece = band_piece(self, n)
             flat -= piece.samples
-            weighted_sum += (2.0**n) * piece.sup_norm()
-        return float(np.max(np.abs(flat))) + weighted_sum
+            sups.append(piece.sup_norm())
+        return float(np.max(np.abs(flat))), tuple(sups)
 
     def frequencies(self) -> np.ndarray:
         """Angular grid frequencies in FFT order."""
@@ -245,16 +246,17 @@ def psi_band_majorant(psi: GridFunction) -> float:
     psi_n are the dyadic band components up to the largest resolvable band
     and psi_flat is the low-frequency remainder psi - sum(psi_n).  Each sup
     is a maximum over the grid points, a lower estimate of the true sup, so
-    refining the grid can raise the value.  It is computed once per grid
-    and cached on ``psi``, like its spectrum, so repeated calls with the
-    same grid do no band work.
+    refining the grid can raise the value.  The sups are computed once per
+    grid and cached on ``psi``, like its spectrum, so repeated calls with
+    the same grid do no band work.
 
     Raises
     ------
     BandAboveNyquistError
         If the grid is too coarse to resolve any nonnegative band.
     """
-    return psi._band_majorant
+    flat, sups = psi._band_sups
+    return flat + sum((2.0**n) * sup for n, sup in enumerate(sups))
 
 
 def tensor_bound_kappa(phi_sup: float, psi: GridFunction) -> float:

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -168,6 +169,22 @@ def test_psi_band_majorant_is_computed_once_per_grid(monkeypatch):
     monkeypatch.setattr(besov, "band_piece", no_band_work)
     assert psi_band_majorant(psi) == first
     assert tensor_bound_kappa(1.0, psi) == first
+
+
+def test_band_pieces_are_formed_once_per_grid(monkeypatch):
+    # the tail and the majorant read the sups of one band loop per grid
+    calls = collections.Counter()
+    real = besov.band_piece
+
+    def counted(f, band_index):
+        calls[f.log2_size] += 1
+        return real(f, band_index)
+
+    monkeypatch.setattr(besov, "band_piece", counted)
+    psi_reference_grid.cache_clear()  # no grid keeps sups from another test
+    assert check_summability_tail(64.0, 12).passed
+    assert check_surrogate_refinement(64.0, 12).passed
+    assert calls == {m: max_resolvable_band(psi_reference_grid(64.0, m)) + 1 for m in (12, 13)}
 
 
 def test_psi_band_majorant_same_samples_same_float():

@@ -121,12 +121,20 @@ FAULTS = {
          "moi.triple_slot_exactness", "moi.slot_reversal"},
         residuals("ratio_error", "factor_dev"),
     ),
-    # each atom paired with its nearest atom's neighbour: still exact
+    # each atom paired with its nearest atom's neighbour: still exact, and
+    # only the slot-blind zero sees that near pairs are split far
     "nearest-off": Fault(
         "moi._nearest_pairs",
         lambda real: lambda first, second: real(
             first, replace(second, eigenvalues=np.roll(second.eigenvalues, 1))
         ),
+        {"moi.clustered_exactness"},
+    ),
+    # no pair marked near, so every pair is far: still exact
+    "nearest-none": Fault(
+        "moi._nearest_pairs",
+        corrupting(lambda split: (*split[:2], split[2] & False, split[3] & False)),
+        {"moi.clustered_exactness"},
     ),
 }
 

@@ -97,3 +97,9 @@ def test_slot_reversal_catches_a_swapped_chain(monkeypatch):
     monkeypatch.setattr(moi, "_chain_integral", swapped)
     assert not selfcheck.check_slot_reversal(1, 5).passed
     assert selfcheck.check_stack_member_equivalence(1, 5).passed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustered_exactness_passes_at_other_seeds(seed):
+    result = selfcheck.check_clustered_exactness(seed + 15, 6)
+    assert result.passed, result.detail
