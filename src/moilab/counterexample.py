@@ -20,7 +20,7 @@ functions of operator tuples: the Hilbert-Schmidt vs S_p chain for pairs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, reduce
 from typing import Callable, Sequence
 
@@ -30,7 +30,6 @@ from .besov import GridFunction, psi_reference, psi_reference_grid, tensor_bound
 from .linalg import (
     HermitianOperator,
     as_complex_matrix,
-    complex_gaussian,
     hermitian_from_spectrum,
     hermitian_singular_values,
     identity_frame,
@@ -428,18 +427,22 @@ def _rank_limited_draw(
     matrices (count, dim, dim).
 
     Per operator the generator gives the real and then the imaginary part
-    of a complex Gaussian, then the ``rank`` values.  One stacked QR turns
-    every Gaussian into its unitary Q, so the draws equal, bit for bit, the
-    same draws taken one at a time.  Column j < rank of Q carries drawn
-    value j and the rest the value 0; a stable sort by value orders the
-    columns.  The matrices are (W diag(w)) W* over the ``rank`` drawn
-    columns W in that order, one stacked product, symmetrized.
+    of a complex Gaussian, each drawn in place into one (count, 2, dim,
+    dim) buffer, then the ``rank`` values; one pass assembles the complex
+    Gaussians, the bits of :func:`~moilab.linalg.complex_gaussian`.  One
+    stacked QR turns every Gaussian into its unitary Q, so the draws equal,
+    bit for bit, the same draws taken one at a time.  Column j < rank of Q
+    carries drawn value j and the rest the value 0; a stable sort by value
+    orders the columns.  The matrices are (W diag(w)) W* over the ``rank``
+    drawn columns W in that order, one stacked product, symmetrized.
     """
-    gaussians = np.empty((count, dim, dim), dtype=np.complex128)
+    parts = np.empty((count, 2, dim, dim))
     drawn = np.empty((count, rank))
     for k in range(count):
-        gaussians[k] = complex_gaussian(rng, dim, dim)
+        rng.standard_normal(out=parts[k, 0])
+        rng.standard_normal(out=parts[k, 1])
         drawn[k] = rng.uniform(-1.0, 1.0, size=rank)
+    gaussians = np.moveaxis(parts, 1, -1).copy().view(np.complex128)[..., 0]
     weights = np.pad(drawn, ((0, 0), (0, dim - rank)))
     columns = np.argsort(weights, axis=1, kind="stable")
     values = np.take_along_axis(weights, columns, axis=1)
@@ -451,9 +454,52 @@ def _rank_limited_draw(
 
 
 _TRIG_MAX_DEGREE = 3
+_TRIG_SPAN = np.arange(-_TRIG_MAX_DEGREE, _TRIG_MAX_DEGREE + 1)
 
 
-def random_trig_polynomial(rng: np.random.Generator) -> tuple[Callable, float]:
+def _leading(field, stack: int, ndim: int) -> np.ndarray:
+    """A record's ``field`` whose first ``stack`` axes are the record's stack
+    axes, with ones inserted behind them so that it broadcasts against
+    ``ndim``-axis grids whose leading axes are the stack's."""
+    shape = np.shape(field)
+    return np.reshape(field, (*shape[:stack], *[1] * (ndim - stack), *shape[stack:]))
+
+
+def _stacked(records: Sequence, repeats: int):
+    """The records stacked into one record, field by field: its member
+    ``i * repeats + j`` is ``records[i]`` for every j < ``repeats``."""
+    first = records[0]
+    return type(first)(
+        *(
+            np.repeat(np.stack([getattr(r, field.name) for r in records]), repeats, axis=0)
+            for field in fields(first)
+        )
+    )
+
+
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class TrigPolynomial:
+    """sum over |m|, |l| <= 3 of coeffs[m, l] e^{i(mx + ly)}.
+
+    ``coeffs`` is (7, 7), or a stack (k, 7, 7) of k polynomials
+    (:func:`_stacked`) whose member i is evaluated on the grids' leading
+    index i; every member runs the operations it runs alone.
+    """
+
+    coeffs: np.ndarray
+
+    def __call__(self, x, y):
+        # e^{i(mx + ly)} = e^{imx} e^{ily}: one exponential per frequency and
+        # argument value, the m sum as one product, the l sum over a trailing axis
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        # the product's row axis is x's last axis; its batch axes are the rest
+        coeffs = _leading(self.coeffs, self.coeffs.ndim - 2, x.ndim - 1)
+        ex = np.exp(1j * _TRIG_SPAN * x[..., None])
+        ey = np.exp(1j * _TRIG_SPAN * y[..., None])
+        return np.sum((ex @ coeffs) * ey, axis=-1)
+
+
+def random_trig_polynomial(rng: np.random.Generator) -> tuple[TrigPolynomial, float]:
     """Random two-variable trigonometric polynomial plus a certified
     smoothness surrogate.
 
@@ -463,31 +509,20 @@ def random_trig_polynomial(rng: np.random.Generator) -> tuple[Callable, float]:
     sum_n 2^n sup|f_n| <= sum_n 2^n sum_{ml} |c_ml| w(...), which is the
     returned bound.  The constant term never enters (w vanishes at 0).
     """
-    span = np.arange(-_TRIG_MAX_DEGREE, _TRIG_MAX_DEGREE + 1)
-    coeffs = rng.standard_normal((span.size, span.size)) + 1j * rng.standard_normal(
-        (span.size, span.size)
-    )
-
-    def f(x, y):
-        # e^{i(mx + ly)} = e^{imx} e^{ily}: one exponential per frequency and
-        # argument value, the m sum as one product, the l sum over a trailing axis
-        ex = np.exp(1j * span * np.asarray(x, dtype=float)[..., None])
-        ey = np.exp(1j * span * np.asarray(y, dtype=float)[..., None])
-        return np.sum((ex @ coeffs) * ey, axis=-1)
-
+    size = _TRIG_SPAN.size
+    coeffs = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     magnitudes = np.abs(coeffs)
     bound = 0.0
     for scale, window in _trig_band_windows():
         bound += scale * float(np.sum(magnitudes * window))
-    return f, bound
+    return TrigPolynomial(coeffs), bound
 
 
 @cache
 def _trig_band_windows() -> tuple[tuple[float, np.ndarray], ...]:
     """(2^n, w(|(m, l)|_2 / 2^n)) over the frequency grid, for every band n
     that can meet it; the same for every draw, so computed once (read-only)."""
-    span = np.arange(-_TRIG_MAX_DEGREE, _TRIG_MAX_DEGREE + 1)
-    radii = np.hypot(span[:, None], span[None, :])
+    radii = np.hypot(_TRIG_SPAN[:, None], _TRIG_SPAN[None, :])
     top_band = int(math.ceil(math.log2(max(float(np.max(radii)), 1.0)))) + 1
     bands = []
     for n in range(0, top_band + 1):
@@ -500,12 +535,39 @@ def _trig_band_windows() -> tuple[tuple[float, np.ndarray], ...]:
 _KINK_PIECES = 3
 
 
-def random_kink_function(rng: np.random.Generator) -> tuple[Callable, float]:
-    """Random affine-plus-kinks function of three variables with a certified
-    Lipschitz seminorm.
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class KinkFunction:
+    """f(v) = a0 + a . v + sum_m c_m min(1, |b_m . v + d_m|) over three kinks m.
 
-    f(v) = a0 + a . v + sum_m c_m min(1, |b_m . v + d_m|) over three kinks m;
-    the returned seminorm |a|_2 + sum |c_m| |b_m|_2 dominates the true one,
+    The fields are a0, a (3,), c (3,), b (3, 3) and d (3,), or stacks of
+    them over k functions (:func:`_stacked`) whose member i is evaluated on
+    the grids' leading index i; every member runs the operations it runs
+    alone.
+    """
+
+    a0: float | np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+
+    def __call__(self, x, y, z):
+        stack, ndim = np.ndim(self.a0), max(np.ndim(x), np.ndim(y), np.ndim(z))
+        a0, a, c, b, d = (
+            _leading(v, stack, ndim) for v in (self.a0, self.a, self.c, self.b, self.d)
+        )
+        total = a0 + a[..., 0] * x + a[..., 1] * y + a[..., 2] * z
+        for m in range(_KINK_PIECES):
+            linear = b[..., m, 0] * x + b[..., m, 1] * y + b[..., m, 2] * z + d[..., m]
+            total = total + c[..., m] * np.minimum(1.0, np.abs(linear))
+        return total
+
+
+def random_kink_function(rng: np.random.Generator) -> tuple[KinkFunction, float]:
+    """Random affine-plus-kinks function of three variables
+    (:class:`KinkFunction`) with a certified Lipschitz seminorm.
+
+    The returned seminorm |a|_2 + sum |c_m| |b_m|_2 dominates the true one,
     so bounds asserted with it remain consequences of the underlying
     estimate.
     """
@@ -514,16 +576,8 @@ def random_kink_function(rng: np.random.Generator) -> tuple[Callable, float]:
     c = rng.uniform(-1.0, 1.0, size=_KINK_PIECES)
     b = rng.uniform(-1.0, 1.0, size=(_KINK_PIECES, 3))
     d = rng.uniform(-1.0, 1.0, size=_KINK_PIECES)
-
-    def f(x, y, z):
-        total = a0 + a[0] * x + a[1] * y + a[2] * z
-        for m in range(_KINK_PIECES):
-            linear = b[m, 0] * x + b[m, 1] * y + b[m, 2] * z + d[m]
-            total = total + c[m] * np.minimum(1.0, np.abs(linear))
-        return total
-
     seminorm = float(np.linalg.norm(a) + np.sum(np.abs(c) * np.linalg.norm(b, axis=1)))
-    return f, seminorm
+    return KinkFunction(a0, a, c, b, d), seminorm
 
 
 @dataclass(frozen=True)
@@ -564,55 +618,62 @@ def _rank_check(
     seed: int,
     count: int,
     draw_function: Callable,
+    members: Sequence[Sequence[int]],
     differences: Callable,
     verdicts: Callable,
 ) -> list[RankCheckReport]:
     """The loop both rank checks share, run over blocks of trials.
 
     A trial takes ``count`` rank-N operators of dimension 2N and a test
-    function ``draw_function(rng) -> (f, weight)``.  Two generators spawned
-    from ``seed`` feed them: one gives every operator and the other every
-    test function.  Each block, of as many trials as keep its operator
-    matrices within ``_BLOCK_ENTRIES`` entries,
+    function ``draw_function(rng) -> (record, weight)``, a
+    :class:`TrigPolynomial` or :class:`KinkFunction`.  Two generators
+    spawned from ``seed`` feed them: one gives every operator and the other
+    every test function.  Each block, of as many trials as keep its
+    operator matrices within ``_BLOCK_ENTRIES`` entries,
 
     1. draws all of its operators in column form in one
        :func:`_rank_limited_draw` call, then each trial's test function;
-    2. runs each trial's ``differences(values, frames, matrices, f)`` on its
-       operators, a stack of matrices from one stacked calculus call
-       (:func:`~moilab.moi.apply_function_stack`);
-    3. takes one :func:`~moilab.linalg.singular_values` call over the
-       block's matrices;
+    2. evaluates the terms of every trial in one stacked calculus call
+       (:func:`~moilab.moi.apply_function_stack`): ``members`` names one
+       trial's terms by its operators, trial i's rows offset by
+       ``i * count`` in the block's table, and the block's records, stacked
+       field by field and repeated per term (:func:`_stacked`), make one
+       symbol call per chunk;
+    3. forms the block's matrices in one ``differences(terms, matrices)``
+       call, the terms as (trials, terms per trial, 2N, 2N) and the drawn
+       matrices as (trials, count, 2N, 2N), and takes one
+       :func:`~moilab.linalg.singular_values` call over them;
     4. reads every verdict of the block at once: ``verdicts(values,
        weights)`` gets the singular values as (trials, matrices per trial,
        2N) and the weights as (trials,), and gives one ``(ratios, oks)``
        pair of (trials,) arrays per entry of ``p_list``.
 
-    Each stream is drawn in trial order whatever the block size, each
-    trial's calculus is its own call, and the stacked SVD and norms give
-    each matrix the bits it has alone, so the reports do not depend on the
-    block size.
+    Each stream is drawn in trial order whatever the block size; every
+    member of the stacked call, every difference and the stacked SVD and
+    norms give each trial the bits it has alone, so the reports do not
+    depend on the block size.
     """
     if not p_list:
         return []
     operator_rng, function_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     dim = 2 * N
+    members = np.asarray(members)
     per_block = max(1, _BLOCK_ENTRIES // (count * dim * dim))
     rows = [[] for _ in p_list]
     for start in range(0, trials, per_block):
         block = range(start, min(start + per_block, trials))
-        drawn = _rank_limited_draw(operator_rng, dim, N, count * len(block))
+        values, frames, matrices = _rank_limited_draw(operator_rng, dim, N, count * len(block))
         functions = [draw_function(function_rng) for _ in block]
-        matrices = np.concatenate(
-            [
-                differences(*(a[i * count : (i + 1) * count] for a in drawn), f)
-                for i, (f, _) in enumerate(functions)
-            ]
-        )
-        values = singular_values(matrices).reshape(len(block), -1, dim)
+        table = members + count * np.arange(len(block))[:, None, None]
+        record = _stacked([f for f, _ in functions], len(members))
+        terms = apply_function_stack(record, values, frames, table.reshape(-1, members.shape[1]))
+        shape = (len(block), -1, dim, dim)
+        stack = differences(terms.reshape(shape), matrices.reshape(shape)).reshape(-1, dim, dim)
+        singular = singular_values(stack).reshape(len(block), -1, dim)
         weights = np.array([weight for _, weight in functions])
-        for p_rows, (ratios, oks) in zip(rows, verdicts(values, weights)):
+        for p_rows, (ratios, oks) in zip(rows, verdicts(singular, weights)):
             p_rows.extend(map(RankTrial, block, ratios.tolist(), oks.tolist()))
-        del drawn, matrices  # freed before the next block is built
+        del values, frames, matrices, terms, stack  # freed before the next block is built
     return [RankCheckReport(N=N, p=p, trials=tuple(r)) for p, r in zip(p_list, rows)]
 
 
@@ -636,11 +697,11 @@ def rank_estimate_check_pairs(
 
     A trial takes four operators from the operator stream and its
     polynomial from the function stream, and has three differences: Df,
-    A1 - A2 and B1 - B2.  Its two terms f(A1, B1) and f(A2, B2) are one
-    stack of two, from one symbol call.  :func:`_rank_check` draws, takes
-    the SVDs and reads the verdicts of a block of trials at once, and one
-    SVD serves every index; so the draws, and each report, do not depend on
-    the other entries of ``p_list``.
+    A1 - A2 and B1 - B2.  Its two terms are f(A1, B1) and f(A2, B2).
+    :func:`_rank_check` draws, evaluates every term in one stacked call,
+    takes the SVDs and reads the verdicts of a block of trials at once, and
+    one SVD serves every index; so the draws, and each report, do not
+    depend on the other entries of ``p_list``.
 
     Requires p >= 2 (the chain runs through the Hilbert-Schmidt norm).
     """
@@ -648,10 +709,11 @@ def rank_estimate_check_pairs(
     if any(p < 2.0 for p in p_list):
         raise ValueError("rank_estimate_check_pairs requires p >= 2")
 
-    def differences(values, frames, matrices, f):
-        # the operators are A1, B1, A2, B2
-        terms = apply_function_stack(f, values, frames, [(0, 1), (2, 3)])
-        return np.stack([terms[0] - terms[1], matrices[0] - matrices[2], matrices[1] - matrices[3]])
+    def differences(terms, matrices):
+        # the operators are A1, B1, A2, B2 and the terms f(A1, B1), f(A2, B2)
+        return np.concatenate(
+            [terms[:, :1] - terms[:, 1:], matrices[:, :2] - matrices[:, 2:]], axis=1
+        )
 
     def verdicts(values, surrogates):
         # per trial: Df's singular values, then those of the two perturbations X
@@ -667,7 +729,10 @@ def rank_estimate_check_pairs(
             denominators = N ** (0.5 - inv_p) * surrogates * x_p.max(axis=1, initial=0.0)
             yield _ratios(norms_p[:, 0], denominators), oks
 
-    return _rank_check(N, p_list, trials, seed, 4, random_trig_polynomial, differences, verdicts)
+    members = [(0, 1), (2, 3)]
+    return _rank_check(
+        N, p_list, trials, seed, 4, random_trig_polynomial, members, differences, verdicts
+    )
 
 
 def lipschitz_rank_bound_check(
@@ -684,21 +749,20 @@ def lipschitz_rank_bound_check(
     together with the three telescoping one-slot steps it is assembled
     from.  A violation indicates an implementation bug, since the bound is
     a proven estimate.  A trial takes six operators from the operator
-    stream and its kink function from the function stream, evaluates the
-    four corners as one stack of four, from one symbol call per chunk, and
-    has seven differences.  :func:`_rank_check` draws, takes the SVDs and
+    stream and its kink function from the function stream; its terms are
+    the four corners, and it has seven differences.  :func:`_rank_check`
+    draws, evaluates every corner in one stacked call, takes the SVDs and
     reads the verdicts of a block of trials at once, and one SVD serves
     every index, so the draws do not depend on ``p_list``.
     """
     p_list = [validate_schatten_index(p) for p in p_list]
     slack = 1e-9
 
-    def differences(values, frames, matrices, f):
-        # corner k takes its first k slots from the second triple (operators 3 to 5)
-        members = [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)]
-        corners = apply_function_stack(f, values, frames, members)
-        steps = matrices[:3] - matrices[3:]
-        return np.concatenate([steps, corners[:-1] - corners[1:], corners[:1] - corners[3:]])
+    def differences(corners, matrices):
+        steps = matrices[:, :3] - matrices[:, 3:]
+        return np.concatenate(
+            [steps, corners[:, :-1] - corners[:, 1:], corners[:, :1] - corners[:, 3:]], axis=1
+        )
 
     def verdicts(values, seminorms):
         # per trial: the three slot differences, the three steps, the total
@@ -710,4 +774,8 @@ def lipschitz_rank_bound_check(
             bounds = scales * (d_norms[:, 0] + d_norms[:, 1] + d_norms[:, 2])
             yield _ratios(lhs, bounds), (lhs <= bounds + slack) & steps_ok
 
-    return _rank_check(N, p_list, trials, seed, 6, random_kink_function, differences, verdicts)
+    # corner k takes its first k slots from the second triple (operators 3 to 5)
+    members = [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)]
+    return _rank_check(
+        N, p_list, trials, seed, 6, random_kink_function, members, differences, verdicts
+    )

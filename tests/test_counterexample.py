@@ -14,8 +14,10 @@ from moilab.counterexample import (
     PHI_SUP,
     ExperimentRecord,
     InvalidEpsilonError,
+    KinkFunction,
     RankCheckReport,
     RankTrial,
+    TrigPolynomial,
     build_instance,
     dft_unitary,
     epsilon_scaling_run,
@@ -40,7 +42,7 @@ from moilab.linalg import (
     spectral_measure,
     zero_operator,
 )
-from moilab.moi import apply_function_pair, apply_function_triple
+from moilab.moi import apply_function_pair, apply_function_stack, apply_function_triple
 from moilab.selfcheck import check_bounded_symbol, check_exact_blowup, check_rank_one_collapse
 
 
@@ -612,9 +614,9 @@ def test_lipschitz_verdict_needs_its_steps(monkeypatch):
         return tuple(np.concatenate([a] * (count // 6)) for a in triples)
 
     monkeypatch.setattr(counterexample, "_rank_limited_draw", planted)
-    monkeypatch.setattr(
-        counterexample, "random_kink_function", lambda rng: (lambda x, y, z: x - y + 0.0 * z, 0.0)
-    )
+    zeros = np.zeros(3)
+    difference = KinkFunction(0.0, np.array([1.0, -1.0, 0.0]), zeros, np.zeros((3, 3)), zeros)
+    monkeypatch.setattr(counterexample, "random_kink_function", lambda rng: (difference, 0.0))
     reports = lipschitz_rank_bound_check(2, [1.0, 2.0, math.inf], trials=3, seed=1)
     assert counts == [18]  # one block of three trials, each took the planted triples
     assert [len(report.trials) for report in reports] == [3, 3, 3]
@@ -632,21 +634,14 @@ def _direct_trig_sum(coeffs, x, y):
 
 def _reference_trig_polynomial(rng):
     """The trigonometric polynomial draw with w(radius / 2^n) computed per
-    band; its polynomial is evaluated in the factored form e^{imx} e^{ily}."""
+    band, for the polynomial's own coefficients."""
     span = np.arange(-3, 4)
     coeffs = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    m, l = span[:, None], span[None, :]
-
-    def f(x, y):
-        ex = np.exp(1j * span * np.asarray(x, dtype=float)[..., None])
-        ey = np.exp(1j * span * np.asarray(y, dtype=float)[..., None])
-        return np.sum((ex @ coeffs) * ey, axis=-1)
-
-    radii = np.hypot(m, l)
+    radii = np.hypot(span[:, None], span[None, :])
     bound = 0.0
     for n in range(5):  # radii reach 3 sqrt(2), so bands 0..4 can meet them
         bound += (2.0**n) * float(np.sum(np.abs(coeffs) * window_w(radii / 2.0**n)))
-    return f, bound
+    return TrigPolynomial(coeffs), bound
 
 
 def test_trig_polynomial_factored_form_equals_the_double_sum():
@@ -660,6 +655,61 @@ def test_trig_polynomial_factored_form_equals_the_double_sum():
         y = rng.uniform(-4.0, 4.0, size=(3, 1, 5))
         direct = _direct_trig_sum(coeffs, x, y)
         assert np.max(np.abs(f(x, y) - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def _stacked_grids(rng, stack, sizes):
+    """One grid per variable, (stack, ...) with variable k along axis k + 1."""
+    grids = []
+    for k, size in enumerate(sizes):
+        shape = [stack] + [1] * len(sizes)
+        shape[k + 1] = size
+        grids.append(rng.uniform(-2.0, 2.0, size=shape))
+    return grids
+
+
+@pytest.mark.parametrize(
+    "draw, sizes", [(random_trig_polynomial, (4, 5)), (random_kink_function, (4, 5, 2))]
+)
+def test_stacked_records_broadcast_over_stacked_grids(draw, sizes):
+    # member i * repeats + j of the stacked record is record i on its own slice
+    rng = np.random.default_rng(SEED)
+    records = [draw(rng)[0] for _ in range(3)]
+    repeats = 2
+    stacked = counterexample._stacked(records, repeats)
+    grids = _stacked_grids(rng, len(records) * repeats, sizes)
+    values = stacked(*grids)
+    assert values.shape == (len(records) * repeats, *sizes)
+    for member, value in enumerate(values):
+        alone = records[member // repeats](*(grid[member] for grid in grids))
+        np.testing.assert_array_equal(value, alone)
+
+
+@pytest.mark.parametrize(
+    "count, draw, members",
+    [
+        (4, random_trig_polynomial, [(0, 1), (2, 3)]),
+        (6, random_kink_function, [(0, 1, 2), (3, 1, 2), (3, 4, 2), (3, 4, 5)]),
+    ],
+)
+def test_block_call_members_equal_single_trial_calls(count, draw, members):
+    # the rank checks' block layout: trial i's rows offset by i * count, its
+    # record repeated over its terms; each member must be, bit for bit, the
+    # trial's own call with its own record
+    trials, dim = 4, 6
+    rng = np.random.default_rng(SEED)
+    values, frames, _ = counterexample._rank_limited_draw(rng, dim, 3, count * trials)
+    records = [draw(rng)[0] for _ in range(trials)]
+    table = np.asarray(members) + count * np.arange(trials)[:, None, None]
+    stacked = counterexample._stacked(records, len(members))
+    block = apply_function_stack(stacked, values, frames, table.reshape(-1, table.shape[-1]))
+    block = block.reshape(trials, len(members), dim, dim)
+    for i, record in enumerate(records):
+        own = slice(i * count, (i + 1) * count)
+        alone = apply_function_stack(record, values[own], frames[own], members)
+        np.testing.assert_array_equal(block[i], alone)
+        # the records are distinguishable: another trial's record gives other terms
+        other = apply_function_stack(records[i - 1], values[own], frames[own], members)
+        assert not np.array_equal(other, alone)
 
 
 def _both_rank_checks(N, trials):
@@ -718,23 +768,26 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
         "_rank_limited_draw": lambda rng, dim, rank, count: count,
         "random_kink_function": lambda rng: None,
         "random_trig_polynomial": lambda rng: None,
+        "apply_function_stack": lambda f, values, frames, members: len(members),
         "singular_values": len,
     }
     for name, size in sizes.items():
         real = getattr(counterexample, name)
         monkeypatch.setattr(counterexample, name, _logged(events, name, real, size))
     blocked = _both_rank_checks(N, trials)
-    # per block: one draw of all its operators, each trial's function, one SVD
+    # per block: one draw of all its operators, each trial's function, one
+    # stacked calculus call over every term of the block, one SVD
     expected = []
-    # (operators, test function, differences) per trial of the Lipschitz and the pairs check
-    shapes = [(6, "random_kink_function", 7), (4, "random_trig_polynomial", 3)]
-    for count, function, width in shapes:
+    # (operators, test function, terms, differences) per trial of the Lipschitz and the pairs check
+    shapes = [(6, "random_kink_function", 4, 7), (4, "random_trig_polynomial", 2, 3)]
+    for count, function, terms, width in shapes:
         per_block = counterexample._BLOCK_ENTRIES // (count * (2 * N) ** 2)
         assert 1 < per_block < trials and trials % per_block  # several blocks, the last partial
         for start in range(0, trials, per_block):
             n = min(per_block, trials - start)
             expected.append(("_rank_limited_draw", count * n))
             expected += [(function, None)] * n
+            expected.append(("apply_function_stack", terms * n))
             expected.append(("singular_values", width * n))
     assert events == expected
     reference, calls = _per_operator_reference(monkeypatch, N, trials)
@@ -745,19 +798,14 @@ def test_rank_checks_span_blocks_with_a_partial_last_block(monkeypatch):
 def test_stacked_corners_keep_each_symbol_table_within_a_chunk(monkeypatch):
     # at d = 48 the four corners need 4 * 48^3 weights, 442k entries in all
     sizes = []
-    draw = counterexample.random_kink_function
+    evaluate = KinkFunction.__call__
 
-    def recorded(rng):
-        f, seminorm = draw(rng)
+    def recorded(f, x, y, z):
+        values = evaluate(f, x, y, z)
+        sizes.append(np.size(values))
+        return values
 
-        def g(x, y, z):
-            values = f(x, y, z)
-            sizes.append(np.size(values))
-            return values
-
-        return g, seminorm
-
-    monkeypatch.setattr(counterexample, "random_kink_function", recorded)
+    monkeypatch.setattr(KinkFunction, "__call__", recorded)
     (report,) = lipschitz_rank_bound_check(24, [2.0], trials=1)
     assert report.all_passed
     assert sum(sizes) == 4 * 48**3

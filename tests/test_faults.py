@@ -71,7 +71,7 @@ FAULTS = {
     "eta-unguarded": Fault(ETA, returning(UNGUARDED_ETA), NOT_FINITE, NOT_FINITE),
     "kink-nan": Fault(
         "counterexample.random_kink_function",
-        corrupting(lambda d: (lambda *v: d[0](*v) * np.nan, d[1])), IN_MEMBER, bounds=IN_MEMBER,
+        corrupting(lambda d: (replace(d[0], a0=np.nan), d[1])), IN_MEMBER, bounds=IN_MEMBER,
     ),
     # zero phi_N sups and psi majorants: the checks dividing by them fail, not raise
     "eta-zero": Fault(
